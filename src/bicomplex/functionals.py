@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _arrays
-from ._arrays import SQRT2, hat_merge
+from ._arrays import hat_merge
 from .errors import (
     ComponentInNullDistance,
     DimensionMismatch,
@@ -72,8 +72,7 @@ class TFunctional:
         if not gens:
             return cls.zero(Y.n)
         values = [Bicomplex.coerce(v) for v in values]
-        G1 = np.column_stack([g.split().v1 for g in gens])
-        G2 = np.column_stack([g.split().v2 for g in gens])
+        G1, G2 = Y.generator_matrices()
         t1 = np.array([v.to_idempotent().h1 for v in values])
         t2 = np.array([v.to_idempotent().h2 for v in values])
         rows = []
@@ -138,13 +137,7 @@ class TFunctional:
 
     def norms(self) -> NormReport:
         """Operator norms of the functional viewed as a 1-by-n operator."""
-        s1, s2 = self.component_norms()
-        return NormReport(
-            sup_norm=max(s1, s2) / SQRT2,
-            idem_norm=float(np.sqrt((s1 * s1 + s2 * s2) / 2.0)),
-            s1=s1,
-            s2=s2,
-        )
+        return NormReport.of(*self.component_norms())
 
     def restricted_component_norms(self, Y: Submodule) -> tuple[float, float]:
         """Norms of the restrictions to the component subspaces of Y."""
@@ -300,22 +293,13 @@ def hahn_banach_extend(ystar, Y: Submodule, tol: float = 1e-10) -> ExtensionRepo
 
     y_comp = ystar.restricted_component_norms(Y)
     x_comp = extension.component_norms()
-
-    def aggregate(s1: float, s2: float) -> NormReport:
-        return NormReport(
-            sup_norm=max(s1, s2) / SQRT2,
-            idem_norm=float(np.sqrt((s1 * s1 + s2 * s2) / 2.0)),
-            s1=s1,
-            s2=s2,
-        )
-
     return ExtensionReport(
         extension=extension,
         restriction_error=err,
         y_component_norms=y_comp,
         x_component_norms=x_comp,
-        y_norms=aggregate(*y_comp),
-        x_norms=aggregate(*x_comp),
+        y_norms=NormReport.of(*y_comp),
+        x_norms=NormReport.of(*x_comp),
     )
 
 

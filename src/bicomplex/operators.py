@@ -39,6 +39,16 @@ class NormReport:
     s1: float
     s2: float
 
+    @classmethod
+    def of(cls, s1: float, s2: float) -> "NormReport":
+        """Both norms from the component norms s1, s2."""
+        return cls(
+            sup_norm=max(s1, s2) / SQRT2,
+            idem_norm=float(np.sqrt((s1 * s1 + s2 * s2) / 2.0)),
+            s1=s1,
+            s2=s2,
+        )
+
     def to_json(self) -> dict:
         return {
             "sup_norm": self.sup_norm,
@@ -198,14 +208,7 @@ class TMatrix:
     def norms(self) -> NormReport:
         """Both operator norms from the largest component singular values."""
         sv1, sv2 = self.component_singular_values()
-        s1 = float(sv1[0])
-        s2 = float(sv2[0])
-        return NormReport(
-            sup_norm=max(s1, s2) / SQRT2,
-            idem_norm=float(np.sqrt((s1 * s1 + s2 * s2) / 2.0)),
-            s1=s1,
-            s2=s2,
-        )
+        return NormReport.of(float(sv1[0]), float(sv2[0]))
 
     def bound_constant(self) -> float:
         """The least M with |Tx| <= sqrt(2) * M * |x| for every x; coincides

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import SQRT2, hat_merge, hat_split, vec_norm4
+from ._arrays import hat_merge, hat_split, vec_norm4
 from .errors import DimensionMismatch, EmptyCollection
 from .scalar import Bicomplex
 
@@ -219,12 +219,7 @@ class Submodule:
             if g.n != self._n:
                 raise DimensionMismatch(f"generator dimension {g.n} != ambient {self._n}")
         self._generators = tuple(gens)
-        if gens:
-            G1 = np.column_stack([g.split().v1 for g in gens])
-            G2 = np.column_stack([g.split().v2 for g in gens])
-        else:
-            G1 = np.zeros((self._n, 0), dtype=np.complex128)
-            G2 = np.zeros((self._n, 0), dtype=np.complex128)
+        G1, G2 = self.generator_matrices()
         self._basis1 = _arrays.orthonormal_columns(G1, rank_tol)
         self._basis2 = _arrays.orthonormal_columns(G2, rank_tol)
         self._basis1.setflags(write=False)
@@ -269,6 +264,15 @@ class Submodule:
     def dim2(self) -> int:
         return self._basis2.shape[1]
 
+    def generator_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Component matrices (G1, G2), one column per generator, from a single
+        hat split of the stacked generator coefficients."""
+        if self._generators:
+            stacked = np.stack([g.coeffs for g in self._generators], axis=1)
+        else:
+            stacked = np.zeros((self._n, 0, 4))
+        return hat_split(stacked)
+
     def is_fundamental(self) -> bool:
         """True when the generators span all of T^n (both component spaces full)."""
         return self.dim1 == self._n and self.dim2 == self._n
@@ -276,12 +280,7 @@ class Submodule:
     # geometry ---------------------------------------------------------------
 
     def project(self, x: TVector) -> TVector:
-        if x.n != self._n:
-            raise DimensionMismatch(f"vector dimension {x.n} != ambient {self._n}")
-        pair = x.split()
-        p1 = self._basis1 @ (self._basis1.conj().T @ pair.v1)
-        p2 = self._basis2 @ (self._basis2.conj().T @ pair.v2)
-        return TVector.from_split(p1, p2)
+        return self.distance_to(x).projection
 
     def distance_to(self, x: TVector) -> DistanceResult:
         if x.n != self._n:
@@ -339,7 +338,3 @@ def bounded_sup(points) -> float:
         raise EmptyCollection("bounded_sup needs at least one vector")
     return sup
 
-
-def scaled_norm_bound(w: Bicomplex, x: TVector) -> float:
-    """The ring-scalar norm bound sqrt(2) * |w| * |x| that |w x| never exceeds."""
-    return SQRT2 * w.norm() * x.norm()

@@ -25,71 +25,7 @@ from .errors import UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
 from .operators import TMatrix
 from .scalar import Bicomplex
-from .tmodule import TVector
-
-CHECK_IDS = (
-    "ring-axioms",
-    "submult",
-    "norm-identity",
-    "scalar-homogeneity",
-    "translation-invariance",
-    "homeomorphism-Ta",
-    "homeomorphism-Mlambda",
-    "ubp",
-    "continuity-bounded",
-    "limit-operator",
-    "bxy-complete",
-    "open-mapping",
-    "closed-graph",
-    "two-metric",
-    "total-family",
-    "hahn-banach",
-    "norm-sandwich",
-    "compose-norm",
-)
-
-_DEFAULT_TRIALS = {
-    "ring-axioms": 100_000,
-    "submult": 1_000_000,
-    "norm-identity": 1_000_000,
-    "scalar-homogeneity": 100_000,
-    "translation-invariance": 50_000,
-    "homeomorphism-Ta": 50_000,
-    "homeomorphism-Mlambda": 20_000,
-    "ubp": 60,
-    "continuity-bounded": 200,
-    "limit-operator": 60,
-    "bxy-complete": 60,
-    "open-mapping": 150,
-    "closed-graph": 200,
-    "two-metric": 100,
-    "total-family": 400,
-    "hahn-banach": 150,
-    "norm-sandwich": 400,
-    "compose-norm": 400,
-}
-
-_DEFAULT_TOL = {
-    "ring-axioms": 1e-13,
-    "submult": 1e-12,
-    "norm-identity": 1e-12,
-    "scalar-homogeneity": 1e-12,
-    "translation-invariance": 1e-12,
-    "homeomorphism-Ta": 1e-12,
-    "homeomorphism-Mlambda": 1e-9,
-    "ubp": 1e-10,
-    "continuity-bounded": 1e-9,
-    "limit-operator": 1e-10,
-    "bxy-complete": 1e-10,
-    "open-mapping": 1e-9,
-    "closed-graph": 1e-10,
-    "two-metric": 1e-10,
-    "total-family": 1e-10,
-    "hahn-banach": 1e-10,
-    "norm-sandwich": 1e-10,
-    "compose-norm": 1e-10,
-}
-
+from .tmodule import Submodule, TVector
 
 @dataclass(frozen=True)
 class CheckConfig:
@@ -102,8 +38,7 @@ class CheckConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.check_id not in CHECK_IDS:
-            raise UnknownCheckId(f"unknown check id {self.check_id!r}")
+        _check(self.check_id)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not (self.tol > 0.0):
@@ -147,20 +82,14 @@ def default_config(
     tol: float | None = None,
 ) -> CheckConfig:
     """Configuration with the per-check default trial count and tolerance."""
-    if check_id not in CHECK_IDS:
-        raise UnknownCheckId(f"unknown check id {check_id!r}")
+    check = _check(check_id)
     return CheckConfig(
         check_id=check_id,
         seed=seed,
-        trials=_DEFAULT_TRIALS[check_id] if trials is None else trials,
+        trials=check.trials if trials is None else trials,
         dims=dims,
-        tol=_DEFAULT_TOL[check_id] if tol is None else tol,
+        tol=check.tol if tol is None else tol,
     )
-
-
-def _rng_for(seed: int, check_id: str) -> np.random.Generator:
-    index = CHECK_IDS.index(check_id)
-    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, index])
 
 
 class _Best:
@@ -595,7 +524,7 @@ def _unit_ball_attainment_value(T: TMatrix) -> float:
     else:
         x = TVector.from_split(np.zeros_like(v), SQRT2 * v)
     reached = T.apply(x).norm()
-    target = SQRT2 * T.bound_constant()
+    target = SQRT2 * report.sup_norm
     return abs(reached - target) / (1.0 + target)
 
 
@@ -850,8 +779,6 @@ def _replay_total_family(witness: dict) -> float:
 
 
 def _hahn_banach_value(n: int, gen_rows: list, ystar_rows: list, w_row: list, x_rows: list) -> float:
-    from .tmodule import Submodule
-
     gens = [TVector.from_json(g) for g in gen_rows]
     Y = Submodule(n, gens)
     ystar = TFunctional(TVector.from_json(ystar_rows))
@@ -982,64 +909,61 @@ def _replay_compose_norm(witness: dict) -> float:
 # --- registry ---------------------------------------------------------------------
 
 
-def _bound_for(check_id: str, tol: float) -> float:
-    if check_id == "submult":
-        return SQRT2 + tol
-    return tol
+@dataclass(frozen=True)
+class Check:
+    """One registered check.  `stream` is the index that, with the seed,
+    selects the check's random stream; it is pinned here so that adding or
+    reordering checks reseeds none of the others."""
+
+    check_id: str
+    stream: int
+    trials: int
+    tol: float
+    run: Callable[[CheckConfig, np.random.Generator], tuple[_Best, int]]
+    replay: Callable[[dict], float]
+    bound_offset: float = 0.0
 
 
-_RUNNERS = {
-    "ring-axioms": _run_ring_axioms,
-    "submult": _run_submult,
-    "norm-identity": _run_norm_identity,
-    "scalar-homogeneity": _run_scalar_homogeneity,
-    "translation-invariance": _run_translation_invariance,
-    "homeomorphism-Ta": _run_homeomorphism_ta,
-    "homeomorphism-Mlambda": _run_homeomorphism_mlambda,
-    "ubp": _run_ubp,
-    "continuity-bounded": _run_continuity_bounded,
-    "limit-operator": _run_limit_operator,
-    "bxy-complete": _run_bxy_complete,
-    "open-mapping": _run_open_mapping,
-    "closed-graph": _run_closed_graph,
-    "two-metric": _run_two_metric,
-    "total-family": _run_total_family,
-    "hahn-banach": _run_hahn_banach,
-    "norm-sandwich": _run_norm_sandwich,
-    "compose-norm": _run_compose_norm,
-}
+CHECKS = (
+    Check("ring-axioms", 0, 100_000, 1e-13, _run_ring_axioms, _replay_ring_axioms),
+    Check("submult", 1, 1_000_000, 1e-12, _run_submult, _replay_submult, bound_offset=SQRT2),
+    Check("norm-identity", 2, 1_000_000, 1e-12, _run_norm_identity, _replay_norm_identity),
+    Check("scalar-homogeneity", 3, 100_000, 1e-12, _run_scalar_homogeneity, _replay_scalar_homogeneity),
+    Check("translation-invariance", 4, 50_000, 1e-12, _run_translation_invariance, _replay_translation_invariance),
+    Check("homeomorphism-Ta", 5, 50_000, 1e-12, _run_homeomorphism_ta, _replay_homeomorphism_ta),
+    Check("homeomorphism-Mlambda", 6, 20_000, 1e-9, _run_homeomorphism_mlambda, _replay_homeomorphism_mlambda),
+    Check("ubp", 7, 60, 1e-10, _run_ubp, _replay_ubp),
+    Check("continuity-bounded", 8, 200, 1e-9, _run_continuity_bounded, _replay_continuity_bounded),
+    Check("limit-operator", 9, 60, 1e-10, _run_limit_operator, _replay_limit_operator),
+    Check("bxy-complete", 10, 60, 1e-10, _run_bxy_complete, _replay_bxy_complete),
+    Check("open-mapping", 11, 150, 1e-9, _run_open_mapping, _replay_open_mapping),
+    Check("closed-graph", 12, 200, 1e-10, _run_closed_graph, _replay_closed_graph),
+    Check("two-metric", 13, 100, 1e-10, _run_two_metric, _replay_two_metric),
+    Check("total-family", 14, 400, 1e-10, _run_total_family, _replay_total_family),
+    Check("hahn-banach", 15, 150, 1e-10, _run_hahn_banach, _replay_hahn_banach),
+    Check("norm-sandwich", 16, 400, 1e-10, _run_norm_sandwich, _replay_norm_sandwich),
+    Check("compose-norm", 17, 400, 1e-10, _run_compose_norm, _replay_compose_norm),
+)
 
-_REPLAYERS = {
-    "ring-axioms": _replay_ring_axioms,
-    "submult": _replay_submult,
-    "norm-identity": _replay_norm_identity,
-    "scalar-homogeneity": _replay_scalar_homogeneity,
-    "translation-invariance": _replay_translation_invariance,
-    "homeomorphism-Ta": _replay_homeomorphism_ta,
-    "homeomorphism-Mlambda": _replay_homeomorphism_mlambda,
-    "ubp": _replay_ubp,
-    "continuity-bounded": _replay_continuity_bounded,
-    "limit-operator": _replay_limit_operator,
-    "bxy-complete": _replay_bxy_complete,
-    "open-mapping": _replay_open_mapping,
-    "closed-graph": _replay_closed_graph,
-    "two-metric": _replay_two_metric,
-    "total-family": _replay_total_family,
-    "hahn-banach": _replay_hahn_banach,
-    "norm-sandwich": _replay_norm_sandwich,
-    "compose-norm": _replay_compose_norm,
-}
+CHECK_IDS = tuple(check.check_id for check in CHECKS)
+_BY_ID = {check.check_id: check for check in CHECKS}
+
+
+def _check(check_id: str) -> Check:
+    check = _BY_ID.get(check_id)
+    if check is None:
+        raise UnknownCheckId(f"unknown check id {check_id!r}")
+    return check
 
 
 def run_check(cfg: CheckConfig) -> CheckReport:
     """Execute one named suite deterministically for (seed, trials)."""
-    if cfg.check_id not in _RUNNERS:
-        raise UnknownCheckId(f"unknown check id {cfg.check_id!r}")
-    rng = _rng_for(cfg.seed, cfg.check_id)
+    check = _check(cfg.check_id)
+    rng = np.random.default_rng([int(cfg.seed) & 0xFFFFFFFFFFFFFFFF, check.stream])
     start = time.perf_counter()
-    best, trials_run = _RUNNERS[cfg.check_id](cfg, rng)
+    best, trials_run = check.run(cfg, rng)
     elapsed = time.perf_counter() - start
-    bound = _bound_for(cfg.check_id, cfg.tol)
+    bound = cfg.tol + check.bound_offset
     return CheckReport(
         check_id=cfg.check_id,
         passed=bool(best.value <= bound),
@@ -1053,9 +977,7 @@ def run_check(cfg: CheckConfig) -> CheckReport:
 
 def replay_witness(check_id: str, witness: dict) -> float:
     """Re-evaluate a worst_witness through the same kernels that produced it."""
-    if check_id not in _REPLAYERS:
-        raise UnknownCheckId(f"unknown check id {check_id!r}")
-    return _REPLAYERS[check_id](witness)
+    return _check(check_id).replay(witness)
 
 
 def run_all(

@@ -23,6 +23,7 @@ from bicomplex import (
     RealLinearFunctional,
     Submodule,
     TFunctional,
+    TMatrix,
     TVector,
     duality_gap,
     extend_real,
@@ -110,6 +111,16 @@ def test_component_relations(f, y):
     assert abs(f2(y) + f1(y.scale(IOTA1))) <= tol
     assert abs(f3(y) + f1(y.scale(IOTA2))) <= tol
     assert abs(f4(y) - f1(y.scale(J))) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_functional_norms_equal_those_of_its_one_row_operator(n):
+    coeffs = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 4))
+    as_functional = TFunctional(TVector(coeffs)).norms()
+    as_operator = TMatrix(coeffs[None]).norms()
+    for field in ("sup_norm", "idem_norm", "s1", "s2"):
+        expected = getattr(as_operator, field)
+        assert getattr(as_functional, field) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_lift_real_examples():

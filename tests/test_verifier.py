@@ -14,6 +14,7 @@ from bicomplex import (
     run_all,
     run_check,
 )
+from bicomplex.verifier import CHECKS
 
 SMALL_TRIALS = 25
 
@@ -45,6 +46,39 @@ def test_different_seeds_give_different_witnesses():
     b = run_check(default_config("submult", seed=2, trials=200))
     # the forced equality witness may coincide; the sampled inputs must not
     assert a.worst_witness != b.worst_witness or a.worst_value == b.worst_value
+
+
+# Each check's random stream is selected by its index in this map, so an
+# index may never move to another check: that would silently reseed both.
+PINNED_STREAMS = {
+    "ring-axioms": 0,
+    "submult": 1,
+    "norm-identity": 2,
+    "scalar-homogeneity": 3,
+    "translation-invariance": 4,
+    "homeomorphism-Ta": 5,
+    "homeomorphism-Mlambda": 6,
+    "ubp": 7,
+    "continuity-bounded": 8,
+    "limit-operator": 9,
+    "bxy-complete": 10,
+    "open-mapping": 11,
+    "closed-graph": 12,
+    "two-metric": 13,
+    "total-family": 14,
+    "hahn-banach": 15,
+    "norm-sandwich": 16,
+    "compose-norm": 17,
+}
+
+
+def test_registry_ids_and_streams_are_unique_and_pinned():
+    ids = [check.check_id for check in CHECKS]
+    streams = [check.stream for check in CHECKS]
+    assert len(set(ids)) == len(ids)
+    assert len(set(streams)) == len(streams)
+    assert dict(zip(ids, streams)) == PINNED_STREAMS
+    assert CHECK_IDS == tuple(PINNED_STREAMS)
 
 
 def test_unknown_check_id_rejected():
