@@ -636,9 +636,12 @@ def _replay_bxy_complete(witness: dict) -> float:
 # --- open-mapping ----------------------------------------------------------------
 
 
-def _open_mapping_value(T: TMatrix, y: TVector) -> float:
+def _open_mapping_values(T: TMatrix, y: TVector) -> dict[str, float]:
     x = T.solve(y)
-    return float(x.norm() - 1.0)
+    return {
+        "unit-ball": float(x.norm() - 1.0),
+        "residual": float((T.apply(x) - y).norm() / (1.0 + y.norm())),
+    }
 
 
 def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
@@ -655,16 +658,17 @@ def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
             if length == 0.0:
                 continue
             y = y.scale(radius * float(rng.uniform(0.0, 1.0)) / length)
-            best.update_one(
-                _open_mapping_value(T, y), {"matrix": T.to_json(), "y": y.to_json()}
-            )
+            inputs = {"matrix": T.to_json(), "y": y.to_json()}
+            for part, value in _open_mapping_values(T, y).items():
+                best.update_one(value, {"part": part, **inputs})
     return best, cfg.trials
 
 
 def _replay_open_mapping(witness: dict) -> float:
-    return _open_mapping_value(
+    values = _open_mapping_values(
         TMatrix.from_json(witness["matrix"]), TVector.from_json(witness["y"])
     )
+    return values[witness["part"]]
 
 
 # --- closed-graph ----------------------------------------------------------------

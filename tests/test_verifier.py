@@ -2,11 +2,14 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from bicomplex import (
     CHECK_IDS,
     CheckConfig,
+    TMatrix,
+    TVector,
     UnknownCheckId,
     all_passed,
     default_config,
@@ -129,6 +132,17 @@ def test_submult_witness_is_near_the_idempotent():
     report = run_check(default_config("submult", seed=42, trials=50_000))
     assert report.worst_value >= 1.41
     assert report.worst_value <= report.bound
+
+
+def test_open_mapping_catches_a_solve_that_ignores_the_second_component(monkeypatch):
+    def solve_with_first_component_twice(self, b, tol=None):
+        pair, bp = self.split(), b.split()
+        return TVector.from_split(np.linalg.solve(pair.M1, bp.v1), np.linalg.solve(pair.M1, bp.v2))
+
+    monkeypatch.setattr(TMatrix, "solve", solve_with_first_component_twice)
+    report = run_check(default_config("open-mapping", trials=5))
+    assert not report.passed
+    assert report.worst_witness["part"] == "residual"
 
 
 def test_report_json_excludes_elapsed_by_default():
