@@ -337,4 +337,3 @@ def bounded_sup(points) -> float:
     if sup is None:
         raise EmptyCollection("bounded_sup needs at least one vector")
     return sup
-

@@ -1,11 +1,12 @@
 """Randomized, seeded property suites over the scalar, module, operator, and
 functional layers.
 
-Each check draws its inputs from a stream derived from (seed, check id),
-evaluates a violation measure through the same kernels the library uses, and
-reports the worst value together with a witness, the inputs that produced
-it.  Replaying a witness re-evaluates the identical code path, so reports
-are reproducible bit for bit given the seed (timing aside).
+Each check draws its inputs from a stream derived from the seed and the
+stream index pinned in its registry record, evaluates a violation measure
+through the same kernels the library uses, and reports the worst value
+together with a witness, the inputs that produced it.  Replaying a witness
+re-evaluates the identical code path, so reports are reproducible bit for
+bit given the seed (timing aside).
 
 No check asserts more than the finite-dimensional truth of the statement it
 exercises: quantities that are only measured (never guaranteed) live in the
@@ -26,6 +27,7 @@ from .functionals import TFunctional, hahn_banach_extend, lift_real
 from .operators import TMatrix
 from .scalar import Bicomplex
 from .tmodule import Submodule, TVector
+
 
 @dataclass(frozen=True)
 class CheckConfig:
