@@ -136,7 +136,8 @@ def _cmd_solve(args) -> int:
     if args.format == "csv":
         text = x.to_csv() + "\n# residual," + fmt17(relative)
     else:
-        text = json.dumps({"solution": x.to_json(), "residual": relative})
+        payload = {"solution": x.to_json(), "residual": relative, "condition": list(T.condition())}
+        text = json.dumps(payload)
     _emit(text, args.out)
     return 0
 

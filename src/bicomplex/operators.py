@@ -78,14 +78,22 @@ class ComplexMatrixPair:
 
 
 class TMatrix:
-    """An m-by-n matrix of bicomplex entries, stored as an (m, n, 4) array."""
+    """An m-by-n matrix of bicomplex entries, stored as an (m, n, 4) array.
 
-    __slots__ = ("_coeffs",)
+    The coefficients are frozen, so the hat split, the component singular
+    values and the determinant are computed from them once, on first use,
+    and kept for the life of the object.
+    """
+
+    __slots__ = ("_coeffs", "_split", "_singular_values", "_det")
 
     def __init__(self, coeffs):
         self._coeffs = _arrays.freeze(_arrays.as_coeffs(coeffs, 3, "matrix"))
         if self._coeffs.shape[0] < 1 or self._coeffs.shape[1] < 1:
             raise ValueError("matrix dimensions must be at least 1x1")
+        self._split = None
+        self._singular_values = None
+        self._det = None
 
     # construction ---------------------------------------------------------
 
@@ -139,8 +147,10 @@ class TMatrix:
         return Bicomplex(*self._coeffs[i, k])
 
     def split(self) -> ComplexMatrixPair:
-        h1, h2 = hat_split(self._coeffs)
-        return ComplexMatrixPair(h1, h2)
+        if self._split is None:
+            h1, h2 = hat_split(self._coeffs)
+            self._split = ComplexMatrixPair(h1, h2)
+        return self._split
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TMatrix) and np.array_equal(self._coeffs, other._coeffs)
@@ -199,10 +209,23 @@ class TMatrix:
     # norms --------------------------------------------------------------------
 
     def component_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
-        pair = self.split()
-        return (
-            np.linalg.svd(pair.M1, compute_uv=False),
-            np.linalg.svd(pair.M2, compute_uv=False),
+        """Singular values of M1 and M2, in descending order (read-only)."""
+        if self._singular_values is None:
+            pair = self.split()
+            sv1 = np.linalg.svd(pair.M1, compute_uv=False)
+            sv2 = np.linalg.svd(pair.M2, compute_uv=False)
+            sv1.setflags(write=False)
+            sv2.setflags(write=False)
+            self._singular_values = (sv1, sv2)
+        return self._singular_values
+
+    def condition(self) -> tuple[float, float]:
+        """Condition numbers (k1, k2) of M1 and M2: largest over smallest
+        singular value, inf when that is zero."""
+        sv1, sv2 = self.component_singular_values()
+        return tuple(
+            float("inf") if lo == 0.0 else float(hi / lo)
+            for hi, lo in ((sv1[0], sv1[-1]), (sv2[0], sv2[-1]))
         )
 
     def norms(self) -> NormReport:
@@ -222,27 +245,25 @@ class TMatrix:
         is invertible over the ring exactly when this scalar is nonsingular."""
         if self.m != self.n:
             raise NotSquare(f"determinant needs a square matrix, got {self.m}x{self.n}")
-        pair = self.split()
-        return Bicomplex.from_idempotent(
-            complex(np.linalg.det(pair.M1)), complex(np.linalg.det(pair.M2))
-        )
+        if self._det is None:
+            pair = self.split()
+            self._det = Bicomplex.from_idempotent(
+                complex(np.linalg.det(pair.M1)), complex(np.linalg.det(pair.M2))
+            )
+        return self._det
 
     def _invertibility_guard(self, tol: float):
         if self.m != self.n:
             raise NotSquare(f"inversion needs a square matrix, got {self.m}x{self.n}")
-        sv1, sv2 = self.component_singular_values()
-        smallest = (float(sv1[-1]), float(sv2[-1]))
-        condition = tuple(
-            float("inf") if lo == 0.0 else float(hi / lo)
-            for hi, lo in ((sv1[0], sv1[-1]), (sv2[0], sv2[-1]))
-        )
+        condition = self.condition()
         det_report = self.det().classify(tol)
         bad = set(det_report.vanishing_components)
         for k, cond in enumerate(condition, start=1):
             if cond > CONDITION_LIMIT:
                 bad.add(k)
         if bad:
-            raise SingularOperator(sorted(bad), smallest, condition)
+            sv1, sv2 = self.component_singular_values()
+            raise SingularOperator(sorted(bad), (float(sv1[-1]), float(sv2[-1])), condition)
 
     def solve(self, b: TVector, tol: float = DEFAULT_SINGULAR_TOL) -> TVector:
         """Solve T x = b by solving the two complex component systems."""

@@ -15,6 +15,7 @@ union of the two principal ideals generated by e1 = (1+j)/2 and e2 = (1-j)/2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import SingularElement
@@ -24,6 +25,12 @@ SQRT2 = math.sqrt(2.0)
 #: Default relative tolerance for singularity classification, scaled by the
 #: hat-coordinate magnitude sqrt(2)*|w|.  Zero selects the exact test.
 DEFAULT_SINGULAR_TOL = 1e-12
+
+#: A norm taken as the square root of a plain sum of squares is exact to
+#: rounding only in [NORM_FLOOR, inf): above, the sum overflowed; below, it
+#: fell under the smallest normal float and lost digits or vanished.  Norms
+#: outside that range are recomputed with scaling.
+NORM_FLOOR = math.sqrt(sys.float_info.min)
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -49,7 +56,14 @@ class IdempotentForm:
 
     def norm(self) -> float:
         """Modulus computed in hat coordinates: sqrt((|h1|^2 + |h2|^2) / 2)."""
-        return math.sqrt((abs(self.h1) ** 2 + abs(self.h2) ** 2) / 2.0)
+        m1, m2 = abs(self.h1), abs(self.h2)
+        try:
+            value = math.sqrt((m1 ** 2 + m2 ** 2) / 2.0)
+        except OverflowError:
+            value = math.inf
+        if NORM_FLOOR <= value < math.inf:
+            return value
+        return math.hypot(m1, m2) / SQRT2
 
     def __mul__(self, other: "IdempotentForm") -> "IdempotentForm":
         return IdempotentForm(self.h1 * other.h1, self.h2 * other.h2)
@@ -178,7 +192,11 @@ class Bicomplex:
 
     def norm(self) -> float:
         """Coefficient norm sqrt(a^2 + b^2 + c^2 + d^2)."""
-        return math.sqrt(self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        value = math.sqrt(a * a + b * b + c * c + d * d)
+        if NORM_FLOOR <= value < math.inf:
+            return value
+        return math.hypot(a, b, c, d)
 
     __abs__ = norm
 

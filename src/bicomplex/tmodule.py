@@ -10,6 +10,7 @@ is why the component-pair representation is canonical here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,18 +18,23 @@ import numpy as np
 from . import _arrays
 from ._arrays import hat_merge, hat_split, vec_norm4
 from .errors import DimensionMismatch, EmptyCollection
-from .scalar import Bicomplex
+from .scalar import NORM_FLOOR, Bicomplex
 
 
 class TVector:
-    """An element of T^n, stored as an (n, 4) array of real coefficients."""
+    """An element of T^n, stored as an (n, 4) array of real coefficients.
 
-    __slots__ = ("_coeffs",)
+    The coefficients are frozen, so the hat split is computed once, on first
+    use, and kept for the life of the object.
+    """
+
+    __slots__ = ("_coeffs", "_split")
 
     def __init__(self, coeffs):
         self._coeffs = _arrays.freeze(_arrays.as_coeffs(coeffs, 2, "vector"))
         if self._coeffs.shape[0] < 1:
             raise ValueError("vector dimension must be at least 1")
+        self._split = None
 
     # construction ---------------------------------------------------------
 
@@ -72,8 +78,10 @@ class TVector:
         return Bicomplex(*self._coeffs[k])
 
     def split(self) -> "IdempotentVectorPair":
-        h1, h2 = hat_split(self._coeffs)
-        return IdempotentVectorPair(h1, h2)
+        if self._split is None:
+            h1, h2 = hat_split(self._coeffs)
+            self._split = IdempotentVectorPair(h1, h2)
+        return self._split
 
     # module operations ------------------------------------------------------
 
@@ -106,7 +114,12 @@ class TVector:
     def norm(self) -> float:
         """Euclidean norm over the 4n real coefficients; equals
         sqrt((|v1|^2 + |v2|^2) / 2) in component coordinates."""
-        return float(vec_norm4(self._coeffs))
+        with np.errstate(over="ignore"):
+            value = float(vec_norm4(self._coeffs))
+        if NORM_FLOOR <= value < math.inf:
+            return value
+        peak = float(np.max(np.abs(self._coeffs)))
+        return 0.0 if peak == 0.0 else peak * float(vec_norm4(self._coeffs / peak))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TVector) and np.array_equal(self._coeffs, other._coeffs)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bicomplex import Bicomplex, Submodule, TFunctional, TMatrix, TVector
@@ -106,6 +107,19 @@ def test_solve_json(capsys, problem_files):
     x = TVector.from_json(payload["solution"])
     assert (T.apply(x) - b).norm() <= 1e-12
     assert payload["residual"] <= 1e-12
+
+
+def test_solve_json_reports_component_condition_numbers(capsys, tmp_path):
+    rng = np.random.default_rng(3)
+    T = TMatrix(rng.uniform(-1, 1, (3, 3, 4))) + TMatrix.scalar(3, 2.0)
+    matrix = tmp_path / "mat.json"
+    vector = tmp_path / "vec.json"
+    matrix.write_text(json.dumps(T.to_json()))
+    vector.write_text(json.dumps(TVector.basis(3, 0).to_json()))
+    code, out, _ = run_cli(capsys, "solve", str(matrix), str(vector))
+    assert code == 0
+    sv1, sv2 = T.component_singular_values()
+    assert json.loads(out)["condition"] == [sv1[0] / sv1[-1], sv2[0] / sv2[-1]]
 
 
 def test_solve_csv_format(capsys, problem_files, tmp_path):

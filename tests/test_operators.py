@@ -299,3 +299,74 @@ def test_from_hat_requires_matching_shapes():
         ComplexMatrixPair(np.eye(2), np.eye(3))
     with pytest.raises(DimensionMismatch):
         TMatrix.identity(2) + TMatrix.identity(3)
+
+
+def test_split_singular_values_and_det_are_computed_once_and_read_only():
+    T = random_conditioned(np.random.default_rng(37), 3)
+    assert T.split() is T.split()
+    assert T.component_singular_values() is T.component_singular_values()
+    assert T.det() is T.det()
+    pair = T.split()
+    sv1, sv2 = T.component_singular_values()
+    for arr in (pair.M1, pair.M2, sv1, sv2):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_warm_operator_gives_the_results_of_a_fresh_one():
+    rng = np.random.default_rng(41)
+    C = random_conditioned(rng, 4).coeffs
+    b = TVector(rng.uniform(-1, 1, (4, 4)))
+
+    def outputs(operator):
+        return {
+            "apply": operator().apply(b).coeffs,
+            "solve": operator().solve(b).coeffs,
+            "norms": np.array(list(operator().norms().to_json().values())),
+            "invert": operator().invert().coeffs,
+            "det": np.array(operator().det().coeffs),
+        }
+
+    warm = TMatrix(C)
+    warm.norms(), warm.det(), warm.solve(b)
+    fresh, warmed = outputs(lambda: TMatrix(C)), outputs(lambda: warm)
+    for name in fresh:
+        assert np.array_equal(fresh[name], warmed[name]), name
+
+
+def test_solve_decides_each_tolerance_afresh():
+    T = TMatrix.scalar(2, Bicomplex.from_idempotent(0.1, 1.0))
+    b = TVector.basis(2, 0)
+    with pytest.raises(SingularOperator) as exc:
+        T.solve(b, tol=0.5)
+    assert exc.value.components == (1,)
+    assert (T.apply(T.solve(b)) - b).norm() <= 1e-15
+    with pytest.raises(SingularOperator):
+        T.solve(b, tol=0.5)
+
+
+def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
+    calls = {"svd": 0, "det": 0}
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    rng = np.random.default_rng(43)
+    T = random_conditioned(rng, 5)
+    for _ in range(10):
+        T.solve(TVector(rng.uniform(-1, 1, (5, 4))))
+    assert calls == {"svd": 2, "det": 2}
+
+
+def test_condition_examples():
+    assert TMatrix.identity(3).condition() == (1.0, 1.0)
+    assert TMatrix.scalar(2, Bicomplex.from_idempotent(4, 1)).condition() == (1.0, 1.0)
+    assert TMatrix.scalar(2, E1).condition() == (1.0, math.inf)

@@ -2,6 +2,7 @@
 singularity classification, and inversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,33 @@ def test_norm_idem_values():
     assert IdempotentForm(1, 0).norm() == pytest.approx(1 / SQRT2, rel=1e-15)
     assert IdempotentForm(1, 1).norm() == pytest.approx(1.0, rel=1e-15)
     assert IdempotentForm(3, 4).norm() == pytest.approx(math.sqrt(12.5), rel=1e-15)
+
+
+#: Coefficients of magnitude 1e-300 to 1e300, as a unit-sized value and a
+#: power-of-ten scale, so that scaling loses no digits to underflow.
+unit_coeff = st.one_of(st.just(0.0), st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+magnitudes = st.integers(-300, 300).map(lambda e: 10.0 ** e)
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_do_not_overflow_or_underflow():
+    w = Bicomplex(1e200, 0, 0, 0)
+    assert w.norm() == 1e200
+    assert w.to_idempotent().norm() == pytest.approx(1e200, rel=1e-15)
+    assert w.classify().vanishing_components == ()
+    assert Bicomplex(1e-200, 0, 0, 0).norm() == 1e-200
+    assert IdempotentForm(1e-200, 0).norm() == pytest.approx(1e-200 / SQRT2, rel=1e-15)
+
+
+@given(st.builds(Bicomplex, unit_coeff, unit_coeff, unit_coeff, unit_coeff), magnitudes)
+def test_norms_are_homogeneous_at_every_magnitude(w, alpha):
+    scaled = Bicomplex(*(alpha * c for c in w.coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm, idem_norm = scaled.norm(), scaled.to_idempotent().norm()
+    assert math.isfinite(norm)
+    assert norm == pytest.approx(alpha * w.norm(), rel=1e-12)
+    assert idem_norm == pytest.approx(alpha * w.norm(), rel=1e-12)
 
 
 @given(scalars)

@@ -2,6 +2,7 @@
 submodules, distances, and bounded-set diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ def test_split_examples():
     assert np.max(np.abs(ideal.v2)) == 0.0
 
 
+def test_split_is_computed_once_and_read_only():
+    x = TVector.from_scalars([Bicomplex(0.2, 0.6, -0.1, 0.4), J])
+    pair = x.split()
+    assert x.split() is pair
+    for arr in (pair.v1, pair.v2):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 @given(vectors(4))
 def test_merge_after_split_round_trip(x):
     back = x.split().merge()
@@ -114,6 +124,31 @@ def test_norm_component_identity(x):
         (np.linalg.norm(p.v1) ** 2 + np.linalg.norm(p.v2) ** 2) / 2.0
     )
     assert abs(x.norm() - via_components) <= 1e-12 * (1 + x.norm())
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_does_not_overflow_or_underflow():
+    assert TVector([[1e200, 0, 0, 0]]).norm() == 1e200
+    assert TVector([[1e-200, 0, 0, 0]]).norm() == 1e-200
+    assert TVector.zero(3).norm() == 0.0
+
+
+#: Coefficients of magnitude 1e-300 to 1e300, as unit-sized values and a
+#: power-of-ten scale, so that scaling loses no digits to underflow.
+unit_coeff = st.one_of(st.just(0.0), st.floats(0.5, 2.0), st.floats(-2.0, -0.5))
+unit_vectors = st.lists(st.lists(unit_coeff, min_size=4, max_size=4), min_size=3, max_size=3).map(
+    np.array
+)
+magnitudes = st.integers(-300, 300).map(lambda e: 10.0 ** e)
+
+
+@given(unit_vectors, magnitudes)
+def test_norm_is_homogeneous_at_every_magnitude(coeffs, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = TVector(alpha * coeffs).norm()
+    assert math.isfinite(scaled)
+    assert scaled == pytest.approx(alpha * TVector(coeffs).norm(), rel=1e-12)
 
 
 @given(vectors(3))
