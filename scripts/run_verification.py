@@ -24,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
 
     reports = run_all(seed=args.seed, trials=args.trials, tol=args.tol)
-    lines = "\n".join(json.dumps(r.to_json(include_elapsed=True)) for r in reports)
+    lines = "\n".join(json.dumps({**r.to_json(), "elapsed": r.elapsed}) for r in reports)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(lines + "\n")

@@ -14,9 +14,18 @@ identically.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
+
+#: A norm taken as the square root of a plain sum of squares is exact to
+#: rounding only in [NORM_FLOOR, inf): above, the sum overflowed; below, it
+#: fell under the smallest normal float and lost digits or vanished.  Norms
+#: outside that range are recomputed with scaling.
+NORM_FLOOR = math.sqrt(sys.float_info.min)
 
 
 def as_coeffs(data, ndim: int, what: str = "value") -> np.ndarray:
@@ -41,31 +50,62 @@ def hat_split(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a + d) + 1j * (b - c), (a - d) + 1j * (b + c)
 
 
+def merge_parts(h1, h2) -> tuple:
+    """Coefficients (a, b, c, d) of h1*e1 + h2*e2, for complex scalars and
+    complex arrays alike."""
+    return (
+        0.5 * (h1.real + h2.real),
+        0.5 * (h1.imag + h2.imag),
+        0.5 * (h2.imag - h1.imag),
+        0.5 * (h1.real - h2.real),
+    )
+
+
 def hat_merge(h1, h2) -> np.ndarray:
     """Inverse of hat_split; exact up to one rounding per coefficient."""
     h1 = np.asarray(h1, dtype=np.complex128)
     h2 = np.asarray(h2, dtype=np.complex128)
-    a = 0.5 * (h1.real + h2.real)
-    b = 0.5 * (h1.imag + h2.imag)
-    c = 0.5 * (h2.imag - h1.imag)
-    d = 0.5 * (h1.real - h2.real)
-    return np.stack([a, b, c, d], axis=-1)
+    return np.stack(merge_parts(h1, h2), axis=-1)
+
+
+def mul_parts(au, bu, cu, du, av, bv, cv, dv) -> tuple:
+    """Coefficients of the product (au + bu*i1 + cu*i2 + du*j)(av + ... + dv*j),
+    expanded over the real basis with i1^2 = i2^2 = -1 and j^2 = +1.  Floats
+    and arrays go through the same terms in the same order, so they round
+    alike."""
+    return (
+        au * av - bu * bv - cu * cv + du * dv,
+        au * bv + bu * av - cu * dv - du * cv,
+        au * cv + cu * av - bu * dv - du * bv,
+        au * dv + du * av + bu * cv + cu * bv,
+    )
 
 
 def mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Bilinear product of coefficient arrays, expanded over the real basis
-    with i1^2 = i2^2 = -1 and j^2 = +1.  Broadcasts like numpy arithmetic."""
-    au, bu, cu, du = U[..., 0], U[..., 1], U[..., 2], U[..., 3]
-    av, bv, cv, dv = V[..., 0], V[..., 1], V[..., 2], V[..., 3]
+    """Bilinear product of coefficient arrays (mul_parts over the trailing
+    axis).  Broadcasts like numpy arithmetic."""
     return np.stack(
-        [
-            au * av - bu * bv - cu * cv + du * dv,
-            au * bv + bu * av - cu * dv - du * cv,
-            au * cv + cu * av - bu * dv - du * bv,
-            au * dv + du * av + bu * cv + cu * bv,
-        ],
+        mul_parts(
+            U[..., 0], U[..., 1], U[..., 2], U[..., 3], V[..., 0], V[..., 1], V[..., 2], V[..., 3]
+        ),
         axis=-1,
     )
+
+
+def checked_norm(plain: float, parts) -> float:
+    """`plain`, the square root of the plain sum of squares of `parts`, when it
+    lies in [NORM_FLOOR, inf) where it is exact to rounding; otherwise the norm
+    of `parts` recomputed with scaling (math.hypot)."""
+    if NORM_FLOOR <= plain < math.inf:
+        return plain
+    return math.hypot(*np.ravel(parts))
+
+
+def qmean(x: float, y: float) -> float:
+    """Quadratic mean sqrt((x*x + y*y) / 2) of two magnitudes, with the scaled
+    fallback of checked_norm.  Pass Python floats: numpy scalars warn when
+    x*x overflows."""
+    return checked_norm(math.sqrt((x * x + y * y) / 2.0), (x / SQRT2, y / SQRT2))
 
 
 def norm4(C: np.ndarray) -> np.ndarray:

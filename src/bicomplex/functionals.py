@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge
+from ._arrays import hat_split, unit_multiples
 from .errors import (
     ComponentInNullDistance,
     DimensionMismatch,
@@ -71,10 +71,8 @@ class TFunctional:
             raise DimensionMismatch(f"{len(gens)} generators but {len(values)} values")
         if not gens:
             return cls.zero(Y.n)
-        values = [Bicomplex.coerce(v) for v in values]
         G1, G2 = Y.generator_matrices()
-        t1 = np.array([v.to_idempotent().h1 for v in values])
-        t2 = np.array([v.to_idempotent().h2 for v in values])
+        t1, t2 = hat_split(np.array([Bicomplex.coerce(v).coeffs for v in values]))
         rows = []
         scale = 1.0 + max(float(np.linalg.norm(t1)), float(np.linalg.norm(t2)))
         for G, t, k in ((G1, t1, 1), (G2, t2, 2)):
@@ -151,13 +149,12 @@ class TFunctional:
     def real_parts(self) -> tuple["RealLinearFunctional", ...]:
         """The four real-linear coordinate functionals f1..f4 with
         f(x) = f1(x) + i1*f2(x) + i2*f3(x) + j*f4(x)."""
+        # With each entry of x written as sum_m x_m * u_m over the units
+        # u = (1, i1, i2, j), f(x) = sum x_m * (u_m * C): row m of f_k is
+        # coefficient k of u_m * C.
         C = self._coeffs.coeffs
-        a, b, c, d = C[:, 0], C[:, 1], C[:, 2], C[:, 3]
-        f1 = np.stack([a, -b, -c, d], axis=-1)
-        f2 = np.stack([b, a, -d, -c], axis=-1)
-        f3 = np.stack([c, -d, a, -b], axis=-1)
-        f4 = np.stack([d, c, b, a], axis=-1)
-        return tuple(RealLinearFunctional(rows) for rows in (f1, f2, f3, f4))
+        multiples = np.stack([C, *unit_multiples(C)], axis=-1)
+        return tuple(RealLinearFunctional(multiples[:, k, :]) for k in range(4))
 
     # file form ------------------------------------------------------------------
 
@@ -282,7 +279,7 @@ def hahn_banach_extend(ystar, Y: Submodule, tol: float = 1e-10) -> ExtensionRepo
         riesz.append(B @ (B.conj().T @ np.conj(c)))
     e1 = np.conj(riesz[0])
     e2 = np.conj(riesz[1])
-    extension = TFunctional(TVector(hat_merge(e1, e2)))
+    extension = TFunctional(TVector.from_split(e1, e2))
 
     # Restriction error as an exact operator norm on Y: project the
     # coefficient difference back onto the component subspaces.
@@ -333,7 +330,7 @@ def separating_functional(x: TVector, Y: Submodule, tol: float = 1e-12) -> Separ
     res2 = pair.v2 - proj.v2
     c1 = np.conj(res1) / (result.d1 * result.d1)
     c2 = np.conj(res2) / (result.d2 * result.d2)
-    functional = TFunctional(TVector(hat_merge(c1, c2)))
+    functional = TFunctional(TVector.from_split(c1, c2))
     return SeparationResult(
         functional=functional,
         norms=functional.norms(),
@@ -372,7 +369,7 @@ def norming_functional(x: TVector, tol: float = 1e-12) -> NormingResult:
     target = x.norm()
     c1 = np.conj(pair.v1) * (target / (n1 * n1))
     c2 = np.conj(pair.v2) * (target / (n2 * n2))
-    functional = TFunctional(TVector(hat_merge(c1, c2)))
+    functional = TFunctional(TVector.from_split(c1, c2))
     return NormingResult(
         functional=functional,
         value=functional(x),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import SQRT2, hat_merge, hat_split, real_block_matrix
+from ._arrays import SQRT2, hat_merge, hat_split, qmean, real_block_matrix
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector
@@ -44,7 +44,7 @@ class NormReport:
         """Both norms from the component norms s1, s2."""
         return cls(
             sup_norm=max(s1, s2) / SQRT2,
-            idem_norm=float(np.sqrt((s1 * s1 + s2 * s2) / 2.0)),
+            idem_norm=qmean(s1, s2),
             s1=s1,
             s2=s2,
         )
@@ -74,7 +74,7 @@ class ComplexMatrixPair:
             raise DimensionMismatch("component matrices must be 2-d with equal shapes")
 
     def merge(self) -> "TMatrix":
-        return TMatrix(hat_merge(self.M1, self.M2))
+        return TMatrix.from_hat(self.M1, self.M2)
 
 
 class TMatrix:
@@ -104,7 +104,10 @@ class TMatrix:
 
     @classmethod
     def from_hat(cls, M1, M2) -> "TMatrix":
-        return ComplexMatrixPair(np.asarray(M1), np.asarray(M2)).merge()
+        M1, M2 = np.asarray(M1), np.asarray(M2)
+        if M1.shape != M2.shape or M1.ndim != 2:
+            raise DimensionMismatch("component matrices must be 2-d with equal shapes")
+        return cls(hat_merge(M1, M2))
 
     @classmethod
     def identity(cls, n: int) -> "TMatrix":

@@ -15,22 +15,14 @@ union of the two principal ideals generated by e1 = (1+j)/2 and e2 = (1-j)/2.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
+from ._arrays import SQRT2, checked_norm, fmt17, merge_parts, mul_parts, qmean
 from .errors import SingularElement
-
-SQRT2 = math.sqrt(2.0)
 
 #: Default relative tolerance for singularity classification, scaled by the
 #: hat-coordinate magnitude sqrt(2)*|w|.  Zero selects the exact test.
 DEFAULT_SINGULAR_TOL = 1e-12
-
-#: A norm taken as the square root of a plain sum of squares is exact to
-#: rounding only in [NORM_FLOOR, inf): above, the sum overflowed; below, it
-#: fell under the smallest normal float and lost digits or vanished.  Norms
-#: outside that range are recomputed with scaling.
-NORM_FLOOR = math.sqrt(sys.float_info.min)
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -56,14 +48,7 @@ class IdempotentForm:
 
     def norm(self) -> float:
         """Modulus computed in hat coordinates: sqrt((|h1|^2 + |h2|^2) / 2)."""
-        m1, m2 = abs(self.h1), abs(self.h2)
-        try:
-            value = math.sqrt((m1 ** 2 + m2 ** 2) / 2.0)
-        except OverflowError:
-            value = math.inf
-        if NORM_FLOOR <= value < math.inf:
-            return value
-        return math.hypot(m1, m2) / SQRT2
+        return qmean(abs(self.h1), abs(self.h2))
 
     def __mul__(self, other: "IdempotentForm") -> "IdempotentForm":
         return IdempotentForm(self.h1 * other.h1, self.h2 * other.h2)
@@ -105,14 +90,7 @@ class Bicomplex:
     @classmethod
     def from_idempotent(cls, h1: complex, h2: complex) -> "Bicomplex":
         """Inverse of to_idempotent: z1 = (h1+h2)/2, z2 = i1*(h1-h2)/2."""
-        h1 = complex(h1)
-        h2 = complex(h2)
-        return cls(
-            0.5 * (h1.real + h2.real),
-            0.5 * (h1.imag + h2.imag),
-            0.5 * (h2.imag - h1.imag),
-            0.5 * (h1.real - h2.real),
-        )
+        return cls(*merge_parts(complex(h1), complex(h2)))
 
     @classmethod
     def from_real(cls, value: float) -> "Bicomplex":
@@ -177,14 +155,7 @@ class Bicomplex:
         if not isinstance(other, (Bicomplex, int, float, complex)):
             return NotImplemented
         o = Bicomplex.coerce(other)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
-        return Bicomplex(
-            a * e - b * f - c * g + d * h,
-            a * f + b * e - c * h - d * g,
-            a * g + c * e - b * h - d * f,
-            a * h + d * e + b * g + c * f,
-        )
+        return Bicomplex(*mul_parts(self.a, self.b, self.c, self.d, o.a, o.b, o.c, o.d))
 
     __rmul__ = __mul__
 
@@ -193,10 +164,7 @@ class Bicomplex:
     def norm(self) -> float:
         """Coefficient norm sqrt(a^2 + b^2 + c^2 + d^2)."""
         a, b, c, d = self.a, self.b, self.c, self.d
-        value = math.sqrt(a * a + b * b + c * c + d * d)
-        if NORM_FLOOR <= value < math.inf:
-            return value
-        return math.hypot(a, b, c, d)
+        return checked_norm(math.sqrt(a * a + b * b + c * c + d * d), (a, b, c, d))
 
     __abs__ = norm
 
@@ -243,8 +211,6 @@ class Bicomplex:
         return cls(*(float(p) for p in parts))
 
     def to_text(self) -> str:
-        from ._arrays import fmt17
-
         return " ".join(fmt17(v) for v in self.coeffs)
 
     @classmethod

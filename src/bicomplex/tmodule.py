@@ -10,15 +10,14 @@ is why the component-pair representation is canonical here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge, hat_split, vec_norm4
+from ._arrays import checked_norm, hat_merge, hat_split, qmean, vec_norm4
 from .errors import DimensionMismatch, EmptyCollection
-from .scalar import NORM_FLOOR, Bicomplex
+from .scalar import Bicomplex
 
 
 class TVector:
@@ -115,11 +114,7 @@ class TVector:
         """Euclidean norm over the 4n real coefficients; equals
         sqrt((|v1|^2 + |v2|^2) / 2) in component coordinates."""
         with np.errstate(over="ignore"):
-            value = float(vec_norm4(self._coeffs))
-        if NORM_FLOOR <= value < math.inf:
-            return value
-        peak = float(np.max(np.abs(self._coeffs)))
-        return 0.0 if peak == 0.0 else peak * float(vec_norm4(self._coeffs / peak))
+            return checked_norm(float(vec_norm4(self._coeffs)), self._coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TVector) and np.array_equal(self._coeffs, other._coeffs)
@@ -169,7 +164,7 @@ class IdempotentVectorPair:
         return self.v1.shape[0]
 
     def merge(self) -> TVector:
-        return TVector(hat_merge(self.v1, self.v2))
+        return TVector.from_split(self.v1, self.v2)
 
 
 @dataclass(frozen=True)
@@ -303,8 +298,7 @@ class Submodule:
         p2 = self._basis2 @ (self._basis2.conj().T @ pair.v2)
         d1 = float(np.linalg.norm(pair.v1 - p1))
         d2 = float(np.linalg.norm(pair.v2 - p2))
-        d = float(np.sqrt((d1 * d1 + d2 * d2) / 2.0))
-        return DistanceResult(d, d1, d2, TVector.from_split(p1, p2))
+        return DistanceResult(qmean(d1, d2), d1, d2, TVector.from_split(p1, p2))
 
     def contains(self, x: TVector, tol: float = 1e-10) -> bool:
         """Span membership: distance at most tol * (1 + |x|)."""

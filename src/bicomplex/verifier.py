@@ -62,8 +62,9 @@ class CheckReport:
     trials_run: int
     elapsed: float
 
-    def to_json(self, include_elapsed: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        """The report without `elapsed`, so the serialized form is deterministic."""
+        return {
             "check_id": self.check_id,
             "pass": self.passed,
             "worst_value": self.worst_value,
@@ -71,9 +72,6 @@ class CheckReport:
             "trials_run": self.trials_run,
             "worst_witness": self.worst_witness,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def default_config(

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicomplex import (
@@ -160,6 +160,29 @@ def test_norm_sandwich_attained_on_both_sides():
     assert balanced.idem_norm == pytest.approx(SQRT2 * balanced.sup_norm, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_operator_norms_do_not_overflow():
+    r = TMatrix.scalar(1, Bicomplex(1e200)).norms()
+    assert r.idem_norm == pytest.approx(1e200, rel=1e-15)
+    assert r.sup_norm <= r.idem_norm <= SQRT2 * r.sup_norm
+
+
+#: Hat components of a fixed 2x2 operator.  Scaled to component norms near
+#: 1e-8 or 1e8, and then by 1e-150 ... 1e150, s1^2 + s2^2 leaves the range of
+#: normal floats at one end or the other.
+_FIXED_HATS = (np.array([[3.0, 1j], [0.5, 2.0]]), np.array([[1.0, 0.0], [2j, -1.0]]))
+
+
+@pytest.mark.parametrize("size", [1e-8, 1e8])
+@given(st.integers(-150, 150).map(lambda e: 10.0 ** e))
+@example(alpha=1e-150)
+@example(alpha=1e150)
+def test_operator_norms_are_homogeneous_at_every_magnitude(size, alpha):
+    T = TMatrix.from_hat(*_FIXED_HATS).scale(size)
+    want = alpha * T.norms().idem_norm
+    assert T.scale(alpha).norms().idem_norm == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_sampling_oracle_validates_sup_norm():
     rng = np.random.default_rng(5)
     for trial in range(8):
@@ -297,6 +320,10 @@ def test_from_hat_requires_matching_shapes():
 
     with pytest.raises(DimensionMismatch):
         ComplexMatrixPair(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        TMatrix.from_hat(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch):
+        TMatrix.from_hat(np.ones(2), np.ones(2))
     with pytest.raises(DimensionMismatch):
         TMatrix.identity(2) + TMatrix.identity(3)
 

@@ -22,7 +22,7 @@ from bicomplex import (
     IdempotentForm,
     SingularElement,
 )
-from bicomplex._arrays import real_block_matrix
+from bicomplex._arrays import hat_merge, mul4, real_block_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,6 +49,21 @@ def mul_oracle(w: Bicomplex, v: Bicomplex) -> Bicomplex:
             idx, sign = _BASIS_TABLE[(p, q)]
             out[idx] += sign * wc[p] * vc[q]
     return Bicomplex(*out)
+
+
+#: Coefficients and hat components wide in magnitude, yet with finite products.
+wide = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False)
+wide_complex = st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(wide, min_size=4, max_size=4), st.lists(wide, min_size=4, max_size=4))
+def test_scalar_product_is_the_array_product_to_the_bit(w, v):
+    assert (Bicomplex(*w) * Bicomplex(*v)).coeffs == tuple(mul4(np.array(w), np.array(v)))
+
+
+@given(wide_complex, wide_complex)
+def test_from_idempotent_is_hat_merge_to_the_bit(h1, h2):
+    assert Bicomplex.from_idempotent(h1, h2).coeffs == tuple(hat_merge(h1, h2))
 
 
 def test_idempotent_identities_exact():

@@ -158,4 +158,3 @@ def test_report_json_excludes_elapsed_by_default():
         "trials_run",
         "worst_witness",
     }
-    assert "elapsed" in report.to_json(include_elapsed=True)
