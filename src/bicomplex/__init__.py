@@ -6,7 +6,6 @@ from .errors import (
     BicomplexError,
     ComponentInNullDistance,
     DimensionMismatch,
-    EmptyCollection,
     InconsistentFunctional,
     NotSquare,
     NullConeVector,
@@ -15,20 +14,17 @@ from .errors import (
     UnknownCheckId,
 )
 from .functionals import (
-    DualityGap,
     ExtensionReport,
     NormingResult,
     RealLinearFunctional,
     SeparationResult,
     TFunctional,
-    duality_gap,
-    extend_real,
     hahn_banach_extend,
     lift_real,
     norming_functional,
     separating_functional,
 )
-from .operators import ComplexMatrixPair, NormReport, TMatrix, sampled_sup_norm
+from .operators import NormReport, TMatrix, sampled_sup_norm
 from .scalar import (
     DEFAULT_SINGULAR_TOL,
     E1,
@@ -39,21 +35,10 @@ from .scalar import (
     ONE,
     ZERO,
     Bicomplex,
-    Hyperbolic,
     IdempotentForm,
     SingularityReport,
 )
-from .tmodule import (
-    DistanceResult,
-    FMetricPoint,
-    IdempotentVectorPair,
-    Submodule,
-    TVector,
-    bounded_sup,
-    f_metric,
-    in_span,
-    product_metric,
-)
+from .tmodule import DistanceResult, Submodule, TVector
 from .verifier import (
     CHECK_IDS,
     CheckConfig,
@@ -68,59 +53,47 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BicomplexError",
-    "ComponentInNullDistance",
-    "DimensionMismatch",
-    "EmptyCollection",
-    "InconsistentFunctional",
-    "NotSquare",
-    "NullConeVector",
-    "SingularElement",
-    "SingularOperator",
-    "UnknownCheckId",
-    "DualityGap",
-    "ExtensionReport",
-    "NormingResult",
-    "RealLinearFunctional",
-    "SeparationResult",
-    "TFunctional",
-    "duality_gap",
-    "extend_real",
-    "hahn_banach_extend",
-    "lift_real",
-    "norming_functional",
-    "separating_functional",
-    "ComplexMatrixPair",
-    "NormReport",
-    "TMatrix",
-    "sampled_sup_norm",
-    "DEFAULT_SINGULAR_TOL",
-    "E1",
-    "E2",
-    "IOTA1",
-    "IOTA2",
-    "J",
-    "ONE",
-    "ZERO",
     "Bicomplex",
-    "Hyperbolic",
-    "IdempotentForm",
-    "SingularityReport",
-    "DistanceResult",
-    "FMetricPoint",
-    "IdempotentVectorPair",
-    "Submodule",
-    "TVector",
-    "bounded_sup",
-    "f_metric",
-    "in_span",
-    "product_metric",
+    "BicomplexError",
     "CHECK_IDS",
     "CheckConfig",
     "CheckReport",
+    "ComponentInNullDistance",
+    "DEFAULT_SINGULAR_TOL",
+    "DimensionMismatch",
+    "DistanceResult",
+    "E1",
+    "E2",
+    "ExtensionReport",
+    "IOTA1",
+    "IOTA2",
+    "IdempotentForm",
+    "InconsistentFunctional",
+    "J",
+    "NormReport",
+    "NormingResult",
+    "NotSquare",
+    "NullConeVector",
+    "ONE",
+    "RealLinearFunctional",
+    "SeparationResult",
+    "SingularElement",
+    "SingularOperator",
+    "SingularityReport",
+    "Submodule",
+    "TFunctional",
+    "TMatrix",
+    "TVector",
+    "UnknownCheckId",
+    "ZERO",
     "all_passed",
     "default_config",
+    "hahn_banach_extend",
+    "lift_real",
+    "norming_functional",
     "replay_witness",
     "run_all",
     "run_check",
+    "sampled_sup_norm",
+    "separating_functional",
 ]

@@ -95,10 +95,19 @@ def mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 def checked_norm(plain: float, parts) -> float:
     """`plain`, the square root of the plain sum of squares of `parts`, when it
     lies in [NORM_FLOOR, inf) where it is exact to rounding; otherwise the norm
-    of `parts` recomputed with scaling (math.hypot)."""
+    of `parts` recomputed with scaling (math.hypot over every real and
+    imaginary part)."""
     if NORM_FLOOR <= plain < math.inf:
         return plain
-    return math.hypot(*np.ravel(parts))
+    return math.hypot(*np.ravel(parts).view(np.float64))
+
+
+def pair_norms(u1: np.ndarray, u2: np.ndarray) -> tuple[float, float]:
+    """Euclidean norms of two complex component arrays: np.linalg.norm, with
+    the scaled fallback of checked_norm where its sum over- or underflows."""
+    with np.errstate(over="ignore"):
+        n1, n2 = float(np.linalg.norm(u1)), float(np.linalg.norm(u2))
+    return checked_norm(n1, u1), checked_norm(n2, u2)
 
 
 def qmean(x: float, y: float) -> float:
@@ -153,17 +162,16 @@ def real_block_matrix(C: np.ndarray) -> np.ndarray:
     return block.reshape(4 * m, 4 * n)
 
 
-def orthonormal_columns(M: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the column space of M via SVD, with a relative
-    rank cutoff (default: max(shape) * machine eps)."""
+def orthonormal_columns(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of M via SVD, with the relative
+    rank cutoff max(shape) * machine eps."""
     if M.size == 0:
         return M.reshape(M.shape[0], 0)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return u[:, :0]
-    if rel_tol is None:
-        rel_tol = max(M.shape) * np.finfo(np.float64).eps
-    rank = int(np.sum(s > rel_tol * s[0]))
+    cutoff = max(M.shape) * np.finfo(np.float64).eps * s[0]
+    rank = int(np.sum(s > cutoff))
     return u[:, :rank]
 
 

@@ -20,10 +20,6 @@ class DimensionMismatch(BicomplexError):
     """Operands have incompatible dimensions."""
 
 
-class EmptyCollection(BicomplexError):
-    """An operation that needs at least one element received none."""
-
-
 class NotSquare(BicomplexError):
     """A square matrix was required."""
 

@@ -20,12 +20,12 @@ to the nominal values rather than asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_split, unit_multiples
+from ._arrays import hat_split, pair_norms, unit_multiples
 from .errors import (
     ComponentInNullDistance,
     DimensionMismatch,
@@ -96,17 +96,13 @@ class TFunctional:
     def coeffs(self) -> TVector:
         return self._coeffs
 
-    def hat_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        pair = self._coeffs.split()
-        return pair.v1, pair.v2
-
     def __call__(self, x: TVector) -> Bicomplex:
         """Evaluate sum_k c_k * x_k over the ring."""
         if x.n != self.n:
             raise DimensionMismatch(f"functional takes dimension {self.n}, got {x.n}")
-        c1, c2 = self.hat_rows()
-        pair = x.split()
-        return Bicomplex.from_idempotent(complex(c1 @ pair.v1), complex(c2 @ pair.v2))
+        c1, c2 = self._coeffs.split()
+        v1, v2 = x.split()
+        return Bicomplex.from_idempotent(complex(c1 @ v1), complex(c2 @ v2))
 
     # algebra ----------------------------------------------------------------
 
@@ -130,8 +126,7 @@ class TFunctional:
     # norms ------------------------------------------------------------------
 
     def component_norms(self) -> tuple[float, float]:
-        c1, c2 = self.hat_rows()
-        return float(np.linalg.norm(c1)), float(np.linalg.norm(c2))
+        return pair_norms(*self._coeffs.split())
 
     def norms(self) -> NormReport:
         """Operator norms of the functional viewed as a 1-by-n operator."""
@@ -139,10 +134,8 @@ class TFunctional:
 
     def restricted_component_norms(self, Y: Submodule) -> tuple[float, float]:
         """Norms of the restrictions to the component subspaces of Y."""
-        c1, c2 = self.hat_rows()
-        r1 = Y.basis1.conj().T @ np.conj(c1)
-        r2 = Y.basis2.conj().T @ np.conj(c2)
-        return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
+        c1, c2 = self._coeffs.split()
+        return pair_norms(Y.basis1.conj().T @ np.conj(c1), Y.basis2.conj().T @ np.conj(c2))
 
     # real decomposition -------------------------------------------------------
 
@@ -219,22 +212,6 @@ def lift_real(F1: RealLinearFunctional) -> TFunctional:
     return TFunctional(TVector(coeffs))
 
 
-def extend_real(f1: RealLinearFunctional, Y: Submodule) -> RealLinearFunctional:
-    """Extend a real-linear functional off the real span of Y by composing
-    with the orthogonal projection onto that span.
-
-    The extension agrees with f1 on Y and its dual norm equals the dual norm
-    of the restriction of f1 to Y (the minimal-norm extension, realizing the
-    sublinear bound |F1(x)| <= |f1| * |x|).
-    """
-    if f1.n != Y.n:
-        raise DimensionMismatch(f"functional dimension {f1.n} != ambient {Y.n}")
-    B = Y.real_span_basis()
-    flat = f1.coeffs.reshape(-1)
-    projected = B @ (B.T @ flat)
-    return RealLinearFunctional(projected.reshape(Y.n, 4))
-
-
 @dataclass(frozen=True)
 class ExtensionReport:
     """Result of extending a functional from a submodule to the ambient space."""
@@ -273,7 +250,7 @@ def hahn_banach_extend(ystar, Y: Submodule, tol: float = 1e-10) -> ExtensionRepo
         ystar = TFunctional.from_generator_values(Y, ystar, tol)
     if ystar.n != Y.n:
         raise DimensionMismatch(f"functional dimension {ystar.n} != ambient {Y.n}")
-    c1, c2 = ystar.hat_rows()
+    c1, c2 = ystar.coeffs.split()
     riesz = []
     for B, c in ((Y.basis1, c1), (Y.basis2, c2)):
         riesz.append(B @ (B.conj().T @ np.conj(c)))
@@ -324,10 +301,10 @@ def separating_functional(x: TVector, Y: Submodule, tol: float = 1e-12) -> Separ
     bad = [k for k, dk in ((1, result.d1), (2, result.d2)) if dk <= threshold]
     if bad:
         raise ComponentInNullDistance(bad, (result.d1, result.d2))
-    pair = x.split()
-    proj = result.projection.split()
-    res1 = pair.v1 - proj.v1
-    res2 = pair.v2 - proj.v2
+    v1, v2 = x.split()
+    p1, p2 = result.projection.split()
+    res1 = v1 - p1
+    res2 = v2 - p2
     c1 = np.conj(res1) / (result.d1 * result.d1)
     c2 = np.conj(res2) / (result.d2 * result.d2)
     functional = TFunctional(TVector.from_split(c1, c2))
@@ -359,16 +336,15 @@ def norming_functional(x: TVector, tol: float = 1e-12) -> NormingResult:
     Null-cone vectors raise NullConeVector since f(x) would be confined to
     an ideal.
     """
-    pair = x.split()
-    n1 = float(np.linalg.norm(pair.v1))
-    n2 = float(np.linalg.norm(pair.v2))
+    v1, v2 = x.split()
+    n1, n2 = pair_norms(v1, v2)
     threshold = tol * (1.0 + x.norm())
     bad = [k for k, nk in ((1, n1), (2, n2)) if nk <= threshold]
     if bad:
         raise NullConeVector(bad)
     target = x.norm()
-    c1 = np.conj(pair.v1) * (target / (n1 * n1))
-    c2 = np.conj(pair.v2) * (target / (n2 * n2))
+    c1 = np.conj(v1) * (target / n1 / n1)
+    c2 = np.conj(v2) * (target / n2 / n2)
     functional = TFunctional(TVector.from_split(c1, c2))
     return NormingResult(
         functional=functional,
@@ -377,32 +353,3 @@ def norming_functional(x: TVector, tol: float = 1e-12) -> NormingResult:
         balanced=abs(n1 - n2) <= 1e-12 * (1.0 + max(n1, n2)),
     )
 
-
-class DualityGap(NamedTuple):
-    sup_estimate: float
-    gap: float
-
-
-def duality_gap(x: TVector, trials: int = 10_000, seed: int = 0) -> DualityGap:
-    """Estimate sup over sampled unit-idem-norm functionals of |f(x)| and the
-    gap to |x|.  A measurement, never an assertion: for unbalanced x the
-    sampled supremum can exceed |x| (it tends to max_k |v_k|).
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if x.norm() == 0.0:
-        return DualityGap(0.0, 0.0)
-    pair = x.split()
-    rng = np.random.default_rng(seed)
-    n = x.n
-    C1 = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    C2 = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
-    scale = np.sqrt(
-        (np.sum(np.abs(C1) ** 2, axis=1) + np.sum(np.abs(C2) ** 2, axis=1)) / 2.0
-    )
-    scale[scale == 0.0] = 1.0
-    e1 = C1 @ pair.v1
-    e2 = C2 @ pair.v2
-    values = np.sqrt((np.abs(e1) ** 2 + np.abs(e2) ** 2) / 2.0) / scale
-    sup = float(np.max(values))
-    return DualityGap(sup, x.norm() - sup)

@@ -58,31 +58,13 @@ class NormReport:
         }
 
 
-@dataclass(frozen=True)
-class ComplexMatrixPair:
-    """The two complex hat-component matrices of an operator."""
-
-    M1: np.ndarray
-    M2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("M1", "M2"):
-            arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.M1.shape != self.M2.shape or self.M1.ndim != 2:
-            raise DimensionMismatch("component matrices must be 2-d with equal shapes")
-
-    def merge(self) -> "TMatrix":
-        return TMatrix.from_hat(self.M1, self.M2)
-
-
 class TMatrix:
     """An m-by-n matrix of bicomplex entries, stored as an (m, n, 4) array.
 
     The coefficients are frozen, so the hat split, the component singular
     values and the determinant are computed from them once, on first use,
-    and kept for the life of the object.
+    and kept for the life of the object.  split() returns the hat split as
+    the read-only pair (M1, M2) of complex component matrices.
     """
 
     __slots__ = ("_coeffs", "_split", "_singular_values", "_det")
@@ -149,10 +131,12 @@ class TMatrix:
         i, k = key
         return Bicomplex(*self._coeffs[i, k])
 
-    def split(self) -> ComplexMatrixPair:
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
         if self._split is None:
-            h1, h2 = hat_split(self._coeffs)
-            self._split = ComplexMatrixPair(h1, h2)
+            M1, M2 = hat_split(self._coeffs)
+            M1.setflags(write=False)
+            M2.setflags(write=False)
+            self._split = (M1, M2)
         return self._split
 
     def __eq__(self, other) -> bool:
@@ -193,9 +177,9 @@ class TMatrix:
         hat coordinates."""
         if x.n != self.n:
             raise DimensionMismatch(f"operator takes dimension {self.n}, got {x.n}")
-        pair = self.split()
-        xp = x.split()
-        return TVector.from_split(pair.M1 @ xp.v1, pair.M2 @ xp.v2)
+        M1, M2 = self.split()
+        v1, v2 = x.split()
+        return TVector.from_split(M1 @ v1, M2 @ v2)
 
     __call__ = apply
 
@@ -203,9 +187,9 @@ class TMatrix:
         """Composition self after other; hat components multiply componentwise."""
         if self.n != other.m:
             raise DimensionMismatch(f"inner dimensions differ: {self.n} vs {other.m}")
-        a = self.split()
-        b = other.split()
-        return TMatrix.from_hat(a.M1 @ b.M1, a.M2 @ b.M2)
+        A1, A2 = self.split()
+        B1, B2 = other.split()
+        return TMatrix.from_hat(A1 @ B1, A2 @ B2)
 
     __matmul__ = compose
 
@@ -214,9 +198,9 @@ class TMatrix:
     def component_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Singular values of M1 and M2, in descending order (read-only)."""
         if self._singular_values is None:
-            pair = self.split()
-            sv1 = np.linalg.svd(pair.M1, compute_uv=False)
-            sv2 = np.linalg.svd(pair.M2, compute_uv=False)
+            M1, M2 = self.split()
+            sv1 = np.linalg.svd(M1, compute_uv=False)
+            sv2 = np.linalg.svd(M2, compute_uv=False)
             sv1.setflags(write=False)
             sv2.setflags(write=False)
             self._singular_values = (sv1, sv2)
@@ -249,9 +233,9 @@ class TMatrix:
         if self.m != self.n:
             raise NotSquare(f"determinant needs a square matrix, got {self.m}x{self.n}")
         if self._det is None:
-            pair = self.split()
+            M1, M2 = self.split()
             self._det = Bicomplex.from_idempotent(
-                complex(np.linalg.det(pair.M1)), complex(np.linalg.det(pair.M2))
+                complex(np.linalg.det(M1)), complex(np.linalg.det(M2))
             )
         return self._det
 
@@ -273,17 +257,15 @@ class TMatrix:
         if b.n != self.m:
             raise DimensionMismatch(f"right-hand side dimension {b.n} != {self.m}")
         self._invertibility_guard(tol)
-        pair = self.split()
-        bp = b.split()
-        u1 = np.linalg.solve(pair.M1, bp.v1)
-        u2 = np.linalg.solve(pair.M2, bp.v2)
-        return TVector.from_split(u1, u2)
+        M1, M2 = self.split()
+        b1, b2 = b.split()
+        return TVector.from_split(np.linalg.solve(M1, b1), np.linalg.solve(M2, b2))
 
     def invert(self, tol: float = DEFAULT_SINGULAR_TOL) -> "TMatrix":
         """The inverse operator, with hat components M1^-1, M2^-1."""
         self._invertibility_guard(tol)
-        pair = self.split()
-        return TMatrix.from_hat(np.linalg.inv(pair.M1), np.linalg.inv(pair.M2))
+        M1, M2 = self.split()
+        return TMatrix.from_hat(np.linalg.inv(M1), np.linalg.inv(M2))
 
     # file form --------------------------------------------------------------------
 

@@ -226,27 +226,6 @@ class Bicomplex:
         return f"Bicomplex({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-@dataclass(frozen=True)
-class Hyperbolic:
-    """A hyperbolic number a + d*j; embeds into the ring with b = c = 0."""
-
-    a: float = 0.0
-    d: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _require_finite(self.a, "a"))
-        object.__setattr__(self, "d", _require_finite(self.d, "d"))
-
-    def to_bicomplex(self) -> Bicomplex:
-        return Bicomplex(self.a, 0.0, 0.0, self.d)
-
-    @classmethod
-    def from_bicomplex(cls, w: Bicomplex) -> "Hyperbolic":
-        if w.b != 0.0 or w.c != 0.0:
-            raise ValueError("not a hyperbolic number (b and c must vanish)")
-        return cls(w.a, w.d)
-
-
 ZERO = Bicomplex()
 ONE = Bicomplex(1.0)
 IOTA1 = Bicomplex(0.0, 1.0)

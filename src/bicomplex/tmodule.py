@@ -1,5 +1,5 @@
-"""Finite free modules over the bicomplex ring: vectors, norms and metrics,
-idempotent splitting, submodules, and bounded-set diagnostics.
+"""Finite free modules over the bicomplex ring: vectors, norms, idempotent
+splitting, and submodules.
 
 A vector in T^n splits entrywise into two complex coordinate vectors
 (v1, v2); module operations act componentwise there, so a submodule is
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import checked_norm, hat_merge, hat_split, qmean, vec_norm4
-from .errors import DimensionMismatch, EmptyCollection
+from ._arrays import checked_norm, hat_merge, hat_split, pair_norms, qmean, vec_norm4
+from .errors import DimensionMismatch
 from .scalar import Bicomplex
 
 
@@ -24,7 +24,8 @@ class TVector:
     """An element of T^n, stored as an (n, 4) array of real coefficients.
 
     The coefficients are frozen, so the hat split is computed once, on first
-    use, and kept for the life of the object.
+    use, and kept for the life of the object.  split() returns it as the
+    read-only pair (v1, v2) of complex component vectors.
     """
 
     __slots__ = ("_coeffs", "_split")
@@ -76,10 +77,12 @@ class TVector:
     def __getitem__(self, k: int) -> Bicomplex:
         return Bicomplex(*self._coeffs[k])
 
-    def split(self) -> "IdempotentVectorPair":
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
         if self._split is None:
-            h1, h2 = hat_split(self._coeffs)
-            self._split = IdempotentVectorPair(h1, h2)
+            v1, v2 = hat_split(self._coeffs)
+            v1.setflags(write=False)
+            v2.setflags(write=False)
+            self._split = (v1, v2)
         return self._split
 
     # module operations ------------------------------------------------------
@@ -145,54 +148,6 @@ class TVector:
 
 
 @dataclass(frozen=True)
-class IdempotentVectorPair:
-    """The two complex coordinate vectors of a split vector."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("v1", "v2"):
-            arr = np.array(getattr(self, name), dtype=np.complex128, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.v1.shape != self.v2.shape:
-            raise DimensionMismatch("component vectors must have equal length")
-
-    @property
-    def n(self) -> int:
-        return self.v1.shape[0]
-
-    def merge(self) -> TVector:
-        return TVector.from_split(self.v1, self.v2)
-
-
-@dataclass(frozen=True)
-class FMetricPoint:
-    """A vector tagged with its F-norm |x| = rho(x, 0) under the
-    coefficient-Euclidean metric (translation invariant by construction)."""
-
-    vector: TVector
-    fnorm: float
-
-    @classmethod
-    def at(cls, x: TVector) -> "FMetricPoint":
-        return cls(x, x.norm())
-
-
-def f_metric(x: TVector, y: TVector) -> float:
-    """Translation-invariant metric rho(x, y) = |x - y|."""
-    return (x - y).norm()
-
-
-def product_metric(p: tuple[TVector, TVector], q: tuple[TVector, TVector]) -> float:
-    """Metric |x - x'| + |y - y'| on the product module."""
-    x, y = p
-    xp, yp = q
-    return f_metric(x, xp) + f_metric(y, yp)
-
-
-@dataclass(frozen=True)
 class DistanceResult:
     """Distance from a vector to a submodule, broken down per component.
 
@@ -216,7 +171,7 @@ class Submodule:
     rather than as an operation.
     """
 
-    def __init__(self, n: int, generators, rank_tol: float | None = None):
+    def __init__(self, n: int, generators):
         self._n = int(n)
         if self._n < 1:
             raise ValueError("ambient dimension must be at least 1")
@@ -228,8 +183,8 @@ class Submodule:
                 raise DimensionMismatch(f"generator dimension {g.n} != ambient {self._n}")
         self._generators = tuple(gens)
         G1, G2 = self.generator_matrices()
-        self._basis1 = _arrays.orthonormal_columns(G1, rank_tol)
-        self._basis2 = _arrays.orthonormal_columns(G2, rank_tol)
+        self._basis1 = _arrays.orthonormal_columns(G1)
+        self._basis2 = _arrays.orthonormal_columns(G2)
         self._basis1.setflags(write=False)
         self._basis2.setflags(write=False)
 
@@ -293,29 +248,15 @@ class Submodule:
     def distance_to(self, x: TVector) -> DistanceResult:
         if x.n != self._n:
             raise DimensionMismatch(f"vector dimension {x.n} != ambient {self._n}")
-        pair = x.split()
-        p1 = self._basis1 @ (self._basis1.conj().T @ pair.v1)
-        p2 = self._basis2 @ (self._basis2.conj().T @ pair.v2)
-        d1 = float(np.linalg.norm(pair.v1 - p1))
-        d2 = float(np.linalg.norm(pair.v2 - p2))
+        v1, v2 = x.split()
+        p1 = self._basis1 @ (self._basis1.conj().T @ v1)
+        p2 = self._basis2 @ (self._basis2.conj().T @ v2)
+        d1, d2 = pair_norms(v1 - p1, v2 - p2)
         return DistanceResult(qmean(d1, d2), d1, d2, TVector.from_split(p1, p2))
 
     def contains(self, x: TVector, tol: float = 1e-10) -> bool:
         """Span membership: distance at most tol * (1 + |x|)."""
         return self.distance_to(x).d <= tol * (1.0 + x.norm())
-
-    def real_span_basis(self) -> np.ndarray:
-        """Orthonormal basis (as columns, shape (4n, r)) of the real subspace
-        of R^{4n} swept out by ring multiples of the generators."""
-        if not self._generators:
-            return np.zeros((4 * self._n, 0))
-        cols = []
-        for g in self._generators:
-            C = g.coeffs
-            i1c, i2c, jc = _arrays.unit_multiples(C)
-            for multiple in (C, i1c, i2c, jc):
-                cols.append(multiple.reshape(-1))
-        return _arrays.orthonormal_columns(np.column_stack(cols))
 
     # file form ----------------------------------------------------------------
 
@@ -329,18 +270,3 @@ class Submodule:
     def __repr__(self) -> str:
         return f"Submodule(n={self._n}, dims=({self.dim1}, {self.dim2}), generators={len(self._generators)})"
 
-
-def in_span(x: TVector, Y: Submodule, tol: float = 1e-10) -> bool:
-    return Y.contains(x, tol)
-
-
-def bounded_sup(points) -> float:
-    """Supremum of |x| over a finite collection; the boundedness certificate
-    for finite samples."""
-    sup = None
-    for x in points:
-        value = x.norm()
-        sup = value if sup is None else max(sup, value)
-    if sup is None:
-        raise EmptyCollection("bounded_sup needs at least one vector")
-    return sup

@@ -515,8 +515,8 @@ def _replay_ubp(witness: dict) -> float:
 
 def _unit_ball_attainment_value(T: TMatrix) -> float:
     report = T.norms()
-    pair = T.split()
-    M = pair.M1 if report.s1 >= report.s2 else pair.M2
+    M1, M2 = T.split()
+    M = M1 if report.s1 >= report.s2 else M2
     _, _, vh = np.linalg.svd(M)
     v = np.conj(vh[0])
     if report.s1 >= report.s2:
@@ -846,15 +846,15 @@ def _norm_sandwich_value(part: str, T: TMatrix) -> float:
         r = T.norms()
         violation = max(r.sup_norm - r.idem_norm, r.idem_norm - SQRT2 * r.sup_norm)
         return float(violation / (1.0 + r.sup_norm))
-    pair = T.split()
+    M1, M2 = T.split()
     if part == "left-attain":
         # one vanishing component: the two norms coincide
-        one_sided = TMatrix.from_hat(pair.M1, np.zeros_like(pair.M2))
+        one_sided = TMatrix.from_hat(M1, np.zeros_like(M2))
         r = one_sided.norms()
         return float(abs(r.sup_norm - r.idem_norm) / (1.0 + r.sup_norm))
     if part == "right-attain":
         # balanced components: idem equals sqrt(2) * sup
-        balanced = TMatrix.from_hat(pair.M1, pair.M1)
+        balanced = TMatrix.from_hat(M1, M1)
         r = balanced.norms()
         return float(abs(r.idem_norm - SQRT2 * r.sup_norm) / (1.0 + r.sup_norm))
     raise ValueError(f"unknown sandwich part {part!r}")

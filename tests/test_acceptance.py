@@ -146,11 +146,11 @@ def test_criterion_06_bound_constant_contract():
         m = int(rng.integers(1, 9))
         T = TMatrix(rng.uniform(-1.0, 1.0, (m, n, 4)))
         limit = SQRT2 * T.bound_constant()
-        pair = T.split()
+        M1, M2 = T.split()
         X = rng.uniform(-1.0, 1.0, (200, n, 4))
         v1, v2 = hat_split(X)
-        y1 = v1 @ pair.M1.T
-        y2 = v2 @ pair.M2.T
+        y1 = v1 @ M1.T
+        y2 = v2 @ M2.T
         out_norm = np.sqrt((np.sum(np.abs(y1) ** 2, -1) + np.sum(np.abs(y2) ** 2, -1)) / 2)
         in_norm = np.sqrt(np.sum(X * X, axis=(-2, -1)))
         worst_excess = max(worst_excess, float(np.max(out_norm - limit * in_norm)))

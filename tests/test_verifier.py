@@ -136,8 +136,8 @@ def test_submult_witness_is_near_the_idempotent():
 
 def test_open_mapping_catches_a_solve_that_ignores_the_second_component(monkeypatch):
     def solve_with_first_component_twice(self, b, tol=None):
-        pair, bp = self.split(), b.split()
-        return TVector.from_split(np.linalg.solve(pair.M1, bp.v1), np.linalg.solve(pair.M1, bp.v2))
+        (M1, _), (b1, b2) = self.split(), b.split()
+        return TVector.from_split(np.linalg.solve(M1, b1), np.linalg.solve(M1, b2))
 
     monkeypatch.setattr(TMatrix, "solve", solve_with_first_component_twice)
     report = run_check(default_config("open-mapping", trials=5))
