@@ -28,18 +28,15 @@ SQRT2 = float(np.sqrt(2.0))
 NORM_FLOOR = math.sqrt(sys.float_info.min)
 
 
-def as_coeffs(data, ndim: int, what: str = "value") -> np.ndarray:
-    """Coerce to a float64 coefficient array with `ndim` axes, trailing axis 4."""
-    arr = np.asarray(data, dtype=np.float64)
+def frozen_coeffs(data, ndim: int, what: str) -> np.ndarray:
+    """A read-only float64 copy of `data`, checked to have `ndim` axes with
+    trailing axis 4 and finite entries.  The copy keeps later writes to
+    `data` from reaching the per-object caches built on it."""
+    arr = np.array(data, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != 4:
         raise ValueError(f"{what}: expected shape {'(...,' * (ndim - 1)}4{')' * (ndim - 1)}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what}: coefficients must be finite")
-    return arr
-
-
-def freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=np.float64, copy=True)
     arr.setflags(write=False)
     return arr
 

@@ -18,7 +18,7 @@ from ._arrays import fmt17
 from .errors import BicomplexError
 from .functionals import TFunctional, hahn_banach_extend
 from .operators import TMatrix
-from .scalar import Bicomplex
+from .scalar import DEFAULT_SINGULAR_TOL, Bicomplex
 from .tmodule import Submodule, TVector
 from .verifier import CHECK_IDS, all_passed, default_config, run_all, run_check
 
@@ -41,16 +41,18 @@ def _build_parser() -> argparse.ArgumentParser:
     calc.add_argument("lhs", help="scalar literal 'a b c d'")
     calc.add_argument("op", choices=["add", "mul", "inverse"])
     calc.add_argument("rhs", nargs="?", help="second scalar literal (not for inverse)")
-    calc.add_argument("--tol", type=_positive_float, default=None, help="singularity tolerance for inverse")
+    calc.add_argument(
+        "--tol", type=_positive_float, default=DEFAULT_SINGULAR_TOL, help="singularity tolerance for inverse"
+    )
 
     dec = sub.add_parser("decompose", help="print hat components and the singularity report")
     dec.add_argument("scalar", help="scalar literal 'a b c d'")
-    dec.add_argument("--tol", type=_positive_float, default=None)
+    dec.add_argument("--tol", type=_positive_float, default=DEFAULT_SINGULAR_TOL)
 
     solve = sub.add_parser("solve", help="solve T x = b from a matrix file and a vector file")
     solve.add_argument("matrix", type=Path)
     solve.add_argument("vector", type=Path)
-    solve.add_argument("--tol", type=_positive_float, default=None)
+    solve.add_argument("--tol", type=_positive_float, default=DEFAULT_SINGULAR_TOL)
     solve.add_argument("--format", choices=["json", "csv"], default="json")
     solve.add_argument("--out", type=Path, default=None)
 
@@ -61,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extend", help="extend a functional from a submodule, preserving norms")
     ext.add_argument("submodule", type=Path, help="JSON {n, generators: [...]}")
     ext.add_argument("functional", type=Path, help="JSON {n, coeffs: [...]}")
-    ext.add_argument("--tol", type=_positive_float, default=None)
     ext.add_argument("--out", type=Path, default=None)
 
     ver = sub.add_parser("verify", help="run property checks; one JSON report per line")
@@ -101,7 +102,7 @@ def _cmd_calc(args) -> int:
     if args.op == "inverse":
         if args.rhs is not None:
             raise UsageError("inverse takes a single scalar")
-        result = lhs.inverse() if args.tol is None else lhs.inverse(args.tol)
+        result = lhs.inverse(args.tol)
     else:
         if args.rhs is None:
             raise UsageError(f"{args.op} needs two scalars")
@@ -114,7 +115,7 @@ def _cmd_calc(args) -> int:
 def _cmd_decompose(args) -> int:
     w = Bicomplex.from_text(args.scalar)
     form = w.to_idempotent()
-    report = w.classify() if args.tol is None else w.classify(args.tol)
+    report = w.classify(args.tol)
     payload = {
         "h1": [form.h1.real, form.h1.imag],
         "h2": [form.h2.real, form.h2.imag],
@@ -129,7 +130,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_solve(args) -> int:
     T = TMatrix.from_json(_read_json(args.matrix))
     b = _read_vector(args.vector)
-    x = T.solve(b) if args.tol is None else T.solve(b, args.tol)
+    x = T.solve(b, args.tol)
     residual = (T.apply(x) - b).norm()
     scale = b.norm()
     relative = residual / scale if scale > 0.0 else residual
@@ -151,7 +152,7 @@ def _cmd_norm(args) -> int:
 def _cmd_extend(args) -> int:
     Y = Submodule.from_json(_read_json(args.submodule))
     ystar = TFunctional.from_json(_read_json(args.functional))
-    report = hahn_banach_extend(ystar, Y) if args.tol is None else hahn_banach_extend(ystar, Y, args.tol)
+    report = hahn_banach_extend(ystar, Y)
     _emit(json.dumps(report.to_json()), args.out)
     return 0
 

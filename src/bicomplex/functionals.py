@@ -34,7 +34,11 @@ from .errors import (
 )
 from .operators import NormReport
 from .scalar import Bicomplex
-from .tmodule import Submodule, TVector
+from .tmodule import SPAN_TOL, Submodule, TVector
+
+#: Relative tolerance below which separating_functional and
+#: norming_functional treat a hat component as vanishing (null-cone input).
+NULL_CONE_TOL = 1e-12
 
 
 class TFunctional:
@@ -58,13 +62,12 @@ class TFunctional:
         return cls(TVector.zero(n))
 
     @classmethod
-    def from_generator_values(
-        cls, Y: Submodule, values: Sequence[Bicomplex], tol: float = 1e-10
-    ) -> "TFunctional":
+    def from_generator_values(cls, Y: Submodule, values: Sequence[Bicomplex]) -> "TFunctional":
         """Least-squares functional with prescribed values on the generators.
 
         Raises InconsistentFunctional when the values disagree on dependent
-        generators beyond tol (no T-linear functional can interpolate them).
+        generators beyond SPAN_TOL, relative to their size (no T-linear
+        functional can interpolate them).
         """
         gens = Y.generators
         if len(values) != len(gens):
@@ -73,18 +76,17 @@ class TFunctional:
             return cls.zero(Y.n)
         G1, G2 = Y.generator_matrices()
         t1, t2 = hat_split(np.array([Bicomplex.coerce(v).coeffs for v in values]))
-        rows = []
-        scale = 1.0 + max(float(np.linalg.norm(t1)), float(np.linalg.norm(t2)))
-        for G, t, k in ((G1, t1, 1), (G2, t2, 2)):
-            c, *_ = np.linalg.lstsq(G.T, t, rcond=None)
-            residual = float(np.linalg.norm(G.T @ c - t))
-            if residual > tol * scale:
+        c1, *_ = np.linalg.lstsq(G1.T, t1, rcond=None)
+        c2, *_ = np.linalg.lstsq(G2.T, t2, rcond=None)
+        scale = 1.0 + max(pair_norms(t1, t2))
+        residuals = pair_norms(G1.T @ c1 - t1, G2.T @ c2 - t2)
+        for k, residual in enumerate(residuals, start=1):
+            if residual > SPAN_TOL * scale:
                 raise InconsistentFunctional(
                     f"values on dependent generators disagree in component {k} "
                     f"(residual {residual:.3e})"
                 )
-            rows.append(c)
-        return cls(TVector.from_split(rows[0], rows[1]))
+        return cls(TVector.from_split(c1, c2))
 
     # views ----------------------------------------------------------------
 
@@ -168,7 +170,7 @@ class RealLinearFunctional:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs):
-        self._coeffs = _arrays.freeze(_arrays.as_coeffs(coeffs, 2, "real functional"))
+        self._coeffs = _arrays.frozen_coeffs(coeffs, 2, "real functional")
 
     @classmethod
     def zero(cls, n: int) -> "RealLinearFunctional":
@@ -186,10 +188,6 @@ class RealLinearFunctional:
         if x.n != self.n:
             raise DimensionMismatch(f"functional takes dimension {self.n}, got {x.n}")
         return float(np.sum(self._coeffs * x.coeffs))
-
-    def dual_norm(self) -> float:
-        """Euclidean dual norm (coefficient norm)."""
-        return float(np.linalg.norm(self._coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RealLinearFunctional) and np.array_equal(
@@ -234,7 +232,7 @@ class ExtensionReport:
         }
 
 
-def hahn_banach_extend(ystar, Y: Submodule, tol: float = 1e-10) -> ExtensionReport:
+def hahn_banach_extend(ystar, Y: Submodule) -> ExtensionReport:
     """Extend a functional given on a submodule to the whole space, preserving
     each component norm.
 
@@ -247,7 +245,7 @@ def hahn_banach_extend(ystar, Y: Submodule, tol: float = 1e-10) -> ExtensionRepo
     norms equal those of the restriction and the aggregate norms agree.
     """
     if not isinstance(ystar, TFunctional):
-        ystar = TFunctional.from_generator_values(Y, ystar, tol)
+        ystar = TFunctional.from_generator_values(Y, ystar)
     if ystar.n != Y.n:
         raise DimensionMismatch(f"functional dimension {ystar.n} != ambient {Y.n}")
     c1, c2 = ystar.coeffs.split()
@@ -260,10 +258,7 @@ def hahn_banach_extend(ystar, Y: Submodule, tol: float = 1e-10) -> ExtensionRepo
 
     # Restriction error as an exact operator norm on Y: project the
     # coefficient difference back onto the component subspaces.
-    err = 0.0
-    for B, old, new in ((Y.basis1, c1, e1), (Y.basis2, c2, e2)):
-        diff = np.conj(new - old)
-        err = max(err, float(np.linalg.norm(B.conj().T @ diff)))
+    err = max(pair_norms(Y.basis1.conj().T @ np.conj(e1 - c1), Y.basis2.conj().T @ np.conj(e2 - c2)))
 
     y_comp = ystar.restricted_component_norms(Y)
     x_comp = extension.component_norms()
@@ -289,7 +284,7 @@ class SeparationResult:
     d2: float
 
 
-def separating_functional(x: TVector, Y: Submodule, tol: float = 1e-12) -> SeparationResult:
+def separating_functional(x: TVector, Y: Submodule) -> SeparationResult:
     """Build f with f|_Y = 0 and f(x) = 1 from the projection residuals.
 
     Requires both component distances positive: if d_k = 0 the value f(x)
@@ -297,7 +292,7 @@ def separating_functional(x: TVector, Y: Submodule, tol: float = 1e-12) -> Separ
     raised (a strictly stronger hypothesis than d > 0 alone).
     """
     result = Y.distance_to(x)
-    threshold = tol * (1.0 + x.norm())
+    threshold = NULL_CONE_TOL * (1.0 + x.norm())
     bad = [k for k, dk in ((1, result.d1), (2, result.d2)) if dk <= threshold]
     if bad:
         raise ComponentInNullDistance(bad, (result.d1, result.d2))
@@ -305,8 +300,8 @@ def separating_functional(x: TVector, Y: Submodule, tol: float = 1e-12) -> Separ
     p1, p2 = result.projection.split()
     res1 = v1 - p1
     res2 = v2 - p2
-    c1 = np.conj(res1) / (result.d1 * result.d1)
-    c2 = np.conj(res2) / (result.d2 * result.d2)
+    c1 = np.conj(res1) / result.d1 / result.d1
+    c2 = np.conj(res2) / result.d2 / result.d2
     functional = TFunctional(TVector.from_split(c1, c2))
     return SeparationResult(
         functional=functional,
@@ -328,7 +323,7 @@ class NormingResult:
     balanced: bool
 
 
-def norming_functional(x: TVector, tol: float = 1e-12) -> NormingResult:
+def norming_functional(x: TVector) -> NormingResult:
     """Build f with f(x) = |x| (a positive real) and report its norms.
 
     The aggregate norm equals 1 exactly when the component magnitudes of x
@@ -338,7 +333,7 @@ def norming_functional(x: TVector, tol: float = 1e-12) -> NormingResult:
     """
     v1, v2 = x.split()
     n1, n2 = pair_norms(v1, v2)
-    threshold = tol * (1.0 + x.norm())
+    threshold = NULL_CONE_TOL * (1.0 + x.norm())
     bad = [k for k, nk in ((1, n1), (2, n2)) if nk <= threshold]
     if bad:
         raise NullConeVector(bad)

@@ -70,7 +70,7 @@ class TMatrix:
     __slots__ = ("_coeffs", "_split", "_singular_values", "_det")
 
     def __init__(self, coeffs):
-        self._coeffs = _arrays.freeze(_arrays.as_coeffs(coeffs, 3, "matrix"))
+        self._coeffs = _arrays.frozen_coeffs(coeffs, 3, "matrix")
         if self._coeffs.shape[0] < 1 or self._coeffs.shape[1] < 1:
             raise ValueError("matrix dimensions must be at least 1x1")
         self._split = None
@@ -261,9 +261,9 @@ class TMatrix:
         b1, b2 = b.split()
         return TVector.from_split(np.linalg.solve(M1, b1), np.linalg.solve(M2, b2))
 
-    def invert(self, tol: float = DEFAULT_SINGULAR_TOL) -> "TMatrix":
+    def invert(self) -> "TMatrix":
         """The inverse operator, with hat components M1^-1, M2^-1."""
-        self._invertibility_guard(tol)
+        self._invertibility_guard(DEFAULT_SINGULAR_TOL)
         M1, M2 = self.split()
         return TMatrix.from_hat(np.linalg.inv(M1), np.linalg.inv(M2))
 

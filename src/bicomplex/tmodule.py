@@ -19,6 +19,10 @@ from ._arrays import checked_norm, hat_merge, hat_split, pair_norms, qmean, vec_
 from .errors import DimensionMismatch
 from .scalar import Bicomplex
 
+#: Relative tolerance of span membership (Submodule.contains) and of the
+#: consistency of prescribed generator values.
+SPAN_TOL = 1e-10
+
 
 class TVector:
     """An element of T^n, stored as an (n, 4) array of real coefficients.
@@ -31,7 +35,7 @@ class TVector:
     __slots__ = ("_coeffs", "_split")
 
     def __init__(self, coeffs):
-        self._coeffs = _arrays.freeze(_arrays.as_coeffs(coeffs, 2, "vector"))
+        self._coeffs = _arrays.frozen_coeffs(coeffs, 2, "vector")
         if self._coeffs.shape[0] < 1:
             raise ValueError("vector dimension must be at least 1")
         self._split = None
@@ -254,9 +258,9 @@ class Submodule:
         d1, d2 = pair_norms(v1 - p1, v2 - p2)
         return DistanceResult(qmean(d1, d2), d1, d2, TVector.from_split(p1, p2))
 
-    def contains(self, x: TVector, tol: float = 1e-10) -> bool:
-        """Span membership: distance at most tol * (1 + |x|)."""
-        return self.distance_to(x).d <= tol * (1.0 + x.norm())
+    def contains(self, x: TVector) -> bool:
+        """Span membership: distance at most SPAN_TOL * (1 + |x|)."""
+        return self.distance_to(x).d <= SPAN_TOL * (1.0 + x.norm())
 
     # file form ----------------------------------------------------------------
 

@@ -36,7 +36,6 @@ class CheckConfig:
     check_id: str
     seed: int = 42
     trials: int = 1
-    dims: tuple[int, int] = (1, 8)
     tol: float = 1e-10
 
     def __post_init__(self):
@@ -45,9 +44,6 @@ class CheckConfig:
             raise ValueError("trials must be at least 1")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        lo, hi = self.dims
-        if not (1 <= lo <= hi):
-            raise ValueError(f"invalid dimension range {self.dims}")
 
 
 @dataclass(frozen=True)
@@ -75,11 +71,7 @@ class CheckReport:
 
 
 def default_config(
-    check_id: str,
-    seed: int = 42,
-    trials: int | None = None,
-    dims: tuple[int, int] = (1, 8),
-    tol: float | None = None,
+    check_id: str, seed: int = 42, trials: int | None = None, tol: float | None = None
 ) -> CheckConfig:
     """Configuration with the per-check default trial count and tolerance."""
     check = _check(check_id)
@@ -87,7 +79,6 @@ def default_config(
         check_id=check_id,
         seed=seed,
         trials=check.trials if trials is None else trials,
-        dims=dims,
         tol=check.tol if tol is None else tol,
     )
 
@@ -99,7 +90,9 @@ class _Best:
         self.value = -np.inf
         self.witness: dict = {}
 
-    def update(self, values: np.ndarray, make_witness: Callable[[int], dict]):
+    def update(self, values, make_witness: Callable[[int], dict]):
+        """Record the largest of `values` (an array or one float) if it beats
+        the worst so far; only then build its witness, make_witness(index)."""
         values = np.atleast_1d(np.asarray(values, dtype=np.float64))
         if values.size == 0:
             return
@@ -109,16 +102,18 @@ class _Best:
             self.value = v
             self.witness = make_witness(k)
 
-    def update_one(self, value: float, witness: dict):
-        if value > self.value:
-            self.value = float(value)
-            self.witness = witness
+
+#: The dimensions n every check draws its inputs from.
+DIMS = range(1, 9)
 
 
-def _dim_schedule(trials: int, dims: tuple[int, int]) -> list[tuple[int, int]]:
-    """Spread trials over the dimension range, at least one per dimension."""
-    lo, hi = dims
-    sizes = list(range(lo, hi + 1))
+def _random_dim(rng) -> int:
+    return int(rng.integers(DIMS.start, DIMS.stop))
+
+
+def _dim_schedule(trials: int) -> list[tuple[int, int]]:
+    """Spread trials over DIMS, at least one per dimension."""
+    sizes = list(DIMS)
     base = max(1, trials // len(sizes))
     schedule = [(n, base) for n in sizes]
     assigned = base * len(sizes)
@@ -146,22 +141,23 @@ def _random_unitary(rng, n: int) -> np.ndarray:
     return q
 
 
-def _conditioned_matrix(rng, n: int, lo: float = 0.4, hi: float = 2.0) -> TMatrix:
-    """Bijective operator whose component singular values lie in [lo, hi]."""
+def _conditioned_matrix(rng, n: int) -> TMatrix:
+    """Bijective operator whose component singular values lie in [0.4, 2]."""
     comps = []
     for _ in range(2):
-        s = rng.uniform(lo, hi, n)
+        s = rng.uniform(0.4, 2.0, n)
         comps.append(_random_unitary(rng, n) @ np.diag(s) @ _random_unitary(rng, n).conj().T)
     return TMatrix.from_hat(comps[0], comps[1])
 
 
-def _nonsingular_scalars(rng, count: int, min_mag: float = 1e-3) -> np.ndarray:
+def _nonsingular_scalars(rng, count: int) -> np.ndarray:
+    """Scalars whose hat components both have modulus at least 1e-3."""
     out = np.empty((count, 4))
     filled = 0
     while filled < count:
         cand = rng.uniform(-1.0, 1.0, (count - filled, 4))
         h1, h2 = hat_split(cand)
-        ok = (np.abs(h1) >= min_mag) & (np.abs(h2) >= min_mag)
+        ok = (np.abs(h1) >= 1e-3) & (np.abs(h2) >= 1e-3)
         good = cand[ok]
         out[filled : filled + good.shape[0]] = good
         filled += good.shape[0]
@@ -206,7 +202,7 @@ def _ring_axiom_values(part: str, S, T, U) -> np.ndarray:
 
 def _run_ring_axioms(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    best.update_one(_idempotent_identity_violation(), {"part": "idempotent-identities"})
+    best.update(_idempotent_identity_violation(), lambda k: {"part": "idempotent-identities"})
     S = _uniform4(rng, cfg.trials)
     T = _uniform4(rng, cfg.trials)
     U = _uniform4(rng, cfg.trials)
@@ -297,7 +293,7 @@ def _homogeneity_values(part: str, A, X) -> np.ndarray:
 def _run_scalar_homogeneity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
-    for n, count in _dim_schedule(cfg.trials, cfg.dims):
+    for n, count in _dim_schedule(cfg.trials):
         X = _uniform_vectors(rng, count, n)
         z = rng.uniform(-1.0, 1.0, (count, 2))
         A_complex = np.zeros((count, 4))
@@ -348,7 +344,7 @@ def _translation_values(part: str, X, Y, A) -> np.ndarray:
 def _run_translation_invariance(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
-    for n, count in _dim_schedule(cfg.trials, cfg.dims):
+    for n, count in _dim_schedule(cfg.trials):
         X = _uniform_vectors(rng, count, n)
         Y = _uniform_vectors(rng, count, n)
         A = _uniform_vectors(rng, count, n)
@@ -394,7 +390,7 @@ def _ta_values(part: str, A, X, Y) -> np.ndarray:
 def _run_homeomorphism_ta(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
-    for n, count in _dim_schedule(cfg.trials, cfg.dims):
+    for n, count in _dim_schedule(cfg.trials):
         A = _uniform_vectors(rng, count, n)
         X = _uniform_vectors(rng, count, n)
         Y = _uniform_vectors(rng, count, n)
@@ -443,7 +439,7 @@ def _mlambda_values(part: str, L, X, component: int = 2) -> np.ndarray:
 def _run_homeomorphism_mlambda(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
-    for n, count in _dim_schedule(cfg.trials, cfg.dims):
+    for n, count in _dim_schedule(cfg.trials):
         L = _nonsingular_scalars(rng, count)
         X = _uniform_vectors(rng, count, n)
         best.update(
@@ -493,15 +489,15 @@ def _ubp_value(family: list[TMatrix], x: TVector) -> float:
 
 def _run_ubp(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        n = int(rng.integers(lo, hi + 1))
+        n = _random_dim(rng)
         family = [_random_matrix(rng, n, n) for _ in range(5)]
-        fam_json = [T.to_json() for T in family]
         for _ in range(10):
             x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            value = _ubp_value(family, x)
-            best.update_one(value, {"family": fam_json, "x": x.to_json()})
+            best.update(
+                _ubp_value(family, x),
+                lambda k: {"family": [T.to_json() for T in family], "x": x.to_json()},
+            )
     return best, cfg.trials
 
 
@@ -535,19 +531,18 @@ def _no_exceed_value(T: TMatrix, x: TVector) -> float:
 
 def _run_continuity_bounded(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        m = int(rng.integers(lo, hi + 1))
-        n = int(rng.integers(lo, hi + 1))
+        m = _random_dim(rng)
+        n = _random_dim(rng)
         T = _random_matrix(rng, m, n)
-        best.update_one(
-            _unit_ball_attainment_value(T), {"part": "attain", "matrix": T.to_json()}
+        best.update(
+            _unit_ball_attainment_value(T), lambda k: {"part": "attain", "matrix": T.to_json()}
         )
         for _ in range(5):
             x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            best.update_one(
+            best.update(
                 _no_exceed_value(T, x),
-                {"part": "no-exceed", "matrix": T.to_json(), "x": x.to_json()},
+                lambda k: {"part": "no-exceed", "matrix": T.to_json(), "x": x.to_json()},
             )
     return best, cfg.trials
 
@@ -573,9 +568,8 @@ def _limit_operator_value(T: TMatrix, E: TMatrix) -> float:
 
 def _run_limit_operator(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        n = int(rng.integers(lo, hi + 1))
+        n = _random_dim(rng)
         T = _random_matrix(rng, n, n)
         E = _random_matrix(rng, n, n)
         # keep the perturbation small relative to T so the finite tail stands
@@ -584,8 +578,8 @@ def _run_limit_operator(cfg: CheckConfig, rng) -> tuple[_Best, int]:
         sup_e = E.norms().sup_norm
         if sup_e > 0.0:
             E = E.scale(0.5 * (sup_t + 1e-3) / sup_e)
-        best.update_one(
-            _limit_operator_value(T, E), {"t": T.to_json(), "e": E.to_json()}
+        best.update(
+            _limit_operator_value(T, E), lambda k: {"t": T.to_json(), "e": E.to_json()}
         )
     return best, cfg.trials
 
@@ -620,12 +614,11 @@ def _bxy_complete_value(T: TMatrix, E: TMatrix) -> float:
 
 def _run_bxy_complete(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        n = int(rng.integers(lo, hi + 1))
+        n = _random_dim(rng)
         T = _random_matrix(rng, n, n)
         E = _random_matrix(rng, n, n)
-        best.update_one(_bxy_complete_value(T, E), {"t": T.to_json(), "e": E.to_json()})
+        best.update(_bxy_complete_value(T, E), lambda k: {"t": T.to_json(), "e": E.to_json()})
     return best, cfg.trials
 
 
@@ -646,9 +639,8 @@ def _open_mapping_values(T: TMatrix, y: TVector) -> dict[str, float]:
 
 def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        n = int(rng.integers(lo, hi + 1))
+        n = _random_dim(rng)
         T = _conditioned_matrix(rng, n)
         sv1, sv2 = T.component_singular_values()
         radius = min(float(sv1[-1]), float(sv2[-1]))
@@ -658,9 +650,11 @@ def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
             if length == 0.0:
                 continue
             y = y.scale(radius * float(rng.uniform(0.0, 1.0)) / length)
-            inputs = {"matrix": T.to_json(), "y": y.to_json()}
             for part, value in _open_mapping_values(T, y).items():
-                best.update_one(value, {"part": part, **inputs})
+                best.update(
+                    value,
+                    lambda k, part=part: {"part": part, "matrix": T.to_json(), "y": y.to_json()},
+                )
     return best, cfg.trials
 
 
@@ -683,15 +677,14 @@ def _closed_graph_value(T: TMatrix, x: TVector, p: TVector) -> float:
 
 def _run_closed_graph(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        n = int(rng.integers(lo, hi + 1))
+        n = _random_dim(rng)
         T = _random_matrix(rng, n, n)
         x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
         p = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-        best.update_one(
+        best.update(
             _closed_graph_value(T, x, p),
-            {"matrix": T.to_json(), "x": x.to_json(), "p": p.to_json()},
+            lambda k: {"matrix": T.to_json(), "x": x.to_json(), "p": p.to_json()},
         )
     return best, cfg.trials
 
@@ -719,16 +712,15 @@ def _two_metric_value(W: TMatrix, x: TVector, y: TVector) -> float:
 
 def _run_two_metric(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        n = int(rng.integers(lo, hi + 1))
+        n = _random_dim(rng)
         W = _conditioned_matrix(rng, n)
         for _ in range(5):
             x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
             y = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            best.update_one(
+            best.update(
                 _two_metric_value(W, x, y),
-                {"w_matrix": W.to_json(), "x": x.to_json(), "y": y.to_json()},
+                lambda k: {"w_matrix": W.to_json(), "x": x.to_json(), "y": y.to_json()},
             )
     return best, cfg.trials
 
@@ -761,7 +753,7 @@ def _total_family_values(part: str, X) -> np.ndarray:
 def _run_total_family(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
-    for n, count in _dim_schedule(cfg.trials, cfg.dims):
+    for n, count in _dim_schedule(cfg.trials):
         X = _uniform_vectors(rng, count, n)
         best.update(
             _total_family_values("lower-bound", X),
@@ -810,18 +802,16 @@ def _hahn_banach_value(n: int, gen_rows: list, ystar_rows: list, w_row: list, x_
 
 def _run_hahn_banach(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        n = int(rng.integers(lo, hi + 1))
+        n = _random_dim(rng)
         count = int(rng.integers(1, n + 1))
         gen_rows = [rng.uniform(-1.0, 1.0, (n, 4)).tolist() for _ in range(count)]
         ystar_rows = rng.uniform(-1.0, 1.0, (n, 4)).tolist()
         w_row = rng.uniform(-1.0, 1.0, 4).tolist()
         x_rows = rng.uniform(-1.0, 1.0, (n, 4)).tolist()
-        value = _hahn_banach_value(n, gen_rows, ystar_rows, w_row, x_rows)
-        best.update_one(
-            value,
-            {
+        best.update(
+            _hahn_banach_value(n, gen_rows, ystar_rows, w_row, x_rows),
+            lambda k: {
                 "n": n,
                 "generators": gen_rows,
                 "ystar": ystar_rows,
@@ -862,14 +852,14 @@ def _norm_sandwich_value(part: str, T: TMatrix) -> float:
 
 def _run_norm_sandwich(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        m = int(rng.integers(lo, hi + 1))
-        n = int(rng.integers(lo, hi + 1))
+        m = _random_dim(rng)
+        n = _random_dim(rng)
         T = _random_matrix(rng, m, n)
         for part in ("sandwich", "left-attain", "right-attain"):
-            best.update_one(
-                _norm_sandwich_value(part, T), {"part": part, "matrix": T.to_json()}
+            best.update(
+                _norm_sandwich_value(part, T),
+                lambda k, part=part: {"part": part, "matrix": T.to_json()},
             )
     return best, cfg.trials
 
@@ -895,14 +885,13 @@ def _compose_norm_value(A: TMatrix, B: TMatrix) -> float:
 
 def _run_compose_norm(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    lo, hi = cfg.dims
     for _ in range(cfg.trials):
-        m = int(rng.integers(lo, hi + 1))
-        k = int(rng.integers(lo, hi + 1))
-        n = int(rng.integers(lo, hi + 1))
+        m = _random_dim(rng)
+        k = _random_dim(rng)
+        n = _random_dim(rng)
         A = _random_matrix(rng, m, k)
         B = _random_matrix(rng, k, n)
-        best.update_one(_compose_norm_value(A, B), {"a": A.to_json(), "b": B.to_json()})
+        best.update(_compose_norm_value(A, B), lambda k: {"a": A.to_json(), "b": B.to_json()})
     return best, cfg.trials
 
 
@@ -984,16 +973,11 @@ def replay_witness(check_id: str, witness: dict) -> float:
     return _check(check_id).replay(witness)
 
 
-def run_all(
-    seed: int = 42,
-    trials: int | None = None,
-    tol: float | None = None,
-    dims: tuple[int, int] = (1, 8),
-) -> list[CheckReport]:
+def run_all(seed: int = 42, trials: int | None = None, tol: float | None = None) -> list[CheckReport]:
     """Run every check with a shared configuration.  trials/tol of None select
     the per-check defaults; the aggregate pass flag is the conjunction."""
     return [
-        run_check(default_config(check_id, seed=seed, trials=trials, dims=dims, tol=tol))
+        run_check(default_config(check_id, seed=seed, trials=trials, tol=tol))
         for check_id in CHECK_IDS
     ]
 

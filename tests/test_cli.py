@@ -175,6 +175,9 @@ def test_extend(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["restriction_error"] <= 1e-12
     assert payload["y_component_norms"] == payload["x_component_norms"]
+    with pytest.raises(SystemExit) as exc:
+        main(["extend", str(sub), str(fun), "--tol", "1"])  # extension has no tolerance
+    assert exc.value.code == 2
 
 
 def test_verify_single_check(capsys):

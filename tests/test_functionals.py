@@ -313,6 +313,48 @@ def test_norming_functional_does_not_overflow():
     assert r.norms.idem_norm == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_separating_functional_does_not_overflow():
+    # 1e-200 is not tested: a distance that small is below the absolute
+    # null-distance threshold and raises ComponentInNullDistance.
+    x = TVector([[0, 0, 0, 0], [1e200, 0, 0, 0]])
+    result = separating_functional(x, Submodule(2, [TVector.basis(2, 0)]))
+    assert (result.d1, result.d2) == pytest.approx((1e200, 1e200), rel=1e-15, abs=0.0)
+    assert result.functional(x).coeffs == pytest.approx((1, 0, 0, 0), rel=1e-15, abs=0.0)
+    assert result.functional(TVector.basis(2, 0)).coeffs == (0, 0, 0, 0)
+    assert result.norms.idem_norm == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_extension_from_generator_values_is_scale_safe(scale):
+    report = hahn_banach_extend([Bicomplex(scale)], Submodule(2, [TVector.basis(2, 0)]))
+    value = report.extension(TVector.basis(2, 0))
+    assert value.coeffs == pytest.approx((scale, 0, 0, 0), rel=1e-15, abs=0.0)
+    assert report.extension(TVector.basis(2, 1)).coeffs == (0, 0, 0, 0)
+    exact = pytest.approx((scale, scale), rel=1e-15, abs=0.0)
+    assert report.y_component_norms == exact
+    assert report.x_component_norms == exact
+    assert report.restriction_error == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_extension_restriction_error_is_scale_safe(scale):
+    Y = Submodule(2, [TVector([[1, 0, 0, 0], [0.3, 0.2, 0, 0.1]])])
+    coeffs = np.array([[0.7, 0.1, 0, 0], [0.2, 0, 0.3, 0]])
+    unit = hahn_banach_extend(TFunctional(TVector(coeffs)), Y)
+    report = hahn_banach_extend(TFunctional(TVector(coeffs * scale)), Y)
+    assert report.restriction_error <= 1e-15 * report.y_norms.idem_norm
+    exact = pytest.approx(tuple(scale * v for v in unit.y_component_norms), rel=1e-15, abs=0.0)
+    assert report.y_component_norms == exact
+    assert report.x_component_norms == exact
+    probe = TVector([[0.5, -0.25, 0.125, 1.0], [-1.0, 0.75, 0.0, 0.5]])
+    assert report.extension(probe).coeffs == pytest.approx(
+        tuple(scale * v for v in unit.extension(probe).coeffs), rel=1e-14, abs=0.0
+    )
+
+
 def test_dual_space_completeness_shadow():
     # a Cauchy sequence of functionals converges in the idempotent norm
     rng = np.random.default_rng(43)

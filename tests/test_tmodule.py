@@ -16,7 +16,9 @@ from bicomplex import (
     ONE,
     Bicomplex,
     DimensionMismatch,
+    RealLinearFunctional,
     Submodule,
+    TMatrix,
     TVector,
 )
 
@@ -87,6 +89,18 @@ def test_split_is_computed_once_and_read_only():
     for arr in pair:
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+@pytest.mark.parametrize(
+    "cls, shape", [(TVector, (2, 4)), (TMatrix, (2, 3, 4)), (RealLinearFunctional, (2, 4))]
+)
+def test_coefficients_are_a_read_only_copy(cls, shape):
+    source = np.arange(float(np.prod(shape))).reshape(shape)
+    obj = cls(source)
+    source[0] = -1.0
+    assert np.array_equal(obj.coeffs, np.arange(float(np.prod(shape))).reshape(shape))
+    with pytest.raises(ValueError):
+        obj.coeffs[0] = 0.0
 
 
 @given(vectors(4))
