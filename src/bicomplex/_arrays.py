@@ -114,14 +114,64 @@ def qmean(x: float, y: float) -> float:
     return checked_norm(math.sqrt((x * x + y * y) / 2.0), (x / SQRT2, y / SQRT2))
 
 
+def operator_norms(s1, s2) -> tuple[np.ndarray, np.ndarray]:
+    """Both operator norms (sup_norm, idem_norm) = (max(s1, s2) / sqrt(2),
+    qmean(s1, s2)) from the largest component singular values s1, s2 of one
+    operator or, elementwise, of a stack of operators."""
+    with np.errstate(over="ignore"):
+        idem = np.sqrt((s1 * s1 + s2 * s2) / 2.0)
+    outside = ~((idem >= NORM_FLOOR) & (idem < math.inf))
+    if np.count_nonzero(outside):
+        s1, s2, idem = np.asarray(s1), np.asarray(s2), np.array(idem)
+        idem[outside] = [qmean(float(x), float(y)) for x, y in zip(s1[outside], s2[outside])]
+    return np.maximum(s1, s2) / SQRT2, idem
+
+
 def norm4(C: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the trailing coefficient axis: (..., 4) -> (...)."""
-    return np.sqrt(np.sum(C * C, axis=-1))
+    """Euclidean norm over the trailing coefficient axis: (..., 4) -> (...).
+    One pass over the four coefficients, summed in the order np.sum takes."""
+    a, b, c, d = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
+    return np.sqrt(a * a + b * b + c * c + d * d)
 
 
 def vec_norm4(C: np.ndarray) -> np.ndarray:
     """Euclidean norm over the trailing (entries, 4) axes: (..., n, 4) -> (...)."""
     return np.sqrt(np.sum(C * C, axis=(-2, -1)))
+
+
+def vector_norms(C: np.ndarray) -> np.ndarray:
+    """Norms of one vector (n, 4) or of a stack of them (..., n, 4): vec_norm4,
+    with the scaled fallback of checked_norm wherever its sum over- or
+    underflows."""
+    with np.errstate(over="ignore"):
+        norms = vec_norm4(C)
+    outside = ~((norms >= NORM_FLOOR) & (norms < math.inf))
+    if not np.count_nonzero(outside):
+        return norms
+    if np.ndim(norms) == 0:
+        return checked_norm(float(norms), C)
+    norms = norms.copy()
+    norms[outside] = [checked_norm(float(p), c) for p, c in zip(norms[outside], C[outside])]
+    return norms
+
+
+def pair_singular_values(M1: np.ndarray, M2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values, in descending order, of the hat components (M1, M2) of
+    one operator (m, n) or of a stack of operators (..., m, n)."""
+    return np.linalg.svd(M1, compute_uv=False), np.linalg.svd(M2, compute_uv=False)
+
+
+def apply_pair(M1, M2, v1, v2) -> tuple[np.ndarray, np.ndarray]:
+    """Hat components (M1 v1, M2 v2) of an operator applied to a vector, for
+    one pair ((m, n), (n,)) or for stacks ((..., m, n), (..., n)) that
+    broadcast."""
+    return (M1 @ v1[..., None])[..., 0], (M2 @ v2[..., None])[..., 0]
+
+
+def compose_pair(A1, A2, B1, B2) -> tuple[np.ndarray, np.ndarray]:
+    """Hat components (A1 B1, A2 B2) of the composition A after B, for one
+    pair of operators or for stacks of them."""
+    return A1 @ B1, A2 @ B2
 
 
 def unit_multiples(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

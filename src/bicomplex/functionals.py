@@ -78,10 +78,10 @@ class TFunctional:
         t1, t2 = hat_split(np.array([Bicomplex.coerce(v).coeffs for v in values]))
         c1, *_ = np.linalg.lstsq(G1.T, t1, rcond=None)
         c2, *_ = np.linalg.lstsq(G2.T, t2, rcond=None)
-        scale = 1.0 + max(pair_norms(t1, t2))
+        threshold = SPAN_TOL * max(pair_norms(t1, t2))
         residuals = pair_norms(G1.T @ c1 - t1, G2.T @ c2 - t2)
         for k, residual in enumerate(residuals, start=1):
-            if residual > SPAN_TOL * scale:
+            if residual > threshold:
                 raise InconsistentFunctional(
                     f"values on dependent generators disagree in component {k} "
                     f"(residual {residual:.3e})"
@@ -292,7 +292,7 @@ def separating_functional(x: TVector, Y: Submodule) -> SeparationResult:
     raised (a strictly stronger hypothesis than d > 0 alone).
     """
     result = Y.distance_to(x)
-    threshold = NULL_CONE_TOL * (1.0 + x.norm())
+    threshold = NULL_CONE_TOL * x.norm()
     bad = [k for k, dk in ((1, result.d1), (2, result.d2)) if dk <= threshold]
     if bad:
         raise ComponentInNullDistance(bad, (result.d1, result.d2))
@@ -333,7 +333,7 @@ def norming_functional(x: TVector) -> NormingResult:
     """
     v1, v2 = x.split()
     n1, n2 = pair_norms(v1, v2)
-    threshold = NULL_CONE_TOL * (1.0 + x.norm())
+    threshold = NULL_CONE_TOL * x.norm()
     bad = [k for k, nk in ((1, n1), (2, n2)) if nk <= threshold]
     if bad:
         raise NullConeVector(bad)

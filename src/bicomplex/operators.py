@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import SQRT2, hat_merge, hat_split, qmean, real_block_matrix
+from ._arrays import SQRT2, hat_merge, hat_split, real_block_matrix
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector
@@ -42,11 +42,12 @@ class NormReport:
     @classmethod
     def of(cls, s1: float, s2: float) -> "NormReport":
         """Both norms from the component norms s1, s2."""
+        sup_norm, idem_norm = _arrays.operator_norms(s1, s2)
         return cls(
-            sup_norm=max(s1, s2) / SQRT2,
-            idem_norm=qmean(s1, s2),
-            s1=s1,
-            s2=s2,
+            sup_norm=float(sup_norm),
+            idem_norm=float(idem_norm),
+            s1=float(s1),
+            s2=float(s2),
         )
 
     def to_json(self) -> dict:
@@ -179,7 +180,7 @@ class TMatrix:
             raise DimensionMismatch(f"operator takes dimension {self.n}, got {x.n}")
         M1, M2 = self.split()
         v1, v2 = x.split()
-        return TVector.from_split(M1 @ v1, M2 @ v2)
+        return TVector.from_split(*_arrays.apply_pair(M1, M2, v1, v2))
 
     __call__ = apply
 
@@ -189,7 +190,7 @@ class TMatrix:
             raise DimensionMismatch(f"inner dimensions differ: {self.n} vs {other.m}")
         A1, A2 = self.split()
         B1, B2 = other.split()
-        return TMatrix.from_hat(A1 @ B1, A2 @ B2)
+        return TMatrix.from_hat(*_arrays.compose_pair(A1, A2, B1, B2))
 
     __matmul__ = compose
 
@@ -198,9 +199,7 @@ class TMatrix:
     def component_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
         """Singular values of M1 and M2, in descending order (read-only)."""
         if self._singular_values is None:
-            M1, M2 = self.split()
-            sv1 = np.linalg.svd(M1, compute_uv=False)
-            sv2 = np.linalg.svd(M2, compute_uv=False)
+            sv1, sv2 = _arrays.pair_singular_values(*self.split())
             sv1.setflags(write=False)
             sv2.setflags(write=False)
             self._singular_values = (sv1, sv2)
@@ -218,7 +217,7 @@ class TMatrix:
     def norms(self) -> NormReport:
         """Both operator norms from the largest component singular values."""
         sv1, sv2 = self.component_singular_values()
-        return NormReport.of(float(sv1[0]), float(sv2[0]))
+        return NormReport.of(sv1[0], sv2[0])
 
     def bound_constant(self) -> float:
         """The least M with |Tx| <= sqrt(2) * M * |x| for every x; coincides

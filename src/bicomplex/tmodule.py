@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import checked_norm, hat_merge, hat_split, pair_norms, qmean, vec_norm4
+from ._arrays import hat_merge, hat_split, pair_norms, qmean
 from .errors import DimensionMismatch
 from .scalar import Bicomplex
 
@@ -120,8 +120,7 @@ class TVector:
     def norm(self) -> float:
         """Euclidean norm over the 4n real coefficients; equals
         sqrt((|v1|^2 + |v2|^2) / 2) in component coordinates."""
-        with np.errstate(over="ignore"):
-            return checked_norm(float(vec_norm4(self._coeffs)), self._coeffs)
+        return float(_arrays.vector_norms(self._coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TVector) and np.array_equal(self._coeffs, other._coeffs)
@@ -259,8 +258,8 @@ class Submodule:
         return DistanceResult(qmean(d1, d2), d1, d2, TVector.from_split(p1, p2))
 
     def contains(self, x: TVector) -> bool:
-        """Span membership: distance at most SPAN_TOL * (1 + |x|)."""
-        return self.distance_to(x).d <= SPAN_TOL * (1.0 + x.norm())
+        """Span membership: distance at most SPAN_TOL * |x|."""
+        return self.distance_to(x).d <= SPAN_TOL * x.norm()
 
     # file form ----------------------------------------------------------------
 

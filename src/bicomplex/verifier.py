@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _arrays
 from ._arrays import SQRT2, hat_merge, hat_split, mul4, norm4, vec_norm4
 from .errors import UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
@@ -131,23 +132,20 @@ def _uniform_vectors(rng, count: int, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (count, n, 4))
 
 
-def _random_matrix(rng, m: int, n: int) -> TMatrix:
-    return TMatrix(rng.uniform(-1.0, 1.0, (m, n, 4)))
-
-
 def _random_unitary(rng, n: int) -> np.ndarray:
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(A)
     return q
 
 
-def _conditioned_matrix(rng, n: int) -> TMatrix:
-    """Bijective operator whose component singular values lie in [0.4, 2]."""
+def _conditioned_matrix(rng, n: int) -> np.ndarray:
+    """Coefficients (n, n, 4) of a bijective operator whose component singular
+    values lie in [0.4, 2]."""
     comps = []
     for _ in range(2):
         s = rng.uniform(0.4, 2.0, n)
         comps.append(_random_unitary(rng, n) @ np.diag(s) @ _random_unitary(rng, n).conj().T)
-    return TMatrix.from_hat(comps[0], comps[1])
+    return hat_merge(comps[0], comps[1])
 
 
 def _nonsingular_scalars(rng, count: int) -> np.ndarray:
@@ -474,263 +472,382 @@ def _replay_homeomorphism_mlambda(witness: dict) -> float:
     )
 
 
+# --- stacked operator evaluation ---------------------------------------------------
+#
+# The operator checks draw each trial's inputs in turn (one draw of shape
+# (k, ...) takes the stream's values in the order of k draws of shape (...)),
+# then evaluate all trials together.  Trials whose arrays share their shapes
+# are stacked and run through the library's kernels
+# (_arrays.pair_singular_values, operator_norms, apply_pair, compose_pair,
+# vector_norms) in one call each: the kernels TMatrix and TVector call for a
+# single object.  Stacked LAPACK and BLAS calls round each matrix as a single
+# call does, so the values are those of the per-object methods, bit for bit.
+# Each replay evaluates a batch of one through the same function.
+
+
+def _grouped(fn, *columns) -> list:
+    """fn applied to the trials grouped by the shapes of their arrays.
+
+    columns[c][t] is trial t's array for fn's argument c.  The arrays of each
+    group are stacked along a new leading axis, the groups run in sorted shape
+    order, and the rows of fn's result come back in trial order."""
+    groups: dict = {}
+    for t, arrays in enumerate(zip(*columns)):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(t)
+    rows = [None] * len(columns[0])
+    for shape in sorted(groups):
+        trials = groups[shape]
+        stacked = [np.stack([column[t] for t in trials]) for column in columns]
+        for t, row in zip(trials, fn(*stacked)):
+            rows[t] = row
+    return rows
+
+
+def _split_norms(M1, M2):
+    """(sup_norm, idem_norm) of operators given by hat components, as
+    TMatrix.norms computes them."""
+    s1, s2 = _arrays.pair_singular_values(M1, M2)
+    return _arrays.operator_norms(s1[..., 0], s2[..., 0])
+
+
+def _norms(C):
+    """(sup_norm, idem_norm) of a stack of operator coefficients (..., m, n, 4)."""
+    return _split_norms(*hat_split(C))
+
+
+def _apply(M1, M2, X):
+    """Coefficients of T.apply(x), for T given by hat components and x by
+    coefficients (..., n, 4); the stacks broadcast."""
+    return hat_merge(*_arrays.apply_pair(M1, M2, *hat_split(X)))
+
+
 # --- ubp ---------------------------------------------------------------------
 
+_FAMILY_SIZE = 5
+_UBP_POINTS = 10
 
-def _ubp_value(family: list[TMatrix], x: TVector) -> float:
-    bound = max(T.norms().sup_norm for T in family)
-    worst = -np.inf
-    for T in family:
-        lhs = T.apply(x).norm()
-        rhs = SQRT2 * bound * x.norm()
-        worst = max(worst, (lhs - rhs) / (1.0 + rhs))
-    return float(worst)
+
+def _ubp_group(F, X):
+    """Families F (G, 5, n, n, 4) and points X (G, k, n, 4) -> (G, k): the
+    largest excess of |T x| over sqrt(2) * (max sup_norm) * |x| in each family."""
+    M1, M2 = hat_split(F)
+    bound = np.max(_split_norms(M1, M2)[0], axis=-1)
+    lhs = _arrays.vector_norms(_apply(M1[:, None], M2[:, None], X[:, :, None]))
+    rhs = (SQRT2 * bound)[:, None, None] * _arrays.vector_norms(X)[..., None]
+    return np.max((lhs - rhs) / (1.0 + rhs), axis=-1)
 
 
 def _run_ubp(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    families, points = [], []
     for _ in range(cfg.trials):
         n = _random_dim(rng)
-        family = [_random_matrix(rng, n, n) for _ in range(5)]
-        for _ in range(10):
-            x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            best.update(
-                _ubp_value(family, x),
-                lambda k: {"family": [T.to_json() for T in family], "x": x.to_json()},
-            )
+        families.append(rng.uniform(-1.0, 1.0, (_FAMILY_SIZE, n, n, 4)))
+        points.append(rng.uniform(-1.0, 1.0, (_UBP_POINTS, n, 4)))
+    def witness(k: int) -> dict:
+        t, j = divmod(k, _UBP_POINTS)
+        return {"family": [TMatrix(C).to_json() for C in families[t]], "x": TVector(points[t][j]).to_json()}
+
+    best = _Best()
+    best.update(np.ravel(_grouped(_ubp_group, families, points)), witness)
     return best, cfg.trials
 
 
 def _replay_ubp(witness: dict) -> float:
-    family = [TMatrix.from_json(m) for m in witness["family"]]
-    return _ubp_value(family, TVector.from_json(witness["x"]))
+    family = np.stack([TMatrix.from_json(m).coeffs for m in witness["family"]])
+    x = TVector.from_json(witness["x"]).coeffs
+    return float(_grouped(_ubp_group, [family], [x[None]])[0][0])
 
 
 # --- continuity-bounded ----------------------------------------------------------
 
-
-def _unit_ball_attainment_value(T: TMatrix) -> float:
-    report = T.norms()
-    M1, M2 = T.split()
-    M = M1 if report.s1 >= report.s2 else M2
-    _, _, vh = np.linalg.svd(M)
-    v = np.conj(vh[0])
-    if report.s1 >= report.s2:
-        x = TVector.from_split(SQRT2 * v, np.zeros_like(v))
-    else:
-        x = TVector.from_split(np.zeros_like(v), SQRT2 * v)
-    reached = T.apply(x).norm()
-    target = SQRT2 * report.sup_norm
-    return abs(reached - target) / (1.0 + target)
+_CONTINUITY_POINTS = 5
 
 
-def _no_exceed_value(T: TMatrix, x: TVector) -> float:
-    rhs = SQRT2 * T.bound_constant() * x.norm()
-    return float((T.apply(x).norm() - rhs) / (1.0 + rhs))
+def _continuity_group(C, X):
+    """Operators C (G, m, n, 4) and points X (G, k, n, 4) -> (G, 1 + k): how
+    far |T x| at the top right singular vector x of the dominant component
+    misses sqrt(2) * sup_norm, then the excess of |T x| over
+    sqrt(2) * sup_norm * |x| at each point."""
+    M1, M2 = hat_split(C)
+    s1, s2 = _arrays.pair_singular_values(M1, M2)
+    sup = _arrays.operator_norms(s1[:, 0], s2[:, 0])[0]
+    first = s1[:, 0] >= s2[:, 0]
+    _, _, vh = np.linalg.svd(np.where(first[:, None, None], M1, M2))
+    v = SQRT2 * np.conj(vh[:, 0])
+    zero = np.zeros_like(v)
+    top = hat_merge(np.where(first[:, None], v, zero), np.where(first[:, None], zero, v))
+    target = SQRT2 * sup
+    attain = np.abs(_arrays.vector_norms(_apply(M1, M2, top)) - target) / (1.0 + target)
+    rhs = (SQRT2 * sup)[:, None] * _arrays.vector_norms(X)
+    exceed = (_arrays.vector_norms(_apply(M1[:, None], M2[:, None], X)) - rhs) / (1.0 + rhs)
+    return np.concatenate([attain[:, None], exceed], axis=1)
 
 
 def _run_continuity_bounded(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    matrices, points = [], []
     for _ in range(cfg.trials):
         m = _random_dim(rng)
         n = _random_dim(rng)
-        T = _random_matrix(rng, m, n)
-        best.update(
-            _unit_ball_attainment_value(T), lambda k: {"part": "attain", "matrix": T.to_json()}
-        )
-        for _ in range(5):
-            x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            best.update(
-                _no_exceed_value(T, x),
-                lambda k: {"part": "no-exceed", "matrix": T.to_json(), "x": x.to_json()},
-            )
+        matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
+        points.append(rng.uniform(-1.0, 1.0, (_CONTINUITY_POINTS, n, 4)))
+
+    def witness(k: int) -> dict:
+        t, j = divmod(k, 1 + _CONTINUITY_POINTS)
+        if j == 0:
+            return {"part": "attain", "matrix": TMatrix(matrices[t]).to_json()}
+        return {
+            "part": "no-exceed",
+            "matrix": TMatrix(matrices[t]).to_json(),
+            "x": TVector(points[t][j - 1]).to_json(),
+        }
+
+    best = _Best()
+    best.update(np.ravel(_grouped(_continuity_group, matrices, points)), witness)
     return best, cfg.trials
 
 
 def _replay_continuity_bounded(witness: dict) -> float:
-    T = TMatrix.from_json(witness["matrix"])
+    C = TMatrix.from_json(witness["matrix"]).coeffs
     if witness["part"] == "attain":
-        return _unit_ball_attainment_value(T)
-    return _no_exceed_value(T, TVector.from_json(witness["x"]))
+        return float(_grouped(_continuity_group, [C], [np.empty((0, C.shape[1], 4))])[0][0])
+    x = TVector.from_json(witness["x"]).coeffs
+    return float(_grouped(_continuity_group, [C], [x[None]])[0][1])
 
 
 # --- limit-operator --------------------------------------------------------------
 
+#: Coefficients of the scalars 1/k, k = 21..40, that shrink the perturbation.
+_TAIL_ROWS = np.array([[1.0 / k, 0.0, 0.0, 0.0] for k in range(21, 41)])
 
-def _limit_operator_value(T: TMatrix, E: TMatrix) -> float:
-    target = T.norms().sup_norm
-    tail = [
-        (T + E.scale(1.0 / n)).norms().sup_norm for n in range(21, 41)
-    ]
-    liminf_est = min(tail)
-    return float((target - SQRT2 * liminf_est) / (1.0 + target))
+
+def _limit_perturbation_group(T, E):
+    """E rescaled to sup_norm 0.5 * (sup_norm(T) + 1e-3), so the finite tail
+    stands in for the true liminf; a zero E is kept."""
+    sup_t, sup_e = _norms(T)[0], _norms(E)[0]
+    positive = sup_e > 0.0
+    rows = np.zeros((len(E), 4))
+    rows[positive, 0] = 0.5 * (sup_t[positive] + 1e-3) / sup_e[positive]
+    return np.where(positive[:, None, None, None], mul4(rows[:, None, None, :], E), E)
+
+
+def _limit_operator_group(T, E):
+    """Operators T, perturbations E (G, n, n, 4) -> (G,): how far sup_norm(T)
+    exceeds sqrt(2) * min over k of sup_norm(T + E / k)."""
+    target = _norms(T)[0]
+    tail = _norms(T[:, None] + mul4(_TAIL_ROWS[:, None, None, :], E[:, None]))[0]
+    return (target - SQRT2 * np.min(tail, axis=-1)) / (1.0 + target)
 
 
 def _run_limit_operator(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    operators, perturbations = [], []
     for _ in range(cfg.trials):
         n = _random_dim(rng)
-        T = _random_matrix(rng, n, n)
-        E = _random_matrix(rng, n, n)
-        # keep the perturbation small relative to T so the finite tail stands
-        # in for the true liminf
-        sup_t = T.norms().sup_norm
-        sup_e = E.norms().sup_norm
-        if sup_e > 0.0:
-            E = E.scale(0.5 * (sup_t + 1e-3) / sup_e)
-        best.update(
-            _limit_operator_value(T, E), lambda k: {"t": T.to_json(), "e": E.to_json()}
-        )
+        operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+        perturbations.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+    perturbations = _grouped(_limit_perturbation_group, operators, perturbations)
+    best = _Best()
+    best.update(
+        np.array(_grouped(_limit_operator_group, operators, perturbations)),
+        lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(perturbations[k]).to_json()},
+    )
     return best, cfg.trials
 
 
 def _replay_limit_operator(witness: dict) -> float:
-    return _limit_operator_value(TMatrix.from_json(witness["t"]), TMatrix.from_json(witness["e"]))
+    T = TMatrix.from_json(witness["t"]).coeffs
+    E = TMatrix.from_json(witness["e"]).coeffs
+    return float(_grouped(_limit_operator_group, [T], [E])[0])
 
 
 # --- bxy-complete ----------------------------------------------------------------
 
+#: The Cauchy sequence T_k = T + 2^(1-k) E, sampled at these k.
+_BXY_STEPS = (1, 5, 10, 20, 45)
+_BXY_ROWS = np.array([[2.0 ** (1 - k), 0.0, 0.0, 0.0] for k in _BXY_STEPS])
+#: Every pair of sampled terms j < k, and |2^(1-j) - 2^(1-k)| for each.
+_BXY_EARLY, _BXY_LATE = np.triu_indices(len(_BXY_STEPS), k=1)
+_BXY_GAPS = np.abs(_BXY_ROWS[_BXY_EARLY, 0] - _BXY_ROWS[_BXY_LATE, 0])
 
-def _bxy_complete_value(T: TMatrix, E: TMatrix) -> float:
-    idem_e = E.norms().idem_norm
-    idem_t = T.norms().idem_norm
-    worst = -np.inf
-    terms = {k: T + E.scale(2.0 ** (1 - k)) for k in (1, 5, 10, 20, 45)}
-    for j in terms:
-        for k in terms:
-            if j >= k:
-                continue
-            measured = (terms[j] - terms[k]).norms().idem_norm
-            bound = abs(2.0 ** (1 - j) - 2.0 ** (1 - k)) * idem_e
-            worst = max(worst, (measured - bound) / (1.0 + idem_e))
-    residual = (T - terms[45]).norms().idem_norm / (1.0 + idem_t)
-    worst = max(worst, residual)
-    for k, Tk in terms.items():
-        drift = abs(Tk.norms().idem_norm - idem_t)
-        allowance = (Tk - T).norms().idem_norm
-        worst = max(worst, (drift - allowance) / (1.0 + idem_t))
-    return float(worst)
+
+def _bxy_complete_group(T, E):
+    """Operators T, directions E (G, n, n, 4) -> (G,): the worst of the Cauchy
+    bound on idem_norm(T_j - T_k), the distance from T_45 to the limit T, and
+    the continuity of idem_norm along the sequence."""
+    terms = T[:, None] + mul4(_BXY_ROWS[:, None, None, :], E[:, None])
+    idem_e, idem_t = _norms(E)[1][:, None], _norms(T)[1][:, None]
+    measured = _norms(terms[:, _BXY_EARLY] - terms[:, _BXY_LATE])[1]
+    residual = _norms(T - terms[:, -1])[1][:, None]
+    drift = np.abs(_norms(terms)[1] - idem_t)
+    allowance = _norms(terms - T[:, None])[1]
+    parts = (
+        (measured - _BXY_GAPS * idem_e) / (1.0 + idem_e),
+        residual / (1.0 + idem_t),
+        (drift - allowance) / (1.0 + idem_t),
+    )
+    return np.max(np.concatenate(parts, axis=1), axis=1)
 
 
 def _run_bxy_complete(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    operators, directions = [], []
     for _ in range(cfg.trials):
         n = _random_dim(rng)
-        T = _random_matrix(rng, n, n)
-        E = _random_matrix(rng, n, n)
-        best.update(_bxy_complete_value(T, E), lambda k: {"t": T.to_json(), "e": E.to_json()})
+        operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+        directions.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+    best = _Best()
+    best.update(
+        np.array(_grouped(_bxy_complete_group, operators, directions)),
+        lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(directions[k]).to_json()},
+    )
     return best, cfg.trials
 
 
 def _replay_bxy_complete(witness: dict) -> float:
-    return _bxy_complete_value(TMatrix.from_json(witness["t"]), TMatrix.from_json(witness["e"]))
+    T = TMatrix.from_json(witness["t"]).coeffs
+    E = TMatrix.from_json(witness["e"]).coeffs
+    return float(_grouped(_bxy_complete_group, [T], [E])[0])
 
 
 # --- open-mapping ----------------------------------------------------------------
 
+_OPEN_MAPPING_PARTS = ("unit-ball", "residual")
 
-def _open_mapping_values(T: TMatrix, y: TVector) -> dict[str, float]:
-    x = T.solve(y)
-    return {
-        "unit-ball": float(x.norm() - 1.0),
-        "residual": float((T.apply(x) - y).norm() / (1.0 + y.norm())),
-    }
+
+def _open_mapping_group(C, Y, X):
+    """Operators C (G, n, n, 4), right-hand sides Y (G, k, n, 4) and their
+    solutions X -> (G, k, 2): |x| - 1, and the relative residual of T x = y."""
+    M1, M2 = hat_split(C)
+    unit_ball = _arrays.vector_norms(X) - 1.0
+    residual = _arrays.vector_norms(_apply(M1[:, None], M2[:, None], X) - Y) / (1.0 + _arrays.vector_norms(Y))
+    return np.stack([unit_ball, residual], axis=-1)
 
 
 def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    # Solving is the statement under test, so every right-hand side goes
+    # through TMatrix.solve; only the evaluation of the solutions is stacked.
+    matrices, rhs, solutions = [], [], []
     for _ in range(cfg.trials):
         n = _random_dim(rng)
-        T = _conditioned_matrix(rng, n)
+        T = TMatrix(_conditioned_matrix(rng, n))
         sv1, sv2 = T.component_singular_values()
         radius = min(float(sv1[-1]), float(sv2[-1]))
+        ys, xs = [], []
         for _ in range(5):
             y = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
             length = y.norm()
             if length == 0.0:
                 continue
             y = y.scale(radius * float(rng.uniform(0.0, 1.0)) / length)
-            for part, value in _open_mapping_values(T, y).items():
-                best.update(
-                    value,
-                    lambda k, part=part: {"part": part, "matrix": T.to_json(), "y": y.to_json()},
-                )
+            ys.append(y.coeffs)
+            xs.append(T.solve(y).coeffs)
+        matrices.append(T.coeffs)
+        rhs.append(np.reshape(ys, (len(ys), n, 4)))
+        solutions.append(np.reshape(xs, (len(xs), n, 4)))
+    rows = _grouped(_open_mapping_group, matrices, rhs, solutions)
+    index = [(t, j, part) for t, row in enumerate(rows) for j in range(len(row)) for part in _OPEN_MAPPING_PARTS]
+
+    def witness(k: int) -> dict:
+        t, j, part = index[k]
+        return {"part": part, "matrix": TMatrix(matrices[t]).to_json(), "y": TVector(rhs[t][j]).to_json()}
+
+    best = _Best()
+    best.update(np.concatenate([np.ravel(row) for row in rows]), witness)
     return best, cfg.trials
 
 
 def _replay_open_mapping(witness: dict) -> float:
-    values = _open_mapping_values(
-        TMatrix.from_json(witness["matrix"]), TVector.from_json(witness["y"])
-    )
-    return values[witness["part"]]
+    T = TMatrix.from_json(witness["matrix"])
+    y = TVector.from_json(witness["y"])
+    row = _grouped(_open_mapping_group, [T.coeffs], [y.coeffs[None]], [T.solve(y).coeffs[None]])[0]
+    return float(row[0, _OPEN_MAPPING_PARTS.index(witness["part"])])
 
 
 # --- closed-graph ----------------------------------------------------------------
 
+#: Coefficients of the scalar 2^-40: x_k = x + 2^-40 p approaches x.
+_SHIFT_ROW = np.array([2.0 ** -40, 0.0, 0.0, 0.0])
 
-def _closed_graph_value(T: TMatrix, x: TVector, p: TVector) -> float:
-    xk = x + p.scale(2.0 ** -40)
-    y_limit = T.apply(xk)
-    at_x = T.apply(x)
-    return float((at_x - y_limit).norm() / (1.0 + at_x.norm()))
+
+def _closed_graph_group(C, X, P):
+    """Operators C (G, n, n, 4), points X and directions P (G, n, 4) -> (G,):
+    |T x - T x_k| relative to |T x|."""
+    M1, M2 = hat_split(C)
+    y_limit = _apply(M1, M2, X + mul4(_SHIFT_ROW, P))
+    at_x = _apply(M1, M2, X)
+    return _arrays.vector_norms(at_x - y_limit) / (1.0 + _arrays.vector_norms(at_x))
 
 
 def _run_closed_graph(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    matrices, points, directions = [], [], []
     for _ in range(cfg.trials):
         n = _random_dim(rng)
-        T = _random_matrix(rng, n, n)
-        x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-        p = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-        best.update(
-            _closed_graph_value(T, x, p),
-            lambda k: {"matrix": T.to_json(), "x": x.to_json(), "p": p.to_json()},
-        )
+        matrices.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+        points.append(rng.uniform(-1.0, 1.0, (n, 4)))
+        directions.append(rng.uniform(-1.0, 1.0, (n, 4)))
+    best = _Best()
+    best.update(
+        np.array(_grouped(_closed_graph_group, matrices, points, directions)),
+        lambda k: {
+            "matrix": TMatrix(matrices[k]).to_json(),
+            "x": TVector(points[k]).to_json(),
+            "p": TVector(directions[k]).to_json(),
+        },
+    )
     return best, cfg.trials
 
 
 def _replay_closed_graph(witness: dict) -> float:
-    return _closed_graph_value(
-        TMatrix.from_json(witness["matrix"]),
-        TVector.from_json(witness["x"]),
-        TVector.from_json(witness["p"]),
+    columns = (
+        [TMatrix.from_json(witness["matrix"]).coeffs],
+        [TVector.from_json(witness["x"]).coeffs],
+        [TVector.from_json(witness["p"]).coeffs],
     )
+    return float(_grouped(_closed_graph_group, *columns)[0])
 
 
 # --- two-metric ------------------------------------------------------------------
 
+_TWO_METRIC_PAIRS = 5
 
-def _two_metric_value(W: TMatrix, x: TVector, y: TVector) -> float:
-    sv1, sv2 = W.component_singular_values()
-    c_lo = min(float(sv1[-1]), float(sv2[-1]))
-    c_hi = max(float(sv1[0]), float(sv2[0]))
-    rho1 = (x - y).norm()
-    rho2 = W.apply(x - y).norm()
-    violation = max(c_lo * rho1 - rho2, rho2 - c_hi * rho1)
-    return float(violation / (1.0 + rho1))
+
+def _two_metric_group(W, X, Y):
+    """Bijective operators W (G, n, n, 4) and point pairs X, Y (G, k, n, 4) ->
+    (G, k): how far |W(x - y)| leaves [c_lo, c_hi] * |x - y|, with c_lo and
+    c_hi the extreme component singular values of W."""
+    M1, M2 = hat_split(W)
+    s1, s2 = _arrays.pair_singular_values(M1, M2)
+    c_lo = np.minimum(s1[:, -1], s2[:, -1])[:, None]
+    c_hi = np.maximum(s1[:, 0], s2[:, 0])[:, None]
+    D = X - Y
+    rho1 = _arrays.vector_norms(D)
+    rho2 = _arrays.vector_norms(_apply(M1[:, None], M2[:, None], D))
+    return np.maximum(c_lo * rho1 - rho2, rho2 - c_hi * rho1) / (1.0 + rho1)
 
 
 def _run_two_metric(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    matrices, pairs = [], []
     for _ in range(cfg.trials):
         n = _random_dim(rng)
-        W = _conditioned_matrix(rng, n)
-        for _ in range(5):
-            x = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            y = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            best.update(
-                _two_metric_value(W, x, y),
-                lambda k: {"w_matrix": W.to_json(), "x": x.to_json(), "y": y.to_json()},
-            )
+        matrices.append(_conditioned_matrix(rng, n))
+        pairs.append(rng.uniform(-1.0, 1.0, (_TWO_METRIC_PAIRS, 2, n, 4)))
+    rows = _grouped(_two_metric_group, matrices, [p[:, 0] for p in pairs], [p[:, 1] for p in pairs])
+
+    def witness(k: int) -> dict:
+        t, j = divmod(k, _TWO_METRIC_PAIRS)
+        x, y = pairs[t][j]
+        return {"w_matrix": TMatrix(matrices[t]).to_json(), "x": TVector(x).to_json(), "y": TVector(y).to_json()}
+
+    best = _Best()
+    best.update(np.ravel(rows), witness)
     return best, cfg.trials
 
 
 def _replay_two_metric(witness: dict) -> float:
-    return _two_metric_value(
-        TMatrix.from_json(witness["w_matrix"]),
-        TVector.from_json(witness["x"]),
-        TVector.from_json(witness["y"]),
+    columns = (
+        [TMatrix.from_json(witness["w_matrix"]).coeffs],
+        [TVector.from_json(witness["x"]).coeffs[None]],
+        [TVector.from_json(witness["y"]).coeffs[None]],
     )
+    return float(_grouped(_two_metric_group, *columns)[0][0])
 
 
 # --- total-family ----------------------------------------------------------------
@@ -830,73 +947,86 @@ def _replay_hahn_banach(witness: dict) -> float:
 
 # --- norm-sandwich ----------------------------------------------------------------
 
+_SANDWICH_PARTS = ("sandwich", "left-attain", "right-attain")
 
-def _norm_sandwich_value(part: str, T: TMatrix) -> float:
-    if part == "sandwich":
-        r = T.norms()
-        violation = max(r.sup_norm - r.idem_norm, r.idem_norm - SQRT2 * r.sup_norm)
-        return float(violation / (1.0 + r.sup_norm))
-    M1, M2 = T.split()
-    if part == "left-attain":
-        # one vanishing component: the two norms coincide
-        one_sided = TMatrix.from_hat(M1, np.zeros_like(M2))
-        r = one_sided.norms()
-        return float(abs(r.sup_norm - r.idem_norm) / (1.0 + r.sup_norm))
-    if part == "right-attain":
-        # balanced components: idem equals sqrt(2) * sup
-        balanced = TMatrix.from_hat(M1, M1)
-        r = balanced.norms()
-        return float(abs(r.idem_norm - SQRT2 * r.sup_norm) / (1.0 + r.sup_norm))
-    raise ValueError(f"unknown sandwich part {part!r}")
+
+def _norm_sandwich_group(C):
+    """Operators C (G, m, n, 4) -> (G, 3): the sandwich
+    sup_norm <= idem_norm <= sqrt(2) * sup_norm, then its attainment on the
+    left (M2 replaced by 0) and on the right (M2 replaced by M1)."""
+    M1, M2 = hat_split(C)
+    sup, idem = _split_norms(M1, M2)
+    sandwich = np.maximum(sup - idem, idem - SQRT2 * sup) / (1.0 + sup)
+    sup, idem = _norms(hat_merge(M1, np.zeros_like(M2)))
+    left = np.abs(sup - idem) / (1.0 + sup)
+    sup, idem = _norms(hat_merge(M1, M1))
+    right = np.abs(idem - SQRT2 * sup) / (1.0 + sup)
+    return np.stack([sandwich, left, right], axis=-1)
 
 
 def _run_norm_sandwich(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    matrices = []
     for _ in range(cfg.trials):
         m = _random_dim(rng)
         n = _random_dim(rng)
-        T = _random_matrix(rng, m, n)
-        for part in ("sandwich", "left-attain", "right-attain"):
-            best.update(
-                _norm_sandwich_value(part, T),
-                lambda k, part=part: {"part": part, "matrix": T.to_json()},
-            )
+        matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
+    best = _Best()
+    best.update(
+        np.ravel(_grouped(_norm_sandwich_group, matrices)),
+        lambda k: {"part": _SANDWICH_PARTS[k % 3], "matrix": TMatrix(matrices[k // 3]).to_json()},
+    )
     return best, cfg.trials
 
 
 def _replay_norm_sandwich(witness: dict) -> float:
-    return _norm_sandwich_value(witness["part"], TMatrix.from_json(witness["matrix"]))
+    C = TMatrix.from_json(witness["matrix"]).coeffs
+    return float(_grouped(_norm_sandwich_group, [C])[0][_SANDWICH_PARTS.index(witness["part"])])
 
 
 # --- compose-norm -----------------------------------------------------------------
 
 
-def _compose_norm_value(A: TMatrix, B: TMatrix) -> float:
-    ra, rb, rab = A.norms(), B.norms(), (A @ B).norms()
-    worst = -np.inf
-    for prod, a, b in (
-        (rab.sup_norm, ra.sup_norm, rb.sup_norm),
-        (rab.idem_norm, ra.idem_norm, rb.idem_norm),
-    ):
-        bound = SQRT2 * a * b
-        worst = max(worst, (prod - bound) / (1.0 + bound))
-    return float(worst)
+def _compose_group(A, B):
+    """Coefficients of A @ B for stacks of operators, as TMatrix.compose
+    builds them."""
+    return hat_merge(*_arrays.compose_pair(*hat_split(A), *hat_split(B)))
+
+
+def _norm_rows(C):
+    return np.stack(_norms(C), axis=-1)
+
+
+def _compose_norm_values(lefts: list, rights: list) -> np.ndarray:
+    """(N,): the excess of each norm of A @ B over sqrt(2) * |A| * |B|, the
+    worse of sup_norm and idem_norm.  Each operand's singular values are
+    taken in groups of its own shape, which hold far more trials than groups
+    of (m, k, n)."""
+    products = _grouped(_compose_group, lefts, rights)
+    ra, rb, rab = (np.array(_grouped(_norm_rows, Cs)) for Cs in (lefts, rights, products))
+    bound = SQRT2 * ra * rb
+    return np.max((rab - bound) / (1.0 + bound), axis=-1)
 
 
 def _run_compose_norm(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
+    lefts, rights = [], []
     for _ in range(cfg.trials):
         m = _random_dim(rng)
         k = _random_dim(rng)
         n = _random_dim(rng)
-        A = _random_matrix(rng, m, k)
-        B = _random_matrix(rng, k, n)
-        best.update(_compose_norm_value(A, B), lambda k: {"a": A.to_json(), "b": B.to_json()})
+        lefts.append(rng.uniform(-1.0, 1.0, (m, k, 4)))
+        rights.append(rng.uniform(-1.0, 1.0, (k, n, 4)))
+    best = _Best()
+    best.update(
+        _compose_norm_values(lefts, rights),
+        lambda k: {"a": TMatrix(lefts[k]).to_json(), "b": TMatrix(rights[k]).to_json()},
+    )
     return best, cfg.trials
 
 
 def _replay_compose_norm(witness: dict) -> float:
-    return _compose_norm_value(TMatrix.from_json(witness["a"]), TMatrix.from_json(witness["b"]))
+    A = TMatrix.from_json(witness["a"]).coeffs
+    B = TMatrix.from_json(witness["b"]).coeffs
+    return float(_compose_norm_values([A], [B])[0])
 
 
 # --- registry ---------------------------------------------------------------------

@@ -315,8 +315,6 @@ def test_norming_functional_does_not_overflow():
 
 @pytest.mark.filterwarnings("error")
 def test_separating_functional_does_not_overflow():
-    # 1e-200 is not tested: a distance that small is below the absolute
-    # null-distance threshold and raises ComponentInNullDistance.
     x = TVector([[0, 0, 0, 0], [1e200, 0, 0, 0]])
     result = separating_functional(x, Submodule(2, [TVector.basis(2, 0)]))
     assert (result.d1, result.d2) == pytest.approx((1e200, 1e200), rel=1e-15, abs=0.0)
@@ -353,6 +351,78 @@ def test_extension_restriction_error_is_scale_safe(scale):
     assert report.extension(probe).coeffs == pytest.approx(
         tuple(scale * v for v in unit.extension(probe).coeffs), rel=1e-14, abs=0.0
     )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_null_cone_decisions_hold_at_extreme_scales(scale):
+    x = TVector([[0, 0, 0, 0], [scale, 0, 0, 0]])
+    result = separating_functional(x, Submodule(2, [TVector.basis(2, 0)]))
+    assert result.functional(x).coeffs == pytest.approx((1, 0, 0, 0), rel=1e-15, abs=0.0)
+    r = norming_functional(x)
+    assert r.value.coeffs == pytest.approx((scale, 0, 0, 0), rel=1e-15, abs=0.0)
+    with pytest.raises(NullConeVector):
+        norming_functional(x.scale(E1))
+    with pytest.raises(ComponentInNullDistance):
+        separating_functional(x.scale(E1), Submodule.zero(2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_generator_value_consistency_is_relative_to_the_values(scale):
+    g = TVector.from_scalars([ONE, J])
+    Y = Submodule(2, [g, g.scale(Bicomplex(2.0))])
+    with pytest.raises(InconsistentFunctional):
+        TFunctional.from_generator_values(Y, [Bicomplex(scale), Bicomplex(3 * scale)])
+    f = TFunctional.from_generator_values(Y, [Bicomplex(scale), Bicomplex(2 * scale)])
+    assert f(g).coeffs == pytest.approx((scale, 0, 0, 0), rel=1e-14, abs=0.0)
+
+
+# Entries are 0 or at least 1e-100 in magnitude, so that multiplying by 2^k
+# with |k| <= 498 (about 1e-150 to 1e150) is exact.
+normal_coeff = coeff.filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+normal_rows = st.lists(st.lists(normal_coeff, min_size=4, max_size=4), min_size=3, max_size=3).map(TVector)
+powers_of_two = st.integers(-498, 498).map(lambda k: 2.0**k)
+
+
+def _refused(fn, *args):
+    """The components fn refuses, or () when it succeeds."""
+    try:
+        fn(*args)
+    except (ComponentInNullDistance, NullConeVector) as exc:
+        return exc.components
+    return ()
+
+
+@given(st.one_of(normal_rows, normal_rows.map(lambda x: x.scale(E1))), powers_of_two)
+@settings(max_examples=60)
+def test_null_cone_decisions_are_invariant_under_scaling(x, c):
+    Y = Submodule.span(TVector.basis(3, 0))
+    scaled = TVector(x.coeffs * c)
+    assert _refused(separating_functional, scaled, Y) == _refused(separating_functional, x, Y)
+    assert _refused(norming_functional, scaled) == _refused(norming_functional, x)
+
+
+def _consistent(Y, values) -> bool:
+    try:
+        TFunctional.from_generator_values(Y, values)
+    except InconsistentFunctional:
+        return False
+    return True
+
+
+@given(
+    st.lists(normal_coeff, min_size=4, max_size=4),
+    st.one_of(st.none(), st.lists(normal_coeff, min_size=4, max_size=4)),
+    powers_of_two,
+)
+@settings(max_examples=60)
+def test_generator_value_consistency_is_invariant_under_scaling(a, b, c):
+    g = TVector.from_scalars([ONE, J])
+    Y = Submodule(2, [g, g.scale(Bicomplex(2.0))])
+    # b of None prescribes the consistent value f(2g) = 2 f(g)
+    values = np.array([a, np.multiply(a, 2.0) if b is None else b])
+    assert _consistent(Y, [Bicomplex(*v) for v in values * c]) == _consistent(Y, [Bicomplex(*v) for v in values])
 
 
 def test_dual_space_completeness_shadow():

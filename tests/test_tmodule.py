@@ -265,6 +265,29 @@ def test_in_span_examples():
     assert full.contains(probe)
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_span_membership_is_relative_to_the_vector(scale):
+    g = TVector.from_scalars([Bicomplex(0.4, 0.1, -0.2, 0.8), ONE])
+    Y = Submodule.span(g)
+    assert Y.contains(TVector(g.scale(E1).coeffs * scale))
+    assert not Y.contains(TVector(TVector.from_scalars([Bicomplex(), ONE + J]).coeffs * scale))
+
+
+# Entries are 0 or at least 1e-100 in magnitude, so that multiplying by 2^k
+# with |k| <= 498 (about 1e-150 to 1e150) is exact.
+normal_coeff = coeff.filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+powers_of_two = st.integers(-498, 498).map(lambda k: 2.0**k)
+
+
+@given(st.lists(st.lists(normal_coeff, min_size=4, max_size=4), min_size=3, max_size=3), powers_of_two)
+@settings(max_examples=60)
+def test_span_membership_is_invariant_under_scaling(rows, c):
+    Y = Submodule.span(TVector.from_scalars([ONE, J, E1]), TVector.from_scalars([E2, ONE, J]))
+    x = TVector(rows)
+    for v in (x, Y.project(x)):
+        assert Y.contains(TVector(v.coeffs * c)) == Y.contains(v)
+
+
 def test_vector_json_and_csv_round_trip():
     x = TVector.from_scalars([Bicomplex(0.1, -2.5e-7, 3.0, -4.125), J])
     assert TVector.from_json(x.to_json()) == x
