@@ -140,16 +140,14 @@ def vec_norm4(C: np.ndarray) -> np.ndarray:
 
 
 def vector_norms(C: np.ndarray) -> np.ndarray:
-    """Norms of one vector (n, 4) or of a stack of them (..., n, 4): vec_norm4,
-    with the scaled fallback of checked_norm wherever its sum over- or
-    underflows."""
+    """Norms of a stack of vectors (..., n, 4): vec_norm4, with the scaled
+    fallback of checked_norm wherever its sum over- or underflows, as
+    TVector.norm takes them one at a time."""
     with np.errstate(over="ignore"):
         norms = vec_norm4(C)
     outside = ~((norms >= NORM_FLOOR) & (norms < math.inf))
     if not np.count_nonzero(outside):
         return norms
-    if np.ndim(norms) == 0:
-        return checked_norm(float(norms), C)
     norms = norms.copy()
     norms[outside] = [checked_norm(float(p), c) for p, c in zip(norms[outside], C[outside])]
     return norms

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge, hat_split, pair_norms, qmean
+from ._arrays import checked_norm, hat_merge, hat_split, pair_norms, qmean, vec_norm4
 from .errors import DimensionMismatch
 from .scalar import Bicomplex
 
@@ -120,7 +120,8 @@ class TVector:
     def norm(self) -> float:
         """Euclidean norm over the 4n real coefficients; equals
         sqrt((|v1|^2 + |v2|^2) / 2) in component coordinates."""
-        return float(_arrays.vector_norms(self._coeffs))
+        with np.errstate(over="ignore"):
+            return checked_norm(float(vec_norm4(self._coeffs)), self._coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TVector) and np.array_equal(self._coeffs, other._coeffs)

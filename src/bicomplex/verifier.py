@@ -85,21 +85,24 @@ def default_config(
 
 
 class _Best:
-    """Accumulates the worst (largest) violation and its witness."""
+    """Accumulates the worst (largest) violation and its witness.  A NaN is
+    worse than any number: the first one seen is kept, so it fails the check."""
 
     def __init__(self):
         self.value = -np.inf
         self.witness: dict = {}
 
     def update(self, values, make_witness: Callable[[int], dict]):
-        """Record the largest of `values` (an array or one float) if it beats
-        the worst so far; only then build its witness, make_witness(index)."""
+        """Record the first NaN of `values` (an array or one float), else the
+        first of its largest if that beats the worst so far; only then build
+        its witness, make_witness(index)."""
         values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        if values.size == 0:
+        if values.size == 0 or np.isnan(self.value):
             return
-        k = int(np.argmax(values))
+        nan = np.isnan(values)
+        k = int(np.argmax(nan)) if nan.any() else int(np.argmax(values))
         v = float(values[k])
-        if v > self.value:
+        if np.isnan(v) or v > self.value:
             self.value = v
             self.witness = make_witness(k)
 
@@ -476,13 +479,24 @@ def _replay_homeomorphism_mlambda(witness: dict) -> float:
 #
 # The operator checks draw each trial's inputs in turn (one draw of shape
 # (k, ...) takes the stream's values in the order of k draws of shape (...)),
-# then evaluate all trials together.  Trials whose arrays share their shapes
-# are stacked and run through the library's kernels
+# then evaluate a chunk of up to _CHUNK_TRIALS trials together.  Trials whose
+# arrays share their shapes are stacked and run through the library's kernels
 # (_arrays.pair_singular_values, operator_norms, apply_pair, compose_pair,
 # vector_norms) in one call each: the kernels TMatrix and TVector call for a
 # single object.  Stacked LAPACK and BLAS calls round each matrix as a single
-# call does, so the values are those of the per-object methods, bit for bit.
-# Each replay evaluates a batch of one through the same function.
+# call does, so the values are those of the per-object methods, bit for bit,
+# whatever the chunk and stack sizes.  Each replay evaluates a stack of one
+# through the same function.
+
+#: Trials drawn and evaluated together, so that memory does not grow with
+#: the trial count.
+_CHUNK_TRIALS = 1024
+
+
+def _chunks(trials: int):
+    """Sizes of the successive chunks that `trials` trials are drawn in."""
+    for start in range(0, trials, _CHUNK_TRIALS):
+        yield min(_CHUNK_TRIALS, trials - start)
 
 
 def _grouped(fn, *columns) -> list:
@@ -538,24 +552,26 @@ def _ubp_group(F, X):
 
 
 def _run_ubp(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    families, points = [], []
-    for _ in range(cfg.trials):
-        n = _random_dim(rng)
-        families.append(rng.uniform(-1.0, 1.0, (_FAMILY_SIZE, n, n, 4)))
-        points.append(rng.uniform(-1.0, 1.0, (_UBP_POINTS, n, 4)))
-    def witness(k: int) -> dict:
-        t, j = divmod(k, _UBP_POINTS)
-        return {"family": [TMatrix(C).to_json() for C in families[t]], "x": TVector(points[t][j]).to_json()}
-
     best = _Best()
-    best.update(np.ravel(_grouped(_ubp_group, families, points)), witness)
+    for count in _chunks(cfg.trials):
+        families, points = [], []
+        for _ in range(count):
+            n = _random_dim(rng)
+            families.append(rng.uniform(-1.0, 1.0, (_FAMILY_SIZE, n, n, 4)))
+            points.append(rng.uniform(-1.0, 1.0, (_UBP_POINTS, n, 4)))
+
+        def witness(k: int) -> dict:
+            t, j = divmod(k, _UBP_POINTS)
+            return {"family": [TMatrix(C).to_json() for C in families[t]], "x": TVector(points[t][j]).to_json()}
+
+        best.update(np.ravel(_grouped(_ubp_group, families, points)), witness)
     return best, cfg.trials
 
 
 def _replay_ubp(witness: dict) -> float:
     family = np.stack([TMatrix.from_json(m).coeffs for m in witness["family"]])
     x = TVector.from_json(witness["x"]).coeffs
-    return float(_grouped(_ubp_group, [family], [x[None]])[0][0])
+    return float(_ubp_group(family[None], x[None, None])[0, 0])
 
 
 # --- continuity-bounded ----------------------------------------------------------
@@ -584,34 +600,36 @@ def _continuity_group(C, X):
 
 
 def _run_continuity_bounded(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    matrices, points = [], []
-    for _ in range(cfg.trials):
-        m = _random_dim(rng)
-        n = _random_dim(rng)
-        matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
-        points.append(rng.uniform(-1.0, 1.0, (_CONTINUITY_POINTS, n, 4)))
-
-    def witness(k: int) -> dict:
-        t, j = divmod(k, 1 + _CONTINUITY_POINTS)
-        if j == 0:
-            return {"part": "attain", "matrix": TMatrix(matrices[t]).to_json()}
-        return {
-            "part": "no-exceed",
-            "matrix": TMatrix(matrices[t]).to_json(),
-            "x": TVector(points[t][j - 1]).to_json(),
-        }
-
     best = _Best()
-    best.update(np.ravel(_grouped(_continuity_group, matrices, points)), witness)
+    for count in _chunks(cfg.trials):
+        matrices, points = [], []
+        for _ in range(count):
+            m = _random_dim(rng)
+            n = _random_dim(rng)
+            matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
+            points.append(rng.uniform(-1.0, 1.0, (_CONTINUITY_POINTS, n, 4)))
+
+        def witness(k: int) -> dict:
+            t, j = divmod(k, 1 + _CONTINUITY_POINTS)
+            if j == 0:
+                return {"part": "attain", "matrix": TMatrix(matrices[t]).to_json()}
+            return {
+                "part": "no-exceed",
+                "matrix": TMatrix(matrices[t]).to_json(),
+                "x": TVector(points[t][j - 1]).to_json(),
+            }
+
+        best.update(np.ravel(_grouped(_continuity_group, matrices, points)), witness)
     return best, cfg.trials
 
 
 def _replay_continuity_bounded(witness: dict) -> float:
     C = TMatrix.from_json(witness["matrix"]).coeffs
     if witness["part"] == "attain":
-        return float(_grouped(_continuity_group, [C], [np.empty((0, C.shape[1], 4))])[0][0])
+        # attainment needs no points: evaluate at none
+        return float(_continuity_group(C[None], np.empty((1, 0, C.shape[1], 4)))[0, 0])
     x = TVector.from_json(witness["x"]).coeffs
-    return float(_grouped(_continuity_group, [C], [x[None]])[0][1])
+    return float(_continuity_group(C[None], x[None, None])[0, 1])
 
 
 # --- limit-operator --------------------------------------------------------------
@@ -639,24 +657,25 @@ def _limit_operator_group(T, E):
 
 
 def _run_limit_operator(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    operators, perturbations = [], []
-    for _ in range(cfg.trials):
-        n = _random_dim(rng)
-        operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-        perturbations.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-    perturbations = _grouped(_limit_perturbation_group, operators, perturbations)
     best = _Best()
-    best.update(
-        np.array(_grouped(_limit_operator_group, operators, perturbations)),
-        lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(perturbations[k]).to_json()},
-    )
+    for count in _chunks(cfg.trials):
+        operators, perturbations = [], []
+        for _ in range(count):
+            n = _random_dim(rng)
+            operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+            perturbations.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+        perturbations = _grouped(_limit_perturbation_group, operators, perturbations)
+        best.update(
+            np.array(_grouped(_limit_operator_group, operators, perturbations)),
+            lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(perturbations[k]).to_json()},
+        )
     return best, cfg.trials
 
 
 def _replay_limit_operator(witness: dict) -> float:
     T = TMatrix.from_json(witness["t"]).coeffs
     E = TMatrix.from_json(witness["e"]).coeffs
-    return float(_grouped(_limit_operator_group, [T], [E])[0])
+    return float(_limit_operator_group(T[None], E[None])[0])
 
 
 # --- bxy-complete ----------------------------------------------------------------
@@ -688,23 +707,24 @@ def _bxy_complete_group(T, E):
 
 
 def _run_bxy_complete(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    operators, directions = [], []
-    for _ in range(cfg.trials):
-        n = _random_dim(rng)
-        operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-        directions.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
     best = _Best()
-    best.update(
-        np.array(_grouped(_bxy_complete_group, operators, directions)),
-        lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(directions[k]).to_json()},
-    )
+    for count in _chunks(cfg.trials):
+        operators, directions = [], []
+        for _ in range(count):
+            n = _random_dim(rng)
+            operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+            directions.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+        best.update(
+            np.array(_grouped(_bxy_complete_group, operators, directions)),
+            lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(directions[k]).to_json()},
+        )
     return best, cfg.trials
 
 
 def _replay_bxy_complete(witness: dict) -> float:
     T = TMatrix.from_json(witness["t"]).coeffs
     E = TMatrix.from_json(witness["e"]).coeffs
-    return float(_grouped(_bxy_complete_group, [T], [E])[0])
+    return float(_bxy_complete_group(T[None], E[None])[0])
 
 
 # --- open-mapping ----------------------------------------------------------------
@@ -724,41 +744,42 @@ def _open_mapping_group(C, Y, X):
 def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     # Solving is the statement under test, so every right-hand side goes
     # through TMatrix.solve; only the evaluation of the solutions is stacked.
-    matrices, rhs, solutions = [], [], []
-    for _ in range(cfg.trials):
-        n = _random_dim(rng)
-        T = TMatrix(_conditioned_matrix(rng, n))
-        sv1, sv2 = T.component_singular_values()
-        radius = min(float(sv1[-1]), float(sv2[-1]))
-        ys, xs = [], []
-        for _ in range(5):
-            y = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-            length = y.norm()
-            if length == 0.0:
-                continue
-            y = y.scale(radius * float(rng.uniform(0.0, 1.0)) / length)
-            ys.append(y.coeffs)
-            xs.append(T.solve(y).coeffs)
-        matrices.append(T.coeffs)
-        rhs.append(np.reshape(ys, (len(ys), n, 4)))
-        solutions.append(np.reshape(xs, (len(xs), n, 4)))
-    rows = _grouped(_open_mapping_group, matrices, rhs, solutions)
-    index = [(t, j, part) for t, row in enumerate(rows) for j in range(len(row)) for part in _OPEN_MAPPING_PARTS]
-
-    def witness(k: int) -> dict:
-        t, j, part = index[k]
-        return {"part": part, "matrix": TMatrix(matrices[t]).to_json(), "y": TVector(rhs[t][j]).to_json()}
-
     best = _Best()
-    best.update(np.concatenate([np.ravel(row) for row in rows]), witness)
+    for count in _chunks(cfg.trials):
+        matrices, rhs, solutions = [], [], []
+        for _ in range(count):
+            n = _random_dim(rng)
+            T = TMatrix(_conditioned_matrix(rng, n))
+            sv1, sv2 = T.component_singular_values()
+            radius = min(float(sv1[-1]), float(sv2[-1]))
+            ys, xs = [], []
+            for _ in range(5):
+                y = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
+                length = y.norm()
+                if length == 0.0:
+                    continue
+                y = y.scale(radius * float(rng.uniform(0.0, 1.0)) / length)
+                ys.append(y.coeffs)
+                xs.append(T.solve(y).coeffs)
+            matrices.append(T.coeffs)
+            rhs.append(np.reshape(ys, (len(ys), n, 4)))
+            solutions.append(np.reshape(xs, (len(xs), n, 4)))
+        rows = _grouped(_open_mapping_group, matrices, rhs, solutions)
+        index = [(t, j, part) for t, row in enumerate(rows) for j in range(len(row)) for part in _OPEN_MAPPING_PARTS]
+
+        def witness(k: int) -> dict:
+            t, j, part = index[k]
+            return {"part": part, "matrix": TMatrix(matrices[t]).to_json(), "y": TVector(rhs[t][j]).to_json()}
+
+        best.update(np.concatenate([np.ravel(row) for row in rows]), witness)
     return best, cfg.trials
 
 
 def _replay_open_mapping(witness: dict) -> float:
     T = TMatrix.from_json(witness["matrix"])
     y = TVector.from_json(witness["y"])
-    row = _grouped(_open_mapping_group, [T.coeffs], [y.coeffs[None]], [T.solve(y).coeffs[None]])[0]
-    return float(row[0, _OPEN_MAPPING_PARTS.index(witness["part"])])
+    values = _open_mapping_group(T.coeffs[None], y.coeffs[None, None], T.solve(y).coeffs[None, None])
+    return float(values[0, 0, _OPEN_MAPPING_PARTS.index(witness["part"])])
 
 
 # --- closed-graph ----------------------------------------------------------------
@@ -777,31 +798,30 @@ def _closed_graph_group(C, X, P):
 
 
 def _run_closed_graph(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    matrices, points, directions = [], [], []
-    for _ in range(cfg.trials):
-        n = _random_dim(rng)
-        matrices.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-        points.append(rng.uniform(-1.0, 1.0, (n, 4)))
-        directions.append(rng.uniform(-1.0, 1.0, (n, 4)))
     best = _Best()
-    best.update(
-        np.array(_grouped(_closed_graph_group, matrices, points, directions)),
-        lambda k: {
-            "matrix": TMatrix(matrices[k]).to_json(),
-            "x": TVector(points[k]).to_json(),
-            "p": TVector(directions[k]).to_json(),
-        },
-    )
+    for count in _chunks(cfg.trials):
+        matrices, points, directions = [], [], []
+        for _ in range(count):
+            n = _random_dim(rng)
+            matrices.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
+            points.append(rng.uniform(-1.0, 1.0, (n, 4)))
+            directions.append(rng.uniform(-1.0, 1.0, (n, 4)))
+        best.update(
+            np.array(_grouped(_closed_graph_group, matrices, points, directions)),
+            lambda k: {
+                "matrix": TMatrix(matrices[k]).to_json(),
+                "x": TVector(points[k]).to_json(),
+                "p": TVector(directions[k]).to_json(),
+            },
+        )
     return best, cfg.trials
 
 
 def _replay_closed_graph(witness: dict) -> float:
-    columns = (
-        [TMatrix.from_json(witness["matrix"]).coeffs],
-        [TVector.from_json(witness["x"]).coeffs],
-        [TVector.from_json(witness["p"]).coeffs],
-    )
-    return float(_grouped(_closed_graph_group, *columns)[0])
+    C = TMatrix.from_json(witness["matrix"]).coeffs
+    x = TVector.from_json(witness["x"]).coeffs
+    p = TVector.from_json(witness["p"]).coeffs
+    return float(_closed_graph_group(C[None], x[None], p[None])[0])
 
 
 # --- two-metric ------------------------------------------------------------------
@@ -824,30 +844,29 @@ def _two_metric_group(W, X, Y):
 
 
 def _run_two_metric(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    matrices, pairs = [], []
-    for _ in range(cfg.trials):
-        n = _random_dim(rng)
-        matrices.append(_conditioned_matrix(rng, n))
-        pairs.append(rng.uniform(-1.0, 1.0, (_TWO_METRIC_PAIRS, 2, n, 4)))
-    rows = _grouped(_two_metric_group, matrices, [p[:, 0] for p in pairs], [p[:, 1] for p in pairs])
-
-    def witness(k: int) -> dict:
-        t, j = divmod(k, _TWO_METRIC_PAIRS)
-        x, y = pairs[t][j]
-        return {"w_matrix": TMatrix(matrices[t]).to_json(), "x": TVector(x).to_json(), "y": TVector(y).to_json()}
-
     best = _Best()
-    best.update(np.ravel(rows), witness)
+    for count in _chunks(cfg.trials):
+        matrices, pairs = [], []
+        for _ in range(count):
+            n = _random_dim(rng)
+            matrices.append(_conditioned_matrix(rng, n))
+            pairs.append(rng.uniform(-1.0, 1.0, (_TWO_METRIC_PAIRS, 2, n, 4)))
+        rows = _grouped(_two_metric_group, matrices, [p[:, 0] for p in pairs], [p[:, 1] for p in pairs])
+
+        def witness(k: int) -> dict:
+            t, j = divmod(k, _TWO_METRIC_PAIRS)
+            x, y = pairs[t][j]
+            return {"w_matrix": TMatrix(matrices[t]).to_json(), "x": TVector(x).to_json(), "y": TVector(y).to_json()}
+
+        best.update(np.ravel(rows), witness)
     return best, cfg.trials
 
 
 def _replay_two_metric(witness: dict) -> float:
-    columns = (
-        [TMatrix.from_json(witness["w_matrix"]).coeffs],
-        [TVector.from_json(witness["x"]).coeffs[None]],
-        [TVector.from_json(witness["y"]).coeffs[None]],
-    )
-    return float(_grouped(_two_metric_group, *columns)[0][0])
+    W = TMatrix.from_json(witness["w_matrix"]).coeffs
+    x = TVector.from_json(witness["x"]).coeffs
+    y = TVector.from_json(witness["y"]).coeffs
+    return float(_two_metric_group(W[None], x[None, None], y[None, None])[0, 0])
 
 
 # --- total-family ----------------------------------------------------------------
@@ -965,61 +984,57 @@ def _norm_sandwich_group(C):
 
 
 def _run_norm_sandwich(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    matrices = []
-    for _ in range(cfg.trials):
-        m = _random_dim(rng)
-        n = _random_dim(rng)
-        matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
     best = _Best()
-    best.update(
-        np.ravel(_grouped(_norm_sandwich_group, matrices)),
-        lambda k: {"part": _SANDWICH_PARTS[k % 3], "matrix": TMatrix(matrices[k // 3]).to_json()},
-    )
+    for count in _chunks(cfg.trials):
+        matrices = []
+        for _ in range(count):
+            m = _random_dim(rng)
+            n = _random_dim(rng)
+            matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
+        best.update(
+            np.ravel(_grouped(_norm_sandwich_group, matrices)),
+            lambda k: {"part": _SANDWICH_PARTS[k % 3], "matrix": TMatrix(matrices[k // 3]).to_json()},
+        )
     return best, cfg.trials
 
 
 def _replay_norm_sandwich(witness: dict) -> float:
     C = TMatrix.from_json(witness["matrix"]).coeffs
-    return float(_grouped(_norm_sandwich_group, [C])[0][_SANDWICH_PARTS.index(witness["part"])])
+    return float(_norm_sandwich_group(C[None])[0, _SANDWICH_PARTS.index(witness["part"])])
 
 
 # --- compose-norm -----------------------------------------------------------------
 
 
-def _compose_group(A, B):
-    """Coefficients of A @ B for stacks of operators, as TMatrix.compose
-    builds them."""
-    return hat_merge(*_arrays.compose_pair(*hat_split(A), *hat_split(B)))
-
-
-def _norm_rows(C):
-    return np.stack(_norms(C), axis=-1)
-
-
 def _compose_norm_values(lefts: list, rights: list) -> np.ndarray:
     """(N,): the excess of each norm of A @ B over sqrt(2) * |A| * |B|, the
-    worse of sup_norm and idem_norm.  Each operand's singular values are
-    taken in groups of its own shape, which hold far more trials than groups
-    of (m, k, n)."""
-    products = _grouped(_compose_group, lefts, rights)
-    ra, rb, rab = (np.array(_grouped(_norm_rows, Cs)) for Cs in (lefts, rights, products))
+    worse of sup_norm and idem_norm.  The products are built as
+    TMatrix.compose builds them; each operand's norms are taken in groups of
+    its own shape, which hold far more trials than groups of (m, k, n)."""
+    products = _grouped(
+        lambda A, B: hat_merge(*_arrays.compose_pair(*hat_split(A), *hat_split(B))), lefts, rights
+    )
+    ra, rb, rab = (
+        np.array(_grouped(lambda C: np.stack(_norms(C), axis=-1), Cs)) for Cs in (lefts, rights, products)
+    )
     bound = SQRT2 * ra * rb
     return np.max((rab - bound) / (1.0 + bound), axis=-1)
 
 
 def _run_compose_norm(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    lefts, rights = [], []
-    for _ in range(cfg.trials):
-        m = _random_dim(rng)
-        k = _random_dim(rng)
-        n = _random_dim(rng)
-        lefts.append(rng.uniform(-1.0, 1.0, (m, k, 4)))
-        rights.append(rng.uniform(-1.0, 1.0, (k, n, 4)))
     best = _Best()
-    best.update(
-        _compose_norm_values(lefts, rights),
-        lambda k: {"a": TMatrix(lefts[k]).to_json(), "b": TMatrix(rights[k]).to_json()},
-    )
+    for count in _chunks(cfg.trials):
+        lefts, rights = [], []
+        for _ in range(count):
+            m = _random_dim(rng)
+            k = _random_dim(rng)
+            n = _random_dim(rng)
+            lefts.append(rng.uniform(-1.0, 1.0, (m, k, 4)))
+            rights.append(rng.uniform(-1.0, 1.0, (k, n, 4)))
+        best.update(
+            _compose_norm_values(lefts, rights),
+            lambda k: {"a": TMatrix(lefts[k]).to_json(), "b": TMatrix(rights[k]).to_json()},
+        )
     return best, cfg.trials
 
 

@@ -17,7 +17,7 @@ from bicomplex import (
     run_all,
     run_check,
 )
-from bicomplex import _arrays
+from bicomplex import _arrays, verifier
 from bicomplex.verifier import CHECKS
 
 SMALL_TRIALS = 25
@@ -323,3 +323,37 @@ def test_an_apply_kernel_that_drops_m2_fails_verify(monkeypatch):
 
     monkeypatch.setattr(_arrays, "apply_pair", first_matrix_on_both)
     assert _failing_batched_checks()
+
+
+@pytest.mark.parametrize("check_id", sorted(ORACLES))
+def test_drawing_in_chunks_does_not_change_a_report(check_id, monkeypatch):
+    whole = run_check(default_config(check_id, seed=3, trials=23)).to_json()
+    monkeypatch.setattr(verifier, "_CHUNK_TRIALS", 4)
+    assert run_check(default_config(check_id, seed=3, trials=23)).to_json() == whole
+
+
+def test_the_first_nan_is_the_worst_value():
+    best = verifier._Best()
+    best.update(np.array([0.5, 2.0]), lambda k: {"call": 1, "k": k})
+    best.update(np.array([1.0, np.nan, 3.0, np.nan]), lambda k: {"call": 2, "k": k})
+    best.update(np.array([9.0, np.nan]), lambda k: {"call": 3, "k": k})
+    assert np.isnan(best.value)
+    assert best.witness == {"call": 2, "k": 1}
+
+
+def test_a_nan_trial_fails_verify_and_hides_no_violation(monkeypatch):
+    # In each stack of closed-graph trials the first value becomes NaN and
+    # the last one exceeds the bound.
+    vector_norms = _arrays.vector_norms
+
+    def nan_first_and_off_last(C):
+        norms = vector_norms(C).copy()
+        norms[-1] += 1.0
+        norms[0] = np.nan
+        return norms
+
+    monkeypatch.setattr(_arrays, "vector_norms", nan_first_and_off_last)
+    report = run_check(default_config("closed-graph", trials=20))
+    assert not report.passed
+    assert np.isnan(report.worst_value)
+    assert report.worst_witness
