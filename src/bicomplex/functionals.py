@@ -345,6 +345,6 @@ def norming_functional(x: TVector) -> NormingResult:
         functional=functional,
         value=functional(x),
         norms=functional.norms(),
-        balanced=abs(n1 - n2) <= 1e-12 * (1.0 + max(n1, n2)),
+        balanced=abs(n1 - n2) <= 1e-12 * max(n1, n2),
     )
 

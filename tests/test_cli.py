@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit statuses, and output formats."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -196,6 +197,16 @@ def test_verify_all_small_trials(capsys):
     assert len(lines) == 18
     for line in lines:
         assert json.loads(line)["pass"] is True
+
+
+def test_verify_all_at_seed_42_is_pinned_bit_for_bit(capsys):
+    # A change that alters these bits on purpose updates the digest and says
+    # why in CHANGES.md.
+    code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "42")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5d1bb6725de752ad5032ca5daae83fb187448313ebcfa57c91343434a4734f7f"
+    )
 
 
 def test_verify_output_is_deterministic(capsys):

@@ -368,6 +368,13 @@ def test_null_cone_decisions_hold_at_extreme_scales(scale):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_norming_balance_is_relative_to_the_vector(scale):
+    assert norming_functional(TVector.from_split(np.array([scale + 0j]), np.array([scale + 0j]))).balanced
+    assert not norming_functional(TVector.from_split(np.array([2 * scale + 0j]), np.array([scale + 0j]))).balanced
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_generator_value_consistency_is_relative_to_the_values(scale):
     g = TVector.from_scalars([ONE, J])
@@ -401,6 +408,21 @@ def test_null_cone_decisions_are_invariant_under_scaling(x, c):
     scaled = TVector(x.coeffs * c)
     assert _refused(separating_functional, scaled, Y) == _refused(separating_functional, x, Y)
     assert _refused(norming_functional, scaled) == _refused(norming_functional, x)
+
+
+def _balanced(x):
+    """Whether norming_functional finds x balanced, or None when it refuses x."""
+    try:
+        return norming_functional(x).balanced
+    except NullConeVector:
+        return None
+
+
+# Rows with c = d = 0 have equal hat components, so they are balanced.
+@given(st.one_of(normal_rows, normal_rows.map(lambda x: TVector(x.coeffs * [1, 1, 0, 0]))), powers_of_two)
+@settings(max_examples=60)
+def test_norming_balance_is_invariant_under_scaling(x, c):
+    assert _balanced(TVector(x.coeffs * c)) == _balanced(x)
 
 
 def _consistent(Y, values) -> bool:

@@ -1,6 +1,7 @@
 """Verification harness: determinism, witness replay, bounds, and dispatch."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,43 @@ def test_drawing_in_chunks_does_not_change_a_report(check_id, monkeypatch):
     whole = run_check(default_config(check_id, seed=3, trials=23)).to_json()
     monkeypatch.setattr(verifier, "_CHUNK_TRIALS", 4)
     assert run_check(default_config(check_id, seed=3, trials=23)).to_json() == whole
+
+
+#: The checks whose value functions run over blocks of verifier._BLOCK_ROWS rows.
+BLOCKED_CHECKS = (
+    "ring-axioms",
+    "submult",
+    "norm-identity",
+    "scalar-homogeneity",
+    "translation-invariance",
+    "homeomorphism-Ta",
+    "homeomorphism-Mlambda",
+    "total-family",
+)
+
+
+@pytest.mark.parametrize("trials", [1, 23])
+@pytest.mark.parametrize("check_id", BLOCKED_CHECKS)
+def test_evaluating_in_blocks_does_not_change_a_report(check_id, trials, monkeypatch):
+    whole = run_check(default_config(check_id, seed=3, trials=trials))
+    monkeypatch.setattr(verifier, "_BLOCK_ROWS", 3)
+    blocked = run_check(default_config(check_id, seed=3, trials=trials))
+    assert blocked.to_json() == whole.to_json()
+    assert replay_witness(check_id, blocked.worst_witness) == blocked.worst_value
+
+
+@pytest.mark.parametrize("check_id, draws", [("submult", 2), ("ring-axioms", 3)])
+def test_blocked_checks_hold_little_beyond_their_draws(check_id, draws):
+    # Each draw is (trials, 4) float64.  The values are computed in blocks,
+    # so their temporaries add a few MiB, not several draws' worth.
+    trials = 250_000
+    tracemalloc.start()
+    try:
+        run_check(default_config(check_id, seed=1, trials=trials))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= draws * trials * 4 * 8 + 8 * 2**20
 
 
 def test_the_first_nan_is_the_worst_value():
