@@ -28,23 +28,34 @@ SQRT2 = float(np.sqrt(2.0))
 NORM_FLOOR = math.sqrt(sys.float_info.min)
 
 
-def frozen_coeffs(data, ndim: int, what: str) -> np.ndarray:
-    """A read-only float64 copy of `data`, checked to have `ndim` axes with
-    trailing axis 4 and finite entries.  The copy keeps later writes to
-    `data` from reaching the per-object caches built on it."""
-    arr = np.array(data, dtype=np.float64)
+def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
+    """A read-only float64 copy of `data`, checked to have `ndim` nonempty
+    axes, the last of length 4, and finite entries.  The copy keeps later
+    writes to `data` from reaching the per-object caches built on it; pass
+    copy=False only for a fresh float64 array that nothing else holds."""
+    arr = np.array(data, dtype=np.float64, copy=copy or None)
     if arr.ndim != ndim or arr.shape[-1] != 4:
         raise ValueError(f"{what}: expected shape {'(...,' * (ndim - 1)}4{')' * (ndim - 1)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.size == 0:
+        raise ValueError(f"{what}: every dimension must be at least 1, got {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what}: coefficients must be finite")
     arr.setflags(write=False)
     return arr
 
 
-def hat_split(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (..., 4) -> complex hat components (h1, h2), each (...)."""
-    a, b, c, d = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
-    return (a + d) + 1j * (b - c), (a - d) + 1j * (b + c)
+#: Columns (real, imag) of h1 and of h2 as combinations of (a, b, c, d).
+#: Each sum has at most two nonzero terms, all exact, so hat_split gives the
+#: elementwise formulas' bits, except that a zero may come out +0.0 where
+#: they give -0.0.
+_TO_HAT = np.array([[[1, 0], [0, 1], [0, -1], [1, 0]], [[1, 0], [0, 1], [0, 1], [-1, 0]]], dtype=np.float64)
+
+
+def hat_split(C: np.ndarray) -> np.ndarray:
+    """Coefficients (..., 4) -> the C-contiguous stack (2, ...) of complex hat
+    components; it unpacks as h1, h2."""
+    parts = np.matmul(np.reshape(C, (-1, 4)), _TO_HAT)  # (2, rows, 2): real, imag
+    return parts.view(np.complex128).reshape((2,) + np.shape(C)[:-1])
 
 
 def merge_parts(h1, h2) -> tuple:
@@ -59,10 +70,17 @@ def merge_parts(h1, h2) -> tuple:
 
 
 def hat_merge(h1, h2) -> np.ndarray:
-    """Inverse of hat_split; exact up to one rounding per coefficient."""
+    """Inverse of hat_split: merge_parts written straight into one fresh
+    (..., 4) array, with the same bits."""
     h1 = np.asarray(h1, dtype=np.complex128)
     h2 = np.asarray(h2, dtype=np.complex128)
-    return np.stack(merge_parts(h1, h2), axis=-1)
+    C = np.empty(h1.shape + (4,))
+    np.add(h1.real, h2.real, out=C[..., 0])
+    np.add(h1.imag, h2.imag, out=C[..., 1])
+    np.subtract(h2.imag, h1.imag, out=C[..., 2])
+    np.subtract(h1.real, h2.real, out=C[..., 3])
+    C *= 0.5
+    return C
 
 
 def mul_parts(au, bu, cu, du, av, bv, cv, dv) -> tuple:
@@ -153,23 +171,23 @@ def vector_norms(C: np.ndarray) -> np.ndarray:
     return norms
 
 
-def pair_singular_values(M1: np.ndarray, M2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values, in descending order, of the hat components (M1, M2) of
-    one operator (m, n) or of a stack of operators (..., m, n)."""
-    return np.linalg.svd(M1, compute_uv=False), np.linalg.svd(M2, compute_uv=False)
+def pair_singular_values(H: np.ndarray) -> np.ndarray:
+    """Singular values (2, ..., k), in descending order, of a hat stack
+    (2, m, n) of one operator or (2, ..., m, n) of a stack of operators."""
+    return np.linalg.svd(H, compute_uv=False)
 
 
-def apply_pair(M1, M2, v1, v2) -> tuple[np.ndarray, np.ndarray]:
-    """Hat components (M1 v1, M2 v2) of an operator applied to a vector, for
-    one pair ((m, n), (n,)) or for stacks ((..., m, n), (..., n)) that
+def apply_pair(H: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Hat stack (2, ..., m) of operators applied to vectors, from the hat
+    stacks of the operators (2, ..., m, n) and vectors (2, ..., n), which
     broadcast."""
-    return (M1 @ v1[..., None])[..., 0], (M2 @ v2[..., None])[..., 0]
+    return (H @ V[..., None])[..., 0]
 
 
-def compose_pair(A1, A2, B1, B2) -> tuple[np.ndarray, np.ndarray]:
-    """Hat components (A1 B1, A2 B2) of the composition A after B, for one
-    pair of operators or for stacks of them."""
-    return A1 @ B1, A2 @ B2
+def compose_pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Hat stack of the composition A after B, from the hat stacks of one
+    pair of operators or of stacks of them."""
+    return A @ B
 
 
 def unit_multiples(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

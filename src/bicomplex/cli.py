@@ -4,7 +4,7 @@ verification suites.
 
 Exit status: 0 on success (and when all verification checks pass), 1 on a
 domain error (singular operator, null-cone input, ...) with a structured
-JSON object on stderr, 2 on usage errors.
+JSON object on stderr, 2 on usage errors, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .functionals import TFunctional, hahn_banach_extend
 from .operators import TMatrix
 from .scalar import DEFAULT_SINGULAR_TOL, Bicomplex
 from .tmodule import Submodule, TVector
-from .verifier import CHECK_IDS, all_passed, default_config, run_all, run_check
+from .verifier import CHECK_IDS, all_passed, default_config, run_check
 
 
 def _positive_float(text: str) -> float:
@@ -158,12 +158,17 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.all:
-        reports = run_all(seed=args.seed, trials=args.trials, tol=args.tol)
-    else:
-        reports = [
-            run_check(default_config(args.check, seed=args.seed, trials=args.trials, tol=args.tol))
-        ]
+    # Bad settings raise here, before any check runs, and stay usage errors.
+    ids = CHECK_IDS if args.all else [args.check]
+    configs = [default_config(c, seed=args.seed, trials=args.trials, tol=args.tol) for c in ids]
+    reports = []
+    for cfg in configs:
+        try:
+            reports.append(run_check(cfg))
+        except Exception as exc:  # a fault of the program, not of the command line
+            payload = {"error": "InternalError", "check_id": cfg.check_id, "message": f"{type(exc).__name__}: {exc}"}
+            sys.stderr.write(json.dumps(payload) + "\n")
+            return 3
     lines = [json.dumps(r.to_json()) for r in reports]
     _emit("\n".join(lines), args.out)
     return 0 if all_passed(reports) else 1

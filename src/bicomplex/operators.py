@@ -65,18 +65,15 @@ class TMatrix:
     The coefficients are frozen, so the hat split, the component singular
     values and the determinant are computed from them once, on first use,
     and kept for the life of the object.  split() returns the hat split as
-    the read-only pair (M1, M2) of complex component matrices.
+    one read-only stack (2, m, n) that unpacks as the component matrices
+    M1, M2, so each method below is one numpy call over both components.
     """
 
     __slots__ = ("_coeffs", "_split", "_singular_values", "_det")
 
     def __init__(self, coeffs):
         self._coeffs = _arrays.frozen_coeffs(coeffs, 3, "matrix")
-        if self._coeffs.shape[0] < 1 or self._coeffs.shape[1] < 1:
-            raise ValueError("matrix dimensions must be at least 1x1")
-        self._split = None
-        self._singular_values = None
-        self._det = None
+        self._split = self._singular_values = self._det = None
 
     # construction ---------------------------------------------------------
 
@@ -90,7 +87,10 @@ class TMatrix:
         M1, M2 = np.asarray(M1), np.asarray(M2)
         if M1.shape != M2.shape or M1.ndim != 2:
             raise DimensionMismatch("component matrices must be 2-d with equal shapes")
-        return cls(hat_merge(M1, M2))
+        T = cls.__new__(cls)  # hat_merge's fresh array needs no defensive copy
+        T._coeffs = _arrays.frozen_coeffs(hat_merge(M1, M2), 3, "matrix", copy=False)
+        T._split = T._singular_values = T._det = None
+        return T
 
     @classmethod
     def identity(cls, n: int) -> "TMatrix":
@@ -132,12 +132,10 @@ class TMatrix:
         i, k = key
         return Bicomplex(*self._coeffs[i, k])
 
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
+    def split(self) -> np.ndarray:
         if self._split is None:
-            M1, M2 = hat_split(self._coeffs)
-            M1.setflags(write=False)
-            M2.setflags(write=False)
-            self._split = (M1, M2)
+            self._split = hat_split(self._coeffs)
+            self._split.setflags(write=False)
         return self._split
 
     def __eq__(self, other) -> bool:
@@ -178,9 +176,7 @@ class TMatrix:
         hat coordinates."""
         if x.n != self.n:
             raise DimensionMismatch(f"operator takes dimension {self.n}, got {x.n}")
-        M1, M2 = self.split()
-        v1, v2 = x.split()
-        return TVector.from_split(*_arrays.apply_pair(M1, M2, v1, v2))
+        return TVector.from_split(*_arrays.apply_pair(self.split(), x.split()))
 
     __call__ = apply
 
@@ -188,31 +184,25 @@ class TMatrix:
         """Composition self after other; hat components multiply componentwise."""
         if self.n != other.m:
             raise DimensionMismatch(f"inner dimensions differ: {self.n} vs {other.m}")
-        A1, A2 = self.split()
-        B1, B2 = other.split()
-        return TMatrix.from_hat(*_arrays.compose_pair(A1, A2, B1, B2))
+        return TMatrix.from_hat(*_arrays.compose_pair(self.split(), other.split()))
 
     __matmul__ = compose
 
     # norms --------------------------------------------------------------------
 
-    def component_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values of M1 and M2, in descending order (read-only)."""
+    def component_singular_values(self) -> np.ndarray:
+        """Singular values of M1 and M2, in descending order: one read-only
+        stack (2, min(m, n)) that unpacks as sv1, sv2."""
         if self._singular_values is None:
-            sv1, sv2 = _arrays.pair_singular_values(*self.split())
-            sv1.setflags(write=False)
-            sv2.setflags(write=False)
-            self._singular_values = (sv1, sv2)
+            self._singular_values = _arrays.pair_singular_values(self.split())
+            self._singular_values.setflags(write=False)
         return self._singular_values
 
     def condition(self) -> tuple[float, float]:
         """Condition numbers (k1, k2) of M1 and M2: largest over smallest
         singular value, inf when that is zero."""
-        sv1, sv2 = self.component_singular_values()
-        return tuple(
-            float("inf") if lo == 0.0 else float(hi / lo)
-            for hi, lo in ((sv1[0], sv1[-1]), (sv2[0], sv2[-1]))
-        )
+        extremes = self.component_singular_values()[:, [0, -1]]
+        return tuple(float("inf") if lo == 0.0 else float(hi / lo) for hi, lo in extremes)
 
     def norms(self) -> NormReport:
         """Both operator norms from the largest component singular values."""
@@ -232,10 +222,8 @@ class TMatrix:
         if self.m != self.n:
             raise NotSquare(f"determinant needs a square matrix, got {self.m}x{self.n}")
         if self._det is None:
-            M1, M2 = self.split()
-            self._det = Bicomplex.from_idempotent(
-                complex(np.linalg.det(M1)), complex(np.linalg.det(M2))
-            )
+            d1, d2 = np.linalg.det(self.split())
+            self._det = Bicomplex.from_idempotent(complex(d1), complex(d2))
         return self._det
 
     def _invertibility_guard(self, tol: float):
@@ -248,23 +236,19 @@ class TMatrix:
             if cond > CONDITION_LIMIT:
                 bad.add(k)
         if bad:
-            sv1, sv2 = self.component_singular_values()
-            raise SingularOperator(sorted(bad), (float(sv1[-1]), float(sv2[-1])), condition)
+            raise SingularOperator(sorted(bad), self.component_singular_values()[:, -1].tolist(), condition)
 
     def solve(self, b: TVector, tol: float = DEFAULT_SINGULAR_TOL) -> TVector:
         """Solve T x = b by solving the two complex component systems."""
         if b.n != self.m:
             raise DimensionMismatch(f"right-hand side dimension {b.n} != {self.m}")
         self._invertibility_guard(tol)
-        M1, M2 = self.split()
-        b1, b2 = b.split()
-        return TVector.from_split(np.linalg.solve(M1, b1), np.linalg.solve(M2, b2))
+        return TVector.from_split(*np.linalg.solve(self.split(), b.split()[..., None])[..., 0])
 
     def invert(self) -> "TMatrix":
         """The inverse operator, with hat components M1^-1, M2^-1."""
         self._invertibility_guard(DEFAULT_SINGULAR_TOL)
-        M1, M2 = self.split()
-        return TMatrix.from_hat(np.linalg.inv(M1), np.linalg.inv(M2))
+        return TMatrix.from_hat(*np.linalg.inv(self.split()))
 
     # file form --------------------------------------------------------------------
 

@@ -28,16 +28,14 @@ class TVector:
     """An element of T^n, stored as an (n, 4) array of real coefficients.
 
     The coefficients are frozen, so the hat split is computed once, on first
-    use, and kept for the life of the object.  split() returns it as the
-    read-only pair (v1, v2) of complex component vectors.
+    use, and kept for the life of the object.  split() returns it as one
+    read-only stack (2, n) that unpacks as the component vectors v1, v2.
     """
 
     __slots__ = ("_coeffs", "_split")
 
     def __init__(self, coeffs):
         self._coeffs = _arrays.frozen_coeffs(coeffs, 2, "vector")
-        if self._coeffs.shape[0] < 1:
-            raise ValueError("vector dimension must be at least 1")
         self._split = None
 
     # construction ---------------------------------------------------------
@@ -53,7 +51,10 @@ class TVector:
         v2 = np.asarray(v2, dtype=np.complex128)
         if v1.shape != v2.shape or v1.ndim != 1:
             raise DimensionMismatch("component vectors must be 1-d and equal length")
-        return cls(hat_merge(v1, v2))
+        x = cls.__new__(cls)  # hat_merge's fresh array needs no defensive copy
+        x._coeffs = _arrays.frozen_coeffs(hat_merge(v1, v2), 2, "vector", copy=False)
+        x._split = None
+        return x
 
     @classmethod
     def zero(cls, n: int) -> "TVector":
@@ -81,12 +82,10 @@ class TVector:
     def __getitem__(self, k: int) -> Bicomplex:
         return Bicomplex(*self._coeffs[k])
 
-    def split(self) -> tuple[np.ndarray, np.ndarray]:
+    def split(self) -> np.ndarray:
         if self._split is None:
-            v1, v2 = hat_split(self._coeffs)
-            v1.setflags(write=False)
-            v2.setflags(write=False)
-            self._split = (v1, v2)
+            self._split = hat_split(self._coeffs)
+            self._split.setflags(write=False)
         return self._split
 
     # module operations ------------------------------------------------------

@@ -158,8 +158,7 @@ def _nonsingular_scalars(rng, count: int) -> np.ndarray:
     filled = 0
     while filled < count:
         cand = rng.uniform(-1.0, 1.0, (count - filled, 4))
-        h1, h2 = hat_split(cand)
-        ok = (np.abs(h1) >= 1e-3) & (np.abs(h2) >= 1e-3)
+        ok = np.all(np.abs(hat_split(cand)) >= 1e-3, axis=0)
         good = cand[ok]
         out[filled : filled + good.shape[0]] = good
         filled += good.shape[0]
@@ -167,8 +166,7 @@ def _nonsingular_scalars(rng, count: int) -> np.ndarray:
 
 
 def _hat_norm(C: np.ndarray) -> np.ndarray:
-    h1, h2 = hat_split(C)
-    return np.sqrt((np.abs(h1) ** 2 + np.abs(h2) ** 2) / 2.0)
+    return np.sqrt(np.sum(np.abs(hat_split(C)) ** 2, axis=0) / 2.0)
 
 
 _E1_ROW = np.array([0.5, 0.0, 0.0, 0.5])
@@ -440,14 +438,12 @@ def _replay_homeomorphism_ta(witness: dict) -> float:
 
 def _mlambda_values(part: str, L, X, component: int = 2) -> np.ndarray:
     if part == "roundtrip":
-        h1, h2 = hat_split(L)
-        Linv = hat_merge(1.0 / h1, 1.0 / h2)
+        Linv = hat_merge(*(1.0 / hat_split(L)))
         back = mul4(Linv[:, None, :], mul4(L[:, None, :], X))
         return vec_norm4(back - X) / (1.0 + vec_norm4(X))
     if part == "collapse":
         scaled = mul4(L[:, None, :], X)
-        h1, h2 = hat_split(scaled)
-        dead = h1 if component == 1 else h2
+        dead = hat_split(scaled)[component - 1]
         return np.sqrt(np.sum(np.abs(dead) ** 2, axis=-1)) / (1.0 + vec_norm4(X))
     raise ValueError(f"unknown multiplication part {part!r}")
 
@@ -532,22 +528,22 @@ def _grouped(fn, *columns) -> list:
     return rows
 
 
-def _split_norms(M1, M2):
-    """(sup_norm, idem_norm) of operators given by hat components, as
-    TMatrix.norms computes them."""
-    s1, s2 = _arrays.pair_singular_values(M1, M2)
+def _split_norms(H):
+    """(sup_norm, idem_norm) of operators given by their hat stack
+    (2, ..., m, n), as TMatrix.norms computes them."""
+    s1, s2 = _arrays.pair_singular_values(H)
     return _arrays.operator_norms(s1[..., 0], s2[..., 0])
 
 
 def _norms(C):
     """(sup_norm, idem_norm) of a stack of operator coefficients (..., m, n, 4)."""
-    return _split_norms(*hat_split(C))
+    return _split_norms(hat_split(C))
 
 
-def _apply(M1, M2, X):
-    """Coefficients of T.apply(x), for T given by hat components and x by
-    coefficients (..., n, 4); the stacks broadcast."""
-    return hat_merge(*_arrays.apply_pair(M1, M2, *hat_split(X)))
+def _apply(H, X):
+    """Coefficients of T.apply(x), for T given by its hat stack (2, ..., m, n)
+    and x by coefficients (..., n, 4); the stacks broadcast."""
+    return hat_merge(*_arrays.apply_pair(H, hat_split(X)))
 
 
 # --- ubp ---------------------------------------------------------------------
@@ -559,9 +555,9 @@ _UBP_POINTS = 10
 def _ubp_group(F, X):
     """Families F (G, 5, n, n, 4) and points X (G, k, n, 4) -> (G, k): the
     largest excess of |T x| over sqrt(2) * (max sup_norm) * |x| in each family."""
-    M1, M2 = hat_split(F)
-    bound = np.max(_split_norms(M1, M2)[0], axis=-1)
-    lhs = _arrays.vector_norms(_apply(M1[:, None], M2[:, None], X[:, :, None]))
+    H = hat_split(F)
+    bound = np.max(_split_norms(H)[0], axis=-1)
+    lhs = _arrays.vector_norms(_apply(H[:, :, None], X[:, :, None]))
     rhs = (SQRT2 * bound)[:, None, None] * _arrays.vector_norms(X)[..., None]
     return np.max((lhs - rhs) / (1.0 + rhs), axis=-1)
 
@@ -599,18 +595,18 @@ def _continuity_group(C, X):
     far |T x| at the top right singular vector x of the dominant component
     misses sqrt(2) * sup_norm, then the excess of |T x| over
     sqrt(2) * sup_norm * |x| at each point."""
-    M1, M2 = hat_split(C)
-    s1, s2 = _arrays.pair_singular_values(M1, M2)
+    H = hat_split(C)
+    s1, s2 = _arrays.pair_singular_values(H)
     sup = _arrays.operator_norms(s1[:, 0], s2[:, 0])[0]
     first = s1[:, 0] >= s2[:, 0]
-    _, _, vh = np.linalg.svd(np.where(first[:, None, None], M1, M2))
+    _, _, vh = np.linalg.svd(np.where(first[:, None, None], H[0], H[1]))
     v = SQRT2 * np.conj(vh[:, 0])
     zero = np.zeros_like(v)
     top = hat_merge(np.where(first[:, None], v, zero), np.where(first[:, None], zero, v))
     target = SQRT2 * sup
-    attain = np.abs(_arrays.vector_norms(_apply(M1, M2, top)) - target) / (1.0 + target)
+    attain = np.abs(_arrays.vector_norms(_apply(H, top)) - target) / (1.0 + target)
     rhs = (SQRT2 * sup)[:, None] * _arrays.vector_norms(X)
-    exceed = (_arrays.vector_norms(_apply(M1[:, None], M2[:, None], X)) - rhs) / (1.0 + rhs)
+    exceed = (_arrays.vector_norms(_apply(H[:, :, None], X)) - rhs) / (1.0 + rhs)
     return np.concatenate([attain[:, None], exceed], axis=1)
 
 
@@ -750,9 +746,9 @@ _OPEN_MAPPING_PARTS = ("unit-ball", "residual")
 def _open_mapping_group(C, Y, X):
     """Operators C (G, n, n, 4), right-hand sides Y (G, k, n, 4) and their
     solutions X -> (G, k, 2): |x| - 1, and the relative residual of T x = y."""
-    M1, M2 = hat_split(C)
+    H = hat_split(C)
     unit_ball = _arrays.vector_norms(X) - 1.0
-    residual = _arrays.vector_norms(_apply(M1[:, None], M2[:, None], X) - Y) / (1.0 + _arrays.vector_norms(Y))
+    residual = _arrays.vector_norms(_apply(H[:, :, None], X) - Y) / (1.0 + _arrays.vector_norms(Y))
     return np.stack([unit_ball, residual], axis=-1)
 
 
@@ -806,9 +802,9 @@ _SHIFT_ROW = np.array([2.0 ** -40, 0.0, 0.0, 0.0])
 def _closed_graph_group(C, X, P):
     """Operators C (G, n, n, 4), points X and directions P (G, n, 4) -> (G,):
     |T x - T x_k| relative to |T x|."""
-    M1, M2 = hat_split(C)
-    y_limit = _apply(M1, M2, X + mul4(_SHIFT_ROW, P))
-    at_x = _apply(M1, M2, X)
+    H = hat_split(C)
+    y_limit = _apply(H, X + mul4(_SHIFT_ROW, P))
+    at_x = _apply(H, X)
     return _arrays.vector_norms(at_x - y_limit) / (1.0 + _arrays.vector_norms(at_x))
 
 
@@ -848,13 +844,13 @@ def _two_metric_group(W, X, Y):
     """Bijective operators W (G, n, n, 4) and point pairs X, Y (G, k, n, 4) ->
     (G, k): how far |W(x - y)| leaves [c_lo, c_hi] * |x - y|, with c_lo and
     c_hi the extreme component singular values of W."""
-    M1, M2 = hat_split(W)
-    s1, s2 = _arrays.pair_singular_values(M1, M2)
+    H = hat_split(W)
+    s1, s2 = _arrays.pair_singular_values(H)
     c_lo = np.minimum(s1[:, -1], s2[:, -1])[:, None]
     c_hi = np.maximum(s1[:, 0], s2[:, 0])[:, None]
     D = X - Y
     rho1 = _arrays.vector_norms(D)
-    rho2 = _arrays.vector_norms(_apply(M1[:, None], M2[:, None], D))
+    rho2 = _arrays.vector_norms(_apply(H[:, :, None], D))
     return np.maximum(c_lo * rho1 - rho2, rho2 - c_hi * rho1) / (1.0 + rho1)
 
 
@@ -988,10 +984,11 @@ def _norm_sandwich_group(C):
     """Operators C (G, m, n, 4) -> (G, 3): the sandwich
     sup_norm <= idem_norm <= sqrt(2) * sup_norm, then its attainment on the
     left (M2 replaced by 0) and on the right (M2 replaced by M1)."""
-    M1, M2 = hat_split(C)
-    sup, idem = _split_norms(M1, M2)
+    H = hat_split(C)
+    M1 = H[0]
+    sup, idem = _split_norms(H)
     sandwich = np.maximum(sup - idem, idem - SQRT2 * sup) / (1.0 + sup)
-    sup, idem = _norms(hat_merge(M1, np.zeros_like(M2)))
+    sup, idem = _norms(hat_merge(M1, np.zeros_like(M1)))
     left = np.abs(sup - idem) / (1.0 + sup)
     sup, idem = _norms(hat_merge(M1, M1))
     right = np.abs(idem - SQRT2 * sup) / (1.0 + sup)
@@ -1027,7 +1024,7 @@ def _compose_norm_values(lefts: list, rights: list) -> np.ndarray:
     TMatrix.compose builds them; each operand's norms are taken in groups of
     its own shape, which hold far more trials than groups of (m, k, n)."""
     products = _grouped(
-        lambda A, B: hat_merge(*_arrays.compose_pair(*hat_split(A), *hat_split(B))), lefts, rights
+        lambda A, B: hat_merge(*_arrays.compose_pair(hat_split(A), hat_split(B))), lefts, rights
     )
     ra, rb, rab = (
         np.array(_grouped(lambda C: np.stack(_norms(C), axis=-1), Cs)) for Cs in (lefts, rights, products)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bicomplex import Bicomplex, Submodule, TFunctional, TMatrix, TVector
+from bicomplex import Bicomplex, Submodule, TFunctional, TMatrix, TVector, _arrays
 from bicomplex.cli import main
 
 
@@ -60,6 +60,12 @@ def test_decompose(capsys):
     assert payload["vanishing_components"] == []
 
 
+def test_decompose_keeps_the_sign_of_a_zero_hat_part(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "1 -0 0 0")
+    assert code == 0
+    assert '"h1": [1.0, -0.0]' in out
+
+
 def test_decompose_singular(capsys):
     code, out, _ = run_cli(capsys, "decompose", "0.5 0 0 0.5")
     assert code == 0
@@ -81,6 +87,23 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # needs --all or --check
     assert exc.value.code == 2
+
+
+def test_an_exception_escaping_a_check_exits_3(capsys, monkeypatch):
+    def shape_bug(H):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(_arrays, "pair_singular_values", shape_bug)
+    code, out, err = run_cli(capsys, "verify", "--check", "norm-sandwich", "--trials", "2")
+    assert (code, out) == (3, "")
+    payload = json.loads(err)
+    assert payload["error"] == "InternalError" and payload["check_id"] == "norm-sandwich"
+    assert payload["message"] == "ValueError: operands could not be broadcast together"
+    code, _, err = run_cli(capsys, "verify", "--all", "--trials", "2")
+    assert code == 3 and json.loads(err)["error"] == "InternalError"
+    # bad settings are still usage errors, found before any check runs
+    code, _, err = run_cli(capsys, "verify", "--check", "norm-sandwich", "--trials", "0")
+    assert code == 2 and json.loads(err)["error"] == "ValueError"
 
 
 def test_malformed_literal_exits_2(capsys):

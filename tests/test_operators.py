@@ -336,6 +336,44 @@ def test_split_singular_values_and_det_are_computed_once_and_read_only():
             arr[0] = 0
 
 
+def test_split_components_are_contiguous_and_read_only():
+    # A strided component would send matmul to numpy's own loop, which rounds
+    # differently from BLAS.
+    rng = np.random.default_rng(47)
+    T = random_conditioned(rng, 4)
+    x = TVector(rng.uniform(-1, 1, (4, 4)))
+    objects = [T, T @ T, T.invert(), x, T.apply(x), T.solve(x), TVector.from_split(*x.split())]
+    for obj in objects:
+        for component in obj.split():
+            assert component.flags.c_contiguous, obj
+            with pytest.raises(ValueError):
+                component[0] = 0
+
+
+def test_built_results_do_not_alias_the_caller_arrays():
+    rng = np.random.default_rng(53)
+    M1, M2 = rng.standard_normal((2, 3, 3)) + 0j
+    T = TMatrix.from_hat(M1, M2)
+    x = TVector.from_split(M1[0], M2[0])
+    before = T.coeffs.copy(), x.coeffs.copy()
+    M1[0, 0] = 99.0
+    assert np.array_equal(T.coeffs, before[0]) and np.array_equal(x.coeffs, before[1])
+    assert not T.coeffs.flags.writeable and not x.coeffs.flags.writeable
+
+
+def test_built_results_are_still_checked_finite_and_nonempty():
+    with pytest.raises(ValueError):
+        TVector.from_split(np.array([np.inf + 0j]), np.array([0j]))
+    with pytest.raises(ValueError):
+        TMatrix.from_hat(np.full((1, 1), np.nan + 0j), np.ones((1, 1)))
+    with pytest.raises(ValueError):
+        TVector.from_split(np.zeros(0, complex), np.zeros(0, complex))
+    with pytest.raises(ValueError):
+        TMatrix.from_hat(np.zeros((0, 2), complex), np.zeros((0, 2), complex))
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        TMatrix.scalar(1, 1e300).apply(TVector([[1e300, 0.0, 0.0, 0.0]]))
+
+
 def test_warm_operator_gives_the_results_of_a_fresh_one():
     rng = np.random.default_rng(41)
     C = random_conditioned(rng, 4).coeffs
@@ -369,7 +407,8 @@ def test_solve_decides_each_tolerance_afresh():
 
 
 def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
-    calls = {"svd": 0, "det": 0}
+    # One stacked call covers both hat components; each solve is one more.
+    calls = {"svd": 0, "det": 0, "solve": 0}
 
     def counted(name):
         original = getattr(np.linalg, name)
@@ -386,7 +425,7 @@ def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
     T = random_conditioned(rng, 5)
     for _ in range(10):
         T.solve(TVector(rng.uniform(-1, 1, (5, 4))))
-    assert calls == {"svd": 2, "det": 2}
+    assert calls == {"svd": 1, "det": 1, "solve": 10}
 
 
 def test_condition_examples():

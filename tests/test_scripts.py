@@ -32,3 +32,11 @@ def test_run_verification_prints_one_timed_report_per_check():
     reports = [json.loads(line) for line in done.stdout.splitlines()]
     assert len(reports) == 18
     assert all("elapsed" in r for r in reports)
+
+
+def test_microbench_prints_the_table_at_tiny_repetitions():
+    done = run_script("microbench.py", "--number", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "| operation | n=2 | n=8 | n=64 |"
+    assert len(lines) == 7 and all(line.count("|") == 5 for line in lines)

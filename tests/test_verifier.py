@@ -310,17 +310,17 @@ def _failing_batched_checks():
 
 
 def test_a_singular_value_kernel_that_ignores_m2_fails_verify(monkeypatch):
-    def first_component_twice(M1, M2):
-        sv1 = np.linalg.svd(M1, compute_uv=False)
-        return sv1, sv1.copy()
+    def first_component_twice(H):
+        sv1 = np.linalg.svd(H[0], compute_uv=False)
+        return np.stack([sv1, sv1])
 
     monkeypatch.setattr(_arrays, "pair_singular_values", first_component_twice)
     assert _failing_batched_checks()
 
 
 def test_an_apply_kernel_that_drops_m2_fails_verify(monkeypatch):
-    def first_matrix_on_both(M1, M2, v1, v2):
-        return (M1 @ v1[..., None])[..., 0], (M1 @ v2[..., None])[..., 0]
+    def first_matrix_on_both(H, V):
+        return (H[0] @ V[..., None])[..., 0]
 
     monkeypatch.setattr(_arrays, "apply_pair", first_matrix_on_both)
     assert _failing_batched_checks()
