@@ -33,7 +33,7 @@ def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
     axes, the last of length 4, and finite entries.  The copy keeps later
     writes to `data` from reaching the per-object caches built on it; pass
     copy=False only for a fresh float64 array that nothing else holds."""
-    arr = np.array(data, dtype=np.float64, copy=copy or None)
+    arr = np.array(data, dtype=np.float64) if copy else np.asarray(data, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != 4:
         raise ValueError(f"{what}: expected shape {'(...,' * (ndim - 1)}4{')' * (ndim - 1)}, got {arr.shape}")
     if arr.size == 0:
@@ -44,18 +44,16 @@ def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
     return arr
 
 
-#: Columns (real, imag) of h1 and of h2 as combinations of (a, b, c, d).
-#: Each sum has at most two nonzero terms, all exact, so hat_split gives the
-#: elementwise formulas' bits, except that a zero may come out +0.0 where
-#: they give -0.0.
-_TO_HAT = np.array([[[1, 0], [0, 1], [0, -1], [1, 0]], [[1, 0], [0, 1], [0, 1], [-1, 0]]], dtype=np.float64)
-
-
 def hat_split(C: np.ndarray) -> np.ndarray:
     """Coefficients (..., 4) -> the C-contiguous stack (2, ...) of complex hat
     components; it unpacks as h1, h2."""
-    parts = np.matmul(np.reshape(C, (-1, 4)), _TO_HAT)  # (2, rows, 2): real, imag
-    return parts.view(np.complex128).reshape((2,) + np.shape(C)[:-1])
+    a, b, c, d = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
+    H = np.empty((2,) + C.shape[:-1], dtype=np.complex128)
+    np.add(a, d, out=H.real[0, ...])
+    np.subtract(b, c, out=H.imag[0, ...])
+    np.subtract(a, d, out=H.real[1, ...])
+    np.add(b, c, out=H.imag[1, ...])
+    return H
 
 
 def merge_parts(h1, h2) -> tuple:
@@ -70,11 +68,13 @@ def merge_parts(h1, h2) -> tuple:
 
 
 def hat_merge(h1, h2) -> np.ndarray:
-    """Inverse of hat_split: merge_parts written straight into one fresh
-    (..., 4) array, with the same bits."""
+    """Inverse of hat_split: merge_parts' sums written into one fresh
+    (..., 4) array, with the same bits.  Writing them in place takes about
+    half the time of stacking merge_parts' four results at n = 8, and a third
+    for large stacks."""
     h1 = np.asarray(h1, dtype=np.complex128)
     h2 = np.asarray(h2, dtype=np.complex128)
-    C = np.empty(h1.shape + (4,))
+    C = np.empty(np.broadcast_shapes(h1.shape, h2.shape) + (4,))
     np.add(h1.real, h2.real, out=C[..., 0])
     np.add(h1.imag, h2.imag, out=C[..., 1])
     np.subtract(h2.imag, h1.imag, out=C[..., 2])

@@ -15,12 +15,12 @@ import sys
 from pathlib import Path
 
 from ._arrays import fmt17
-from .errors import BicomplexError
+from .errors import BicomplexError, CheckCrashed
 from .functionals import TFunctional, hahn_banach_extend
 from .operators import TMatrix
 from .scalar import DEFAULT_SINGULAR_TOL, Bicomplex
 from .tmodule import Submodule, TVector
-from .verifier import CHECK_IDS, all_passed, default_config, run_check
+from .verifier import CHECK_IDS, all_passed, default_config, run_all, run_check
 
 
 def _positive_float(text: str) -> float:
@@ -158,17 +158,12 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # Bad settings raise here, before any check runs, and stay usage errors.
-    ids = CHECK_IDS if args.all else [args.check]
-    configs = [default_config(c, seed=args.seed, trials=args.trials, tol=args.tol) for c in ids]
-    reports = []
-    for cfg in configs:
-        try:
-            reports.append(run_check(cfg))
-        except Exception as exc:  # a fault of the program, not of the command line
-            payload = {"error": "InternalError", "check_id": cfg.check_id, "message": f"{type(exc).__name__}: {exc}"}
-            sys.stderr.write(json.dumps(payload) + "\n")
-            return 3
+    if args.all:
+        reports = run_all(seed=args.seed, trials=args.trials, tol=args.tol)
+    else:
+        reports = [
+            run_check(default_config(args.check, seed=args.seed, trials=args.trials, tol=args.tol))
+        ]
     lines = [json.dumps(r.to_json()) for r in reports]
     _emit("\n".join(lines), args.out)
     return 0 if all_passed(reports) else 1
@@ -196,6 +191,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))  # exits with status 2
         return 2
+    except CheckCrashed as exc:  # a fault of the program, not of the command line
+        payload = {"error": "InternalError", "check_id": exc.check_id, "message": str(exc)}
+        sys.stderr.write(json.dumps(payload) + "\n")
+        return 3
     except BicomplexError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         for attr in ("components", "distances", "smallest", "condition"):

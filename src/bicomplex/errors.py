@@ -66,3 +66,12 @@ class NullConeVector(BicomplexError):
 
 class UnknownCheckId(BicomplexError):
     """The verifier was asked for a check id it does not define."""
+
+
+class CheckCrashed(RuntimeError):
+    """An exception escaped a verification check: a fault of the program,
+    not a failed check.  The exception raised is the __cause__."""
+
+    def __init__(self, check_id: str, cause: BaseException):
+        self.check_id = check_id
+        super().__init__(f"{type(cause).__name__}: {cause}")

@@ -296,9 +296,13 @@ def separating_functional(x: TVector, Y: Submodule) -> SeparationResult:
     bad = [k for k, dk in ((1, result.d1), (2, result.d2)) if dk <= threshold]
     if bad:
         raise ComponentInNullDistance(bad, (result.d1, result.d2))
-    d = np.array([[result.d1], [result.d2]])
-    c = np.conj(x.split() - result.projection.split()) / d / d
-    functional = TFunctional(TVector.from_split(*c))
+    v1, v2 = x.split()
+    p1, p2 = result.projection.split()
+    res1 = v1 - p1
+    res2 = v2 - p2
+    c1 = np.conj(res1) / result.d1 / result.d1
+    c2 = np.conj(res2) / result.d2 / result.d2
+    functional = TFunctional(TVector.from_split(c1, c2))
     return SeparationResult(
         functional=functional,
         norms=functional.norms(),
@@ -327,14 +331,16 @@ def norming_functional(x: TVector) -> NormingResult:
     Null-cone vectors raise NullConeVector since f(x) would be confined to
     an ideal.
     """
-    n1, n2 = pair_norms(*x.split())
+    v1, v2 = x.split()
+    n1, n2 = pair_norms(v1, v2)
     threshold = NULL_CONE_TOL * x.norm()
     bad = [k for k, nk in ((1, n1), (2, n2)) if nk <= threshold]
     if bad:
         raise NullConeVector(bad)
     target = x.norm()
-    c = np.conj(x.split()) * np.array([[target / n1 / n1], [target / n2 / n2]])
-    functional = TFunctional(TVector.from_split(*c))
+    c1 = np.conj(v1) * (target / n1 / n1)
+    c2 = np.conj(v2) * (target / n2 / n2)
+    functional = TFunctional(TVector.from_split(c1, c2))
     return NormingResult(
         functional=functional,
         value=functional(x),

@@ -73,7 +73,9 @@ class TMatrix:
 
     def __init__(self, coeffs):
         self._coeffs = _arrays.frozen_coeffs(coeffs, 3, "matrix")
-        self._split = self._singular_values = self._det = None
+        self._split = None
+        self._singular_values = None
+        self._det = None
 
     # construction ---------------------------------------------------------
 
@@ -89,7 +91,9 @@ class TMatrix:
             raise DimensionMismatch("component matrices must be 2-d with equal shapes")
         T = cls.__new__(cls)  # hat_merge's fresh array needs no defensive copy
         T._coeffs = _arrays.frozen_coeffs(hat_merge(M1, M2), 3, "matrix", copy=False)
-        T._split = T._singular_values = T._det = None
+        T._split = None
+        T._singular_values = None
+        T._det = None
         return T
 
     @classmethod
@@ -201,8 +205,11 @@ class TMatrix:
     def condition(self) -> tuple[float, float]:
         """Condition numbers (k1, k2) of M1 and M2: largest over smallest
         singular value, inf when that is zero."""
-        extremes = self.component_singular_values()[:, [0, -1]]
-        return tuple(float("inf") if lo == 0.0 else float(hi / lo) for hi, lo in extremes)
+        sv1, sv2 = self.component_singular_values()
+        return tuple(
+            float("inf") if lo == 0.0 else float(hi / lo)
+            for hi, lo in ((sv1[0], sv1[-1]), (sv2[0], sv2[-1]))
+        )
 
     def norms(self) -> NormReport:
         """Both operator norms from the largest component singular values."""
@@ -236,7 +243,8 @@ class TMatrix:
             if cond > CONDITION_LIMIT:
                 bad.add(k)
         if bad:
-            raise SingularOperator(sorted(bad), self.component_singular_values()[:, -1].tolist(), condition)
+            sv1, sv2 = self.component_singular_values()
+            raise SingularOperator(sorted(bad), (float(sv1[-1]), float(sv2[-1])), condition)
 
     def solve(self, b: TVector, tol: float = DEFAULT_SINGULAR_TOL) -> TVector:
         """Solve T x = b by solving the two complex component systems."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _arrays
 from ._arrays import SQRT2, hat_merge, hat_split, mul4, norm4, vec_norm4
-from .errors import UnknownCheckId
+from .errors import CheckCrashed, UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
 from .operators import TMatrix
 from .scalar import Bicomplex
@@ -158,7 +158,8 @@ def _nonsingular_scalars(rng, count: int) -> np.ndarray:
     filled = 0
     while filled < count:
         cand = rng.uniform(-1.0, 1.0, (count - filled, 4))
-        ok = np.all(np.abs(hat_split(cand)) >= 1e-3, axis=0)
+        h1, h2 = hat_split(cand)
+        ok = (np.abs(h1) >= 1e-3) & (np.abs(h2) >= 1e-3)
         good = cand[ok]
         out[filled : filled + good.shape[0]] = good
         filled += good.shape[0]
@@ -166,7 +167,8 @@ def _nonsingular_scalars(rng, count: int) -> np.ndarray:
 
 
 def _hat_norm(C: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(hat_split(C)) ** 2, axis=0) / 2.0)
+    h1, h2 = hat_split(C)
+    return np.sqrt((np.abs(h1) ** 2 + np.abs(h2) ** 2) / 2.0)
 
 
 _E1_ROW = np.array([0.5, 0.0, 0.0, 0.5])
@@ -438,12 +440,14 @@ def _replay_homeomorphism_ta(witness: dict) -> float:
 
 def _mlambda_values(part: str, L, X, component: int = 2) -> np.ndarray:
     if part == "roundtrip":
-        Linv = hat_merge(*(1.0 / hat_split(L)))
+        h1, h2 = hat_split(L)
+        Linv = hat_merge(1.0 / h1, 1.0 / h2)
         back = mul4(Linv[:, None, :], mul4(L[:, None, :], X))
         return vec_norm4(back - X) / (1.0 + vec_norm4(X))
     if part == "collapse":
         scaled = mul4(L[:, None, :], X)
-        dead = hat_split(scaled)[component - 1]
+        h1, h2 = hat_split(scaled)
+        dead = h1 if component == 1 else h2
         return np.sqrt(np.sum(np.abs(dead) ** 2, axis=-1)) / (1.0 + vec_norm4(X))
     raise ValueError(f"unknown multiplication part {part!r}")
 
@@ -1107,11 +1111,15 @@ def _check(check_id: str) -> Check:
 
 
 def run_check(cfg: CheckConfig) -> CheckReport:
-    """Execute one named suite deterministically for (seed, trials)."""
+    """Execute one named suite deterministically for (seed, trials).  An
+    exception escaping the suite is raised as CheckCrashed."""
     check = _check(cfg.check_id)
     rng = np.random.default_rng([int(cfg.seed) & 0xFFFFFFFFFFFFFFFF, check.stream])
     start = time.perf_counter()
-    best, trials_run = check.run(cfg, rng)
+    try:
+        best, trials_run = check.run(cfg, rng)
+    except Exception as exc:
+        raise CheckCrashed(cfg.check_id, exc) from exc
     elapsed = time.perf_counter() - start
     bound = cfg.tol + check.bound_offset
     return CheckReport(
@@ -1132,11 +1140,10 @@ def replay_witness(check_id: str, witness: dict) -> float:
 
 def run_all(seed: int = 42, trials: int | None = None, tol: float | None = None) -> list[CheckReport]:
     """Run every check with a shared configuration.  trials/tol of None select
-    the per-check defaults; the aggregate pass flag is the conjunction."""
-    return [
-        run_check(default_config(check_id, seed=seed, trials=trials, tol=tol))
-        for check_id in CHECK_IDS
-    ]
+    the per-check defaults; the aggregate pass flag is the conjunction.
+    Every configuration is built, and so checked, before any check runs."""
+    configs = [default_config(check_id, seed=seed, trials=trials, tol=tol) for check_id in CHECK_IDS]
+    return [run_check(cfg) for cfg in configs]
 
 
 def all_passed(reports) -> bool:

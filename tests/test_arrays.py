@@ -1,6 +1,8 @@
-"""The shared kernels of `_arrays`: the hat split (a product by a fixed
-matrix) and merge, and the stacked LAPACK and BLAS calls that TMatrix and
-the verifier make over both hat components at once."""
+"""The shared kernels of `_arrays`: the hat split and merge, and the
+stacked LAPACK and BLAS calls that TMatrix and the verifier make over both
+hat components at once."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -31,7 +33,16 @@ def test_hat_split_is_the_elementwise_formula(scale):
         with np.errstate(over="ignore"):
             H, want = hat_split(C), _elementwise_split(C)
         assert H.shape == (2,) + shape[:-1] and H.flags.c_contiguous
-        assert np.array_equal(H, want), shape
+        assert np.array_equal(H.view(np.float64), want.view(np.float64)), shape
+        assert np.array_equal(np.signbit(H.view(np.float64)), np.signbit(want.view(np.float64))), shape
+
+
+def test_hat_split_keeps_signed_zeros_and_infinities():
+    C = np.array(list(itertools.product([0.0, -0.0, 1.0, np.inf], repeat=4)))
+    with np.errstate(invalid="ignore"):
+        H, want = hat_split(C).view(np.float64), _elementwise_split(C).view(np.float64)
+    assert np.array_equal(H, want, equal_nan=True)
+    assert np.array_equal(np.signbit(H), np.signbit(want))
 
 
 @pytest.mark.parametrize("scale", SCALES)

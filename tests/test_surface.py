@@ -12,6 +12,7 @@ PUBLIC = [
     "BicomplexError",
     "CHECK_IDS",
     "CheckConfig",
+    "CheckCrashed",
     "CheckReport",
     "ComponentInNullDistance",
     "DEFAULT_SINGULAR_TOL",
@@ -54,7 +55,7 @@ PUBLIC = [
 ]
 
 #: Names that were public once and were deleted for want of a caller.  The
-#: two hat-pair wrapper classes went too; split() returns a plain tuple.
+#: two hat-pair wrapper classes went too; split() returns a plain array.
 DELETED = [
     "DualityGap",
     "EmptyCollection",

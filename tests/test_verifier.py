@@ -9,6 +9,7 @@ import pytest
 from bicomplex import (
     CHECK_IDS,
     CheckConfig,
+    CheckCrashed,
     TMatrix,
     TVector,
     UnknownCheckId,
@@ -324,6 +325,18 @@ def test_an_apply_kernel_that_drops_m2_fails_verify(monkeypatch):
 
     monkeypatch.setattr(_arrays, "apply_pair", first_matrix_on_both)
     assert _failing_batched_checks()
+
+
+def test_an_exception_escaping_a_check_is_raised_as_check_crashed(monkeypatch):
+    def shape_bug(H):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(_arrays, "pair_singular_values", shape_bug)
+    with pytest.raises(CheckCrashed) as info:
+        run_all(trials=2)
+    assert info.value.check_id == "ubp"
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value) == "ValueError: operands could not be broadcast together"
 
 
 @pytest.mark.parametrize("check_id", sorted(ORACLES))
