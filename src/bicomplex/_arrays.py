@@ -117,12 +117,33 @@ def checked_norm(plain: float, parts) -> float:
     return math.hypot(*np.ravel(parts).view(np.float64))
 
 
-def pair_norms(u1: np.ndarray, u2: np.ndarray) -> tuple[float, float]:
-    """Euclidean norms of two complex component arrays: np.linalg.norm, with
-    the scaled fallback of checked_norm where its sum over- or underflows."""
+def checked_norms(plain: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """checked_norm over a stack: the norms `plain` (...) of `parts` (..., ...),
+    each recomputed from its own parts where it falls outside [NORM_FLOOR, inf)."""
+    outside = ~((plain >= NORM_FLOOR) & (plain < math.inf))
+    if not np.count_nonzero(outside):
+        return plain
+    plain = np.array(plain)
+    plain[outside] = [checked_norm(float(p), c) for p, c in zip(plain[outside], parts[outside])]
+    return plain
+
+
+def dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Dot products sum_k u_k v_k over the last axis of two vectors (n,) or
+    stacks (..., n), which broadcast.  Each is the BLAS dot of the 1-D u @ v."""
+    if U.ndim == V.ndim == 1:
+        return U.dot(V)
+    return (U[..., None, :] @ V[..., :, None])[..., 0, 0]
+
+
+def pair_norms(u1: np.ndarray, u2: np.ndarray) -> tuple:
+    """Euclidean norms over the last axis of two complex component arrays
+    (..., n): the sums of squares np.linalg.norm takes of one vector, with
+    checked_norm's scaled fallback.  Floats for vectors, arrays for stacks."""
+    us = [np.ascontiguousarray(u, dtype=np.complex128) for u in (u1, u2)]
     with np.errstate(over="ignore"):
-        n1, n2 = float(np.linalg.norm(u1)), float(np.linalg.norm(u2))
-    return checked_norm(n1, u1), checked_norm(n2, u2)
+        plain = [np.sqrt(dots(u.real, u.real) + dots(u.imag, u.imag)) for u in us]
+    return tuple(checked_norm(float(p), u) if u.ndim == 1 else checked_norms(p, u) for p, u in zip(plain, us))
 
 
 def qmean(x: float, y: float) -> float:
@@ -158,17 +179,17 @@ def vec_norm4(C: np.ndarray) -> np.ndarray:
 
 
 def vector_norms(C: np.ndarray) -> np.ndarray:
-    """Norms of a stack of vectors (..., n, 4): vec_norm4, with the scaled
-    fallback of checked_norm wherever its sum over- or underflows, as
-    TVector.norm takes them one at a time."""
+    """Norms of a stack of vectors (..., n, 4), as TVector.norm takes them one
+    at a time: vec_norm4 with checked_norm's scaled fallback."""
     with np.errstate(over="ignore"):
-        norms = vec_norm4(C)
-    outside = ~((norms >= NORM_FLOOR) & (norms < math.inf))
-    if not np.count_nonzero(outside):
-        return norms
-    norms = norms.copy()
-    norms[outside] = [checked_norm(float(p), c) for p, c in zip(norms[outside], C[outside])]
-    return norms
+        return checked_norms(vec_norm4(C), C)
+
+
+def scalar_norms(C: np.ndarray) -> np.ndarray:
+    """Norms of a stack of scalars (..., 4), as Bicomplex.norm takes them one at
+    a time: norm4 with checked_norm's scaled fallback."""
+    with np.errstate(over="ignore"):
+        return checked_norms(norm4(C), C)
 
 
 def pair_singular_values(H: np.ndarray) -> np.ndarray:
@@ -184,6 +205,13 @@ def apply_pair(H: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (H @ V[..., None])[..., 0]
 
 
+def solve_pair(H: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Hat stack (2, ..., n) of the solutions x of T x = v, from the hat stacks
+    of the operators (2, ..., n, n) and right-hand sides (2, ..., n), which
+    broadcast.  Each right-hand side is its own LAPACK gesv."""
+    return np.linalg.solve(H, V[..., None])[..., 0]
+
+
 def compose_pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Hat stack of the composition A after B, from the hat stacks of one
     pair of operators or of stacks of them."""
@@ -197,6 +225,12 @@ def unit_multiples(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     i2c = np.stack([-c, -d, a, b], axis=-1)
     jc = np.stack([d, -c, -b, a], axis=-1)
     return i1c, i2c, jc
+
+
+def lift_rows(rho: np.ndarray) -> np.ndarray:
+    """Coefficients (..., n, 4) of the T-linear functional lifted from the
+    real-linear one with rows rho (..., n, 4): the signs (r0, -r1, -r2, r3)."""
+    return np.stack([rho[..., 0], -rho[..., 1], -rho[..., 2], rho[..., 3]], axis=-1)
 
 
 def real_block_matrix(C: np.ndarray) -> np.ndarray:
@@ -225,17 +259,34 @@ def real_block_matrix(C: np.ndarray) -> np.ndarray:
     return block.reshape(4 * m, 4 * n)
 
 
-def orthonormal_columns(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space of M via SVD, with the relative
-    rank cutoff max(shape) * machine eps."""
-    if M.size == 0:
-        return M.reshape(M.shape[0], 0)
+def orthonormal_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the column spaces of M (m, g) or of a stack
+    (..., m, g), from one SVD: the left singular vectors (..., m, min(m, g))
+    and the ranks (...), cut at max(m, g) * eps * (largest singular value).
+    A matrix's basis is its first `rank` columns."""
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    cutoff = max(M.shape) * np.finfo(np.float64).eps * s[0]
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    cutoff = max(M.shape[-2:]) * np.finfo(np.float64).eps * s[..., :1]
+    return u, np.count_nonzero(s > cutoff, axis=-1)
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for a matrix and a vector, or for stacks of them: BLAS gemv."""
+    return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
+
+
+def restrict_pair(B1: np.ndarray, B2: np.ndarray, C: np.ndarray) -> tuple:
+    """Coordinates B_k^H conj(c_k) (..., r_k), whose lengths are the norms of
+    the functionals with coefficient hat stack C (2, ..., n) restricted to the
+    spans of the orthonormal bases B1, B2 (..., n, r_k), of differing ranks."""
+    return _matvec(B1.conj().swapaxes(-1, -2), C[0].conj()), _matvec(B2.conj().swapaxes(-1, -2), C[1].conj())
+
+
+def riesz_extension(B1: np.ndarray, B2: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Hat stack (2, ..., n) of the minimal-norm extensions conj(B_k B_k^H
+    conj(c_k)), the conjugated Riesz vectors, of the functionals restricted as
+    in restrict_pair."""
+    R1, R2 = restrict_pair(B1, B2, C)
+    return np.conj([_matvec(B1, R1), _matvec(B2, R2)])
 
 
 def fmt17(v: float) -> str:

@@ -102,9 +102,8 @@ class TFunctional:
         """Evaluate sum_k c_k * x_k over the ring."""
         if x.n != self.n:
             raise DimensionMismatch(f"functional takes dimension {self.n}, got {x.n}")
-        c1, c2 = self._coeffs.split()
-        v1, v2 = x.split()
-        return Bicomplex.from_idempotent(complex(c1 @ v1), complex(c2 @ v2))
+        z1, z2 = _arrays.dots(self._coeffs.split(), x.split())
+        return Bicomplex.from_idempotent(complex(z1), complex(z2))
 
     # algebra ----------------------------------------------------------------
 
@@ -136,8 +135,7 @@ class TFunctional:
 
     def restricted_component_norms(self, Y: Submodule) -> tuple[float, float]:
         """Norms of the restrictions to the component subspaces of Y."""
-        c1, c2 = self._coeffs.split()
-        return pair_norms(Y.basis1.conj().T @ np.conj(c1), Y.basis2.conj().T @ np.conj(c2))
+        return pair_norms(*_arrays.restrict_pair(Y.basis1, Y.basis2, self._coeffs.split()))
 
     # real decomposition -------------------------------------------------------
 
@@ -205,9 +203,7 @@ def lift_real(F1: RealLinearFunctional) -> TFunctional:
     On coefficient rows this is the sign pattern (r0, -r1, -r2, r3), so the
     round trip through the f1 part of a functional is exact.
     """
-    rho = F1.coeffs
-    coeffs = np.stack([rho[:, 0], -rho[:, 1], -rho[:, 2], rho[:, 3]], axis=-1)
-    return TFunctional(TVector(coeffs))
+    return TFunctional(TVector(_arrays.lift_rows(F1.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -248,17 +244,13 @@ def hahn_banach_extend(ystar, Y: Submodule) -> ExtensionReport:
         ystar = TFunctional.from_generator_values(Y, ystar)
     if ystar.n != Y.n:
         raise DimensionMismatch(f"functional dimension {ystar.n} != ambient {Y.n}")
-    c1, c2 = ystar.coeffs.split()
-    riesz = []
-    for B, c in ((Y.basis1, c1), (Y.basis2, c2)):
-        riesz.append(B @ (B.conj().T @ np.conj(c)))
-    e1 = np.conj(riesz[0])
-    e2 = np.conj(riesz[1])
-    extension = TFunctional(TVector.from_split(e1, e2))
+    C = ystar.coeffs.split()
+    E = _arrays.riesz_extension(Y.basis1, Y.basis2, C)
+    extension = TFunctional(TVector.from_split(*E))
 
     # Restriction error as an exact operator norm on Y: project the
     # coefficient difference back onto the component subspaces.
-    err = max(pair_norms(Y.basis1.conj().T @ np.conj(e1 - c1), Y.basis2.conj().T @ np.conj(e2 - c2)))
+    err = max(pair_norms(*_arrays.restrict_pair(Y.basis1, Y.basis2, E - C)))
 
     y_comp = ystar.restricted_component_norms(Y)
     x_comp = extension.component_norms()

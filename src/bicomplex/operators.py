@@ -59,6 +59,22 @@ class NormReport:
         }
 
 
+def _condition(sv) -> tuple[float, float]:
+    """Condition numbers (k1, k2) from descending component singular values (2, n)."""
+    return tuple(float("inf") if s[-1] == 0.0 else float(s[0] / s[-1]) for s in sv)
+
+
+def refusal(sv, det: Bicomplex, tol: float):
+    """The SingularOperator arguments with which solve and invert refuse a
+    square operator of component singular values sv (2, n) and determinant det
+    at `tol`, or None: a component is refused when det vanishes in it at `tol`
+    or its condition number exceeds CONDITION_LIMIT."""
+    condition = _condition(sv)
+    bad = set(det.classify(tol).vanishing_components)
+    bad.update(k for k, cond in enumerate(condition, start=1) if cond > CONDITION_LIMIT)
+    return (sorted(bad), (float(sv[0, -1]), float(sv[1, -1])), condition) if bad else None
+
+
 class TMatrix:
     """An m-by-n matrix of bicomplex entries, stored as an (m, n, 4) array.
 
@@ -69,13 +85,14 @@ class TMatrix:
     M1, M2, so each method below is one numpy call over both components.
     """
 
-    __slots__ = ("_coeffs", "_split", "_singular_values", "_det")
+    __slots__ = ("_coeffs", "_split", "_singular_values", "_det", "_refusals")
 
     def __init__(self, coeffs):
         self._coeffs = _arrays.frozen_coeffs(coeffs, 3, "matrix")
         self._split = None
         self._singular_values = None
         self._det = None
+        self._refusals = {}
 
     # construction ---------------------------------------------------------
 
@@ -94,6 +111,7 @@ class TMatrix:
         T._split = None
         T._singular_values = None
         T._det = None
+        T._refusals = {}
         return T
 
     @classmethod
@@ -205,11 +223,7 @@ class TMatrix:
     def condition(self) -> tuple[float, float]:
         """Condition numbers (k1, k2) of M1 and M2: largest over smallest
         singular value, inf when that is zero."""
-        sv1, sv2 = self.component_singular_values()
-        return tuple(
-            float("inf") if lo == 0.0 else float(hi / lo)
-            for hi, lo in ((sv1[0], sv1[-1]), (sv2[0], sv2[-1]))
-        )
+        return _condition(self.component_singular_values())
 
     def norms(self) -> NormReport:
         """Both operator norms from the largest component singular values."""
@@ -234,24 +248,21 @@ class TMatrix:
         return self._det
 
     def _invertibility_guard(self, tol: float):
+        """Raise the refusal of solve and invert at `tol`, decided on the first
+        call with that tol and kept with the singular values."""
         if self.m != self.n:
             raise NotSquare(f"inversion needs a square matrix, got {self.m}x{self.n}")
-        condition = self.condition()
-        det_report = self.det().classify(tol)
-        bad = set(det_report.vanishing_components)
-        for k, cond in enumerate(condition, start=1):
-            if cond > CONDITION_LIMIT:
-                bad.add(k)
-        if bad:
-            sv1, sv2 = self.component_singular_values()
-            raise SingularOperator(sorted(bad), (float(sv1[-1]), float(sv2[-1])), condition)
+        if tol not in self._refusals:
+            self._refusals[tol] = refusal(self.component_singular_values(), self.det(), tol)
+        if self._refusals[tol] is not None:
+            raise SingularOperator(*self._refusals[tol])
 
     def solve(self, b: TVector, tol: float = DEFAULT_SINGULAR_TOL) -> TVector:
         """Solve T x = b by solving the two complex component systems."""
         if b.n != self.m:
             raise DimensionMismatch(f"right-hand side dimension {b.n} != {self.m}")
         self._invertibility_guard(tol)
-        return TVector.from_split(*np.linalg.solve(self.split(), b.split()[..., None])[..., 0])
+        return TVector.from_split(*_arrays.solve_pair(self.split(), b.split()))
 
     def invert(self) -> "TMatrix":
         """The inverse operator, with hat components M1^-1, M2^-1."""

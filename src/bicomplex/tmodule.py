@@ -185,11 +185,10 @@ class Submodule:
             if g.n != self._n:
                 raise DimensionMismatch(f"generator dimension {g.n} != ambient {self._n}")
         self._generators = tuple(gens)
-        G1, G2 = self.generator_matrices()
-        self._basis1 = _arrays.orthonormal_columns(G1)
-        self._basis2 = _arrays.orthonormal_columns(G2)
-        self._basis1.setflags(write=False)
-        self._basis2.setflags(write=False)
+        U, ranks = _arrays.orthonormal_columns(self.generator_matrices())
+        U.setflags(write=False)
+        self._basis1 = U[0, :, : ranks[0]]
+        self._basis2 = U[1, :, : ranks[1]]
 
     @classmethod
     def zero(cls, n: int) -> "Submodule":

@@ -5,8 +5,8 @@ Each check draws its inputs from a stream derived from the seed and the
 stream index pinned in its registry record, evaluates a violation measure
 through the same kernels the library uses, and reports the worst value
 together with a witness, the inputs that produced it.  Replaying a witness
-re-evaluates the identical code path, so reports are reproducible bit for
-bit given the seed (timing aside).
+re-evaluates it through the same kernels, so reports are reproducible bit
+for bit given the seed (timing aside).
 
 No check asserts more than the finite-dimensional truth of the statement it
 exercises: quantities that are only measured (never guaranteed) live in the
@@ -24,10 +24,10 @@ import numpy as np
 
 from . import _arrays
 from ._arrays import SQRT2, hat_merge, hat_split, mul4, norm4, vec_norm4
-from .errors import CheckCrashed, UnknownCheckId
+from .errors import CheckCrashed, SingularOperator, UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
-from .operators import TMatrix
-from .scalar import Bicomplex
+from .operators import TMatrix, refusal
+from .scalar import DEFAULT_SINGULAR_TOL, Bicomplex
 from .tmodule import Submodule, TVector
 
 
@@ -136,20 +136,24 @@ def _uniform_vectors(rng, count: int, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (count, n, 4))
 
 
-def _random_unitary(rng, n: int) -> np.ndarray:
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, _ = np.linalg.qr(A)
-    return q
-
-
-def _conditioned_matrix(rng, n: int) -> np.ndarray:
-    """Coefficients (n, n, 4) of a bijective operator whose component singular
-    values lie in [0.4, 2]."""
-    comps = []
+def _conditioned_draws(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one bijective operator on T^n: per hat component, its
+    singular values in [0.4, 2] (2, n) and two complex Gaussian matrices
+    (2, 2, n, n) whose Q factors are its singular vectors."""
+    spectra, gaussians = [], []
     for _ in range(2):
-        s = rng.uniform(0.4, 2.0, n)
-        comps.append(_random_unitary(rng, n) @ np.diag(s) @ _random_unitary(rng, n).conj().T)
-    return hat_merge(comps[0], comps[1])
+        spectra.append(rng.uniform(0.4, 2.0, n))
+        gaussians.append([rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)])
+    return np.array(spectra), np.array(gaussians)
+
+
+def _conditioned_matrices(S, A) -> np.ndarray:
+    """Coefficients (G, n, n, 4) of the operators with hat components
+    U diag(s) V^H, from the draws S (G, 2, n) and A (G, 2, 2, n, n) of
+    _conditioned_draws: one stacked QR for every U and V."""
+    Q = np.linalg.qr(A)[0]
+    M = Q[:, :, 0] @ (S[..., None] * np.eye(S.shape[-1])) @ np.conj(Q[:, :, 1]).swapaxes(-1, -2)
+    return hat_merge(M[:, 0], M[:, 1])
 
 
 def _nonsingular_scalars(rng, count: int) -> np.ndarray:
@@ -290,10 +294,10 @@ def _replay_norm_identity(witness: dict) -> float:
 # --- scalar-homogeneity --------------------------------------------------------
 
 
-def _homogeneity_values(part: str, A, X) -> np.ndarray:
-    # A: (N, 4) scalar coefficients, X: (N, n, 4) vectors
+def _homogeneity_values(part: str, A, X, nx=None) -> np.ndarray:
+    # A: (N, 4) scalar coefficients, X: (N, n, 4) vectors, nx: their norms
     scaled = mul4(A[:, None, :], X)
-    nx = vec_norm4(X)
+    nx = vec_norm4(X) if nx is None else nx
     na = norm4(A)
     ns = vec_norm4(scaled)
     if part == "complex-exact":
@@ -305,6 +309,16 @@ def _homogeneity_values(part: str, A, X) -> np.ndarray:
         ratio = np.where(denom > 0.0, ns / np.where(denom == 0.0, 1.0, denom), SQRT2)
         return np.abs(ratio - SQRT2)
     raise ValueError(f"unknown homogeneity part {part!r}")
+
+
+def _shared_vector_values(A_complex, W, X) -> np.ndarray:
+    """(N, 2): complex-exact at A_complex and ring-bound at W, which scale the
+    same vectors X, so the norms of X are taken once for both."""
+    nx = vec_norm4(X)
+    return np.stack(
+        [_homogeneity_values("complex-exact", A_complex, X, nx), _homogeneity_values("ring-bound", W, X, nx)],
+        axis=-1,
+    )
 
 
 def _run_scalar_homogeneity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
@@ -319,13 +333,14 @@ def _run_scalar_homogeneity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
         G = _uniform_vectors(rng, count, n)
         X_ideal = mul4(_E1_ROW, G)
         A_e1 = np.broadcast_to(_E1_ROW, (count, 4))
-        for part, A, V in (
-            ("complex-exact", A_complex, X),
-            ("ring-bound", W, X),
-            ("attainment", A_e1, X_ideal),
+        shared = _blocked(_shared_vector_values, A_complex, W, X)
+        for part, A, V, values in (
+            ("complex-exact", A_complex, X, shared[:, 0]),
+            ("ring-bound", W, X, shared[:, 1]),
+            ("attainment", A_e1, X_ideal, _blocked(partial(_homogeneity_values, "attainment"), A_e1, X_ideal)),
         ):
             best.update(
-                _blocked(partial(_homogeneity_values, part), A, V),
+                values,
                 lambda k, part=part, A=A, V=V: {
                     "part": part,
                     "alpha": A[k].tolist(),
@@ -497,11 +512,14 @@ def _replay_homeomorphism_mlambda(witness: dict) -> float:
 # then evaluate a chunk of up to _CHUNK_TRIALS trials together.  Trials whose
 # arrays share their shapes are stacked and run through the library's kernels
 # (_arrays.pair_singular_values, operator_norms, apply_pair, compose_pair,
-# vector_norms) in one call each: the kernels TMatrix and TVector call for a
-# single object.  Stacked LAPACK and BLAS calls round each matrix as a single
-# call does, so the values are those of the per-object methods, bit for bit,
+# solve_pair, vector_norms; for hahn-banach orthonormal_columns,
+# restrict_pair, riesz_extension, pair_norms and dots) in one call each: the
+# kernels TMatrix, TVector, Submodule and TFunctional call for a single
+# object.  Stacked LAPACK and BLAS calls round each matrix as a single call
+# does, so the values are those of the per-object methods, bit for bit,
 # whatever the chunk and stack sizes.  Each replay evaluates a stack of one
-# through the same function.
+# through the same function, except hahn-banach's, which goes through the
+# per-object API.
 
 #: Trials drawn and evaluated together, so that memory does not grow with
 #: the trial count.
@@ -745,41 +763,57 @@ def _replay_bxy_complete(witness: dict) -> float:
 # --- open-mapping ----------------------------------------------------------------
 
 _OPEN_MAPPING_PARTS = ("unit-ball", "residual")
+_OPEN_MAPPING_POINTS = 5
 
 
-def _open_mapping_group(C, Y, X):
-    """Operators C (G, n, n, 4), right-hand sides Y (G, k, n, 4) and their
-    solutions X -> (G, k, 2): |x| - 1, and the relative residual of T x = y."""
+def _scaled_rhs_group(S, A, Y, u):
+    """Draws S, A of _conditioned_draws (G, ...), right-hand sides Y
+    (G, k, n, 4) and fractions u (G, k) -> for each trial its operator
+    (n, n, 4) and each y rescaled to length u times the operator's smallest
+    component singular value, the radius of the ball it maps onto."""
+    C = _conditioned_matrices(S, A)
+    sv = _arrays.pair_singular_values(hat_split(C))
+    radius = np.minimum(sv[0, :, -1], sv[1, :, -1])
+    rows = np.zeros(u.shape + (4,))
+    rows[..., 0] = radius[:, None] * u / _arrays.vector_norms(Y)
+    return list(zip(C, mul4(rows[..., None, :], Y)))
+
+
+def _open_mapping_group(C, Y):
+    """Operators C (G, n, n, 4) and right-hand sides Y (G, k, n, 4) ->
+    (G, k, 2): for the solution x of T x = y, |x| - 1 and the relative residual
+    of T x = y.  Each operator is refused or accepted as TMatrix.solve decides."""
     H = hat_split(C)
+    sv, det = _arrays.pair_singular_values(H), np.linalg.det(H)
+    for t in range(len(C)):
+        why = refusal(sv[:, t], Bicomplex.from_idempotent(*det[:, t]), DEFAULT_SINGULAR_TOL)
+        if why is not None:
+            raise SingularOperator(*why)
+    X = hat_merge(*_arrays.solve_pair(H[:, :, None], hat_split(Y)))
     unit_ball = _arrays.vector_norms(X) - 1.0
     residual = _arrays.vector_norms(_apply(H[:, :, None], X) - Y) / (1.0 + _arrays.vector_norms(Y))
     return np.stack([unit_ball, residual], axis=-1)
 
 
 def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    # Solving is the statement under test, so every right-hand side goes
-    # through TMatrix.solve; only the evaluation of the solutions is stacked.
     best = _Best()
     for count in _chunks(cfg.trials):
-        matrices, rhs, solutions = [], [], []
+        spectra, gaussians, rhs, fractions = [], [], [], []
         for _ in range(count):
             n = _random_dim(rng)
-            T = TMatrix(_conditioned_matrix(rng, n))
-            sv1, sv2 = T.component_singular_values()
-            radius = min(float(sv1[-1]), float(sv2[-1]))
-            ys, xs = [], []
-            for _ in range(5):
-                y = TVector(rng.uniform(-1.0, 1.0, (n, 4)))
-                length = y.norm()
-                if length == 0.0:
-                    continue
-                y = y.scale(radius * float(rng.uniform(0.0, 1.0)) / length)
-                ys.append(y.coeffs)
-                xs.append(T.solve(y).coeffs)
-            matrices.append(T.coeffs)
+            S, A = _conditioned_draws(rng, n)
+            ys, us = [], []
+            for _ in range(_OPEN_MAPPING_POINTS):
+                y = rng.uniform(-1.0, 1.0, (n, 4))
+                if y.any():  # a zero y has no direction to rescale
+                    ys.append(y)
+                    us.append(rng.uniform(0.0, 1.0))
+            spectra.append(S)
+            gaussians.append(A)
             rhs.append(np.reshape(ys, (len(ys), n, 4)))
-            solutions.append(np.reshape(xs, (len(xs), n, 4)))
-        rows = _grouped(_open_mapping_group, matrices, rhs, solutions)
+            fractions.append(np.array(us))
+        matrices, rhs = zip(*_grouped(_scaled_rhs_group, spectra, gaussians, rhs, fractions))
+        rows = _grouped(_open_mapping_group, matrices, rhs)
         index = [(t, j, part) for t, row in enumerate(rows) for j in range(len(row)) for part in _OPEN_MAPPING_PARTS]
 
         def witness(k: int) -> dict:
@@ -791,10 +825,9 @@ def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
 
 
 def _replay_open_mapping(witness: dict) -> float:
-    T = TMatrix.from_json(witness["matrix"])
-    y = TVector.from_json(witness["y"])
-    values = _open_mapping_group(T.coeffs[None], y.coeffs[None, None], T.solve(y).coeffs[None, None])
-    return float(values[0, 0, _OPEN_MAPPING_PARTS.index(witness["part"])])
+    C = TMatrix.from_json(witness["matrix"]).coeffs
+    y = TVector.from_json(witness["y"]).coeffs
+    return float(_open_mapping_group(C[None], y[None, None])[0, 0, _OPEN_MAPPING_PARTS.index(witness["part"])])
 
 
 # --- closed-graph ----------------------------------------------------------------
@@ -861,11 +894,14 @@ def _two_metric_group(W, X, Y):
 def _run_two_metric(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     for count in _chunks(cfg.trials):
-        matrices, pairs = [], []
+        spectra, gaussians, pairs = [], [], []
         for _ in range(count):
             n = _random_dim(rng)
-            matrices.append(_conditioned_matrix(rng, n))
+            S, A = _conditioned_draws(rng, n)
+            spectra.append(S)
+            gaussians.append(A)
             pairs.append(rng.uniform(-1.0, 1.0, (_TWO_METRIC_PAIRS, 2, n, 4)))
+        matrices = _grouped(_conditioned_matrices, spectra, gaussians)
         rows = _grouped(_two_metric_group, matrices, [p[:, 0] for p in pairs], [p[:, 1] for p in pairs])
 
         def witness(k: int) -> dict:
@@ -925,58 +961,83 @@ def _replay_total_family(witness: dict) -> float:
 # --- hahn-banach -----------------------------------------------------------------
 
 
-def _hahn_banach_value(n: int, gen_rows: list, ystar_rows: list, w_row: list, x_rows: list) -> float:
-    gens = [TVector.from_json(g) for g in gen_rows]
-    Y = Submodule(n, gens)
-    ystar = TFunctional(TVector.from_json(ystar_rows))
-    report = hahn_banach_extend(ystar, Y)
+def _hahn_banach_values(B1, B2, F, W, X):
+    """Orthonormal bases B1, B2 (G, n, r_k) of the component subspaces of Y,
+    functionals F and points X (G, n, 4), scalars W (G, 4) -> (G,): the worst
+    miss of the extension on Y, of its component norms, of the round trip
+    through its real part, and of T-linearity at w and x."""
+    C = hat_split(F)
+    E = _arrays.riesz_extension(B1, B2, C)
+    ext = hat_merge(*E)
+    y1, y2 = _arrays.pair_norms(*_arrays.restrict_pair(B1, B2, C))
+    x1, x2 = _arrays.pair_norms(*hat_split(ext))
+    err = np.maximum(*_arrays.pair_norms(*_arrays.restrict_pair(B1, B2, E - C)))
+    lifted = _arrays.lift_rows(np.stack([ext, *_arrays.unit_multiples(ext)], axis=-1)[..., 0, :])
+    at_x = _arrays.dots(hat_split(ext), hat_split(X))
+    at_wx = _arrays.dots(hat_split(ext), hat_split(mul4(W[:, None, :], X)))
+    rhs = mul4(W, hat_merge(*at_x))
+    parts = (
+        err / (1.0 + _arrays.operator_norms(y1, y2)[1]),
+        np.abs(x1 - y1) / (1.0 + y1),
+        np.abs(x2 - y2) / (1.0 + y2),
+        _arrays.vector_norms(lifted - ext) / (1.0 + _arrays.vector_norms(ext)),
+        _arrays.scalar_norms(hat_merge(*at_wx) - rhs) / (1.0 + _arrays.scalar_norms(rhs)),
+    )
+    return np.max(parts, axis=0)
 
-    y_idem = report.y_norms.idem_norm
-    worst = report.restriction_error / (1.0 + y_idem)
-    for yc, xc in zip(report.y_component_norms, report.x_component_norms):
-        worst = max(worst, abs(xc - yc) / (1.0 + yc))
 
-    # exact round trip through the real part of the extension
-    ext = report.extension
-    lifted = lift_real(ext.real_parts()[0])
-    diff = (lifted.coeffs - ext.coeffs).norm() / (1.0 + ext.coeffs.norm())
-    worst = max(worst, diff)
-
-    # ring-linearity of the extension at a sampled scalar and vector
-    w = Bicomplex(*w_row)
-    x = TVector.from_json(x_rows)
-    lhs = ext(x.scale(w))
-    rhs = w * ext(x)
-    worst = max(worst, (lhs - rhs).norm() / (1.0 + rhs.norm()))
-    return float(worst)
+def _hahn_banach_group(gens, F, W, X):
+    """Generators (G, count, n, 4), functionals F and points X (G, n, 4),
+    scalars W (G, 4) -> (G,), as Submodule bases them: trials whose generators
+    span fewer than `count` dimensions in a component are evaluated one at a
+    time, with their bases cut to rank."""
+    U, ranks = _arrays.orthonormal_columns(hat_split(np.swapaxes(gens, 1, 2)))
+    full = np.all(ranks == gens.shape[1], axis=0)
+    values = np.empty(len(gens))
+    values[full] = _hahn_banach_values(U[0, full], U[1, full], F[full], W[full], X[full])
+    for t in np.flatnonzero(~full):
+        (r1, r2), one = ranks[:, t], slice(t, t + 1)
+        values[t] = _hahn_banach_values(U[0, one, :, :r1], U[1, one, :, :r2], F[one], W[one], X[one])[0]
+    return values
 
 
 def _run_hahn_banach(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    for _ in range(cfg.trials):
-        n = _random_dim(rng)
-        count = int(rng.integers(1, n + 1))
-        gen_rows = [rng.uniform(-1.0, 1.0, (n, 4)).tolist() for _ in range(count)]
-        ystar_rows = rng.uniform(-1.0, 1.0, (n, 4)).tolist()
-        w_row = rng.uniform(-1.0, 1.0, 4).tolist()
-        x_rows = rng.uniform(-1.0, 1.0, (n, 4)).tolist()
+    for count in _chunks(cfg.trials):
+        generators, functionals, scalars, points = [], [], [], []
+        for _ in range(count):
+            n = _random_dim(rng)
+            generators.append(rng.uniform(-1.0, 1.0, (int(rng.integers(1, n + 1)), n, 4)))
+            functionals.append(rng.uniform(-1.0, 1.0, (n, 4)))
+            scalars.append(rng.uniform(-1.0, 1.0, 4))
+            points.append(rng.uniform(-1.0, 1.0, (n, 4)))
         best.update(
-            _hahn_banach_value(n, gen_rows, ystar_rows, w_row, x_rows),
+            np.array(_grouped(_hahn_banach_group, generators, functionals, scalars, points)),
             lambda k: {
-                "n": n,
-                "generators": gen_rows,
-                "ystar": ystar_rows,
-                "w": w_row,
-                "x": x_rows,
+                "n": points[k].shape[0],
+                "generators": generators[k].tolist(),
+                "ystar": functionals[k].tolist(),
+                "w": scalars[k].tolist(),
+                "x": points[k].tolist(),
             },
         )
     return best, cfg.trials
 
 
 def _replay_hahn_banach(witness: dict) -> float:
-    return _hahn_banach_value(
-        witness["n"], witness["generators"], witness["ystar"], witness["w"], witness["x"]
-    )
+    # One trial through the per-object API, which rounds as the stacked
+    # kernels do, so each replay also checks the batched value against
+    # Submodule, hahn_banach_extend, lift_real, TVector.scale and TFunctional.
+    Y = Submodule(witness["n"], [TVector.from_json(g) for g in witness["generators"]])
+    report = hahn_banach_extend(TFunctional(TVector.from_json(witness["ystar"])), Y)
+    ext = report.extension
+    w, x = Bicomplex(*witness["w"]), TVector.from_json(witness["x"])
+    lhs, rhs = ext(x.scale(w)), w * ext(x)
+    parts = [report.restriction_error / (1.0 + report.y_norms.idem_norm)]
+    parts += [abs(xc - yc) / (1.0 + yc) for yc, xc in zip(report.y_component_norms, report.x_component_norms)]
+    parts.append((lift_real(ext.real_parts()[0]).coeffs - ext.coeffs).norm() / (1.0 + ext.coeffs.norm()))
+    parts.append((lhs - rhs).norm() / (1.0 + rhs.norm()))
+    return float(max(parts))
 
 
 # --- norm-sandwich ----------------------------------------------------------------

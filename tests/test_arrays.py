@@ -81,3 +81,64 @@ def test_stacked_lapack_and_blas_calls_equal_per_component_calls(n):
         assert np.array_equal(
             _arrays.apply_pair(H, b), _per_component(lambda M, v: (M @ v[:, None])[:, 0], H, b)
         )
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _each(fn, *stacks):
+    """fn applied to each matrix of same-shape stacks (G, ...), restacked."""
+    return np.stack([fn(*args) for args in zip(*stacks)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_factorizations_equal_per_matrix_calls(n):
+    # The verifier builds, bases and solves its trials in stacks; their bits
+    # are those of one call per matrix only while these hold.
+    rng = np.random.default_rng([n, 11])
+    A = _complex(rng, (25, n, n))
+    assert np.array_equal(np.linalg.qr(A)[0], _each(lambda M: np.linalg.qr(M)[0], A))
+    for g in range(1, n + 1):
+        M = _complex(rng, (25, n, g))
+        u, s, vh = np.linalg.svd(M, full_matrices=False)
+        for t, (ut, st, vt) in enumerate(zip(u, s, vh)):
+            want = np.linalg.svd(M[t], full_matrices=False)
+            assert np.array_equal(ut, want[0]) and np.array_equal(st, want[1]) and np.array_equal(vt, want[2])
+    Y = _complex(rng, (25, 5, n))
+    X = np.linalg.solve(A[:, None], Y[..., None])[..., 0]
+    assert np.array_equal(X, _each(lambda M, ys: _each(lambda y: np.linalg.solve(M, y[:, None])[:, 0], ys), A, Y))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_row_by_column_products_equal_1d_dots(n):
+    rng = np.random.default_rng([n, 12])
+    C, V = _complex(rng, (2, 40, n))
+    assert np.array_equal((C[:, None, :] @ V[:, :, None])[:, 0, 0], _each(lambda c, v: c @ v, C, V))
+    assert np.array_equal(_arrays.dots(C, V), _each(lambda c, v: c @ v, C, V))
+    assert np.array_equal(_each(_arrays.dots, C, V), _each(lambda c, v: c @ v, C, V))
+    assert np.array_equal(np.array(_arrays.pair_norms(C, V)), [_each(np.linalg.norm, U) for U in (C, V)])
+    assert _arrays.pair_norms(C[0], V[0]) == (np.linalg.norm(C[0]), np.linalg.norm(V[0]))
+    assert type(_arrays.pair_norms(C[0], V[0])[0]) is float
+
+
+def test_pair_norms_do_not_overflow_or_vanish():
+    for scale in (1e-200, 1e200):
+        u = np.full((3, 2), scale * (3 + 4j))
+        norms, _ = _arrays.pair_norms(u, u)
+        assert np.allclose(norms / scale, 5 * np.sqrt(2), rtol=1e-15)
+        assert _arrays.pair_norms(u[0], u[0])[0] == norms[0]
+
+
+def test_orthonormal_columns_cuts_each_matrix_of_a_stack_to_its_rank():
+    rng = np.random.default_rng(13)
+    M = _complex(rng, (3, 5, 3))
+    M[1, :, 2] = 2.0 * M[1, :, 0]
+    M[2] = 0.0
+    u, ranks = _arrays.orthonormal_columns(M)
+    assert ranks.tolist() == [3, 2, 0]
+    for t in range(3):
+        ut, rt = _arrays.orthonormal_columns(M[t])
+        assert rt == ranks[t] and np.array_equal(ut, u[t])
+    u, ranks = _arrays.orthonormal_columns(np.zeros((2, 4, 0), dtype=np.complex128))
+    assert u.shape == (2, 4, 0) and ranks.tolist() == [0, 0]

@@ -428,6 +428,44 @@ def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
     assert calls == {"svd": 1, "det": 1, "solve": 10}
 
 
+def test_repeated_solves_classify_the_determinant_once_per_tolerance(monkeypatch):
+    calls = []
+    classify = Bicomplex.classify
+
+    def counted(self, tol=1e-12):
+        calls.append(tol)
+        return classify(self, tol)
+
+    monkeypatch.setattr(Bicomplex, "classify", counted)
+    rng = np.random.default_rng(44)
+    T = random_conditioned(rng, 8)
+    for _ in range(10):
+        T.solve(TVector(rng.uniform(-1, 1, (8, 4))))
+    T.invert()
+    assert len(calls) == 1
+    T.solve(TVector.basis(8, 0), tol=1e-6)
+    T.solve(TVector.basis(8, 1), tol=1e-6)
+    assert calls == [calls[0], 1e-6]
+
+
+def test_a_refused_operator_raises_the_same_refusal_every_time():
+    T = TMatrix.scalar(3, Bicomplex.from_idempotent(0.0, 2.0))
+    b = TVector.basis(3, 0)
+    raised = []
+    for _ in range(3):
+        for attempt in (lambda: T.solve(b), T.invert):
+            with pytest.raises(SingularOperator) as exc:
+                attempt()
+            raised.append(exc.value)
+    assert len({id(e) for e in raised}) == len(raised)
+    first = raised[0]
+    assert first.components == (1,) and first.smallest == (0.0, 2.0) and first.condition == (math.inf, 1.0)
+    def fields(e):
+        return e.args, e.components, e.smallest, e.condition
+
+    assert all(fields(e) == fields(first) for e in raised[1:])
+
+
 def test_condition_examples():
     assert TMatrix.identity(3).condition() == (1.0, 1.0)
     assert TMatrix.scalar(2, Bicomplex.from_idempotent(4, 1)).condition() == (1.0, 1.0)

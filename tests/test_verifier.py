@@ -8,13 +8,18 @@ import pytest
 
 from bicomplex import (
     CHECK_IDS,
+    Bicomplex,
     CheckConfig,
     CheckCrashed,
+    Submodule,
+    TFunctional,
     TMatrix,
     TVector,
     UnknownCheckId,
     all_passed,
     default_config,
+    hahn_banach_extend,
+    lift_real,
     replay_witness,
     run_all,
     run_check,
@@ -134,11 +139,14 @@ def test_submult_witness_is_near_the_idempotent():
 
 
 def test_open_mapping_catches_a_solve_that_ignores_the_second_component(monkeypatch):
-    def solve_with_first_component_twice(self, b, tol=None):
-        (M1, _), (b1, b2) = self.split(), b.split()
-        return TVector.from_split(np.linalg.solve(M1, b1), np.linalg.solve(M1, b2))
+    # The check solves through the kernel TMatrix.solve calls, so a fault
+    # there reaches both.
+    def solve_with_first_component_twice(H, V):
+        return np.linalg.solve(H[0], V[..., None])[..., 0]
 
-    monkeypatch.setattr(TMatrix, "solve", solve_with_first_component_twice)
+    T, b = TMatrix.from_hat(np.eye(2), 2 * np.eye(2)), TVector.basis(2, 0)
+    monkeypatch.setattr(_arrays, "solve_pair", solve_with_first_component_twice)
+    assert (T.apply(T.solve(b)) - b).norm() > 0.1
     report = run_check(default_config("open-mapping", trials=5))
     assert not report.passed
     assert report.worst_witness["part"] == "residual"
@@ -268,6 +276,20 @@ def _compose_norm_value(A, B):
     return float(worst)
 
 
+def _hahn_banach_value(w):
+    Y = Submodule(w["n"], [TVector.from_json(g) for g in w["generators"]])
+    report = hahn_banach_extend(TFunctional(TVector.from_json(w["ystar"])), Y)
+    worst = report.restriction_error / (1.0 + report.y_norms.idem_norm)
+    for yc, xc in zip(report.y_component_norms, report.x_component_norms):
+        worst = max(worst, abs(xc - yc) / (1.0 + yc))
+    ext = report.extension
+    lifted = lift_real(ext.real_parts()[0])
+    worst = max(worst, (lifted.coeffs - ext.coeffs).norm() / (1.0 + ext.coeffs.norm()))
+    scalar, x = Bicomplex(*w["w"]), TVector.from_json(w["x"])
+    lhs, rhs = ext(x.scale(scalar)), scalar * ext(x)
+    return float(max(worst, (lhs - rhs).norm() / (1.0 + rhs.norm())))
+
+
 def _continuity_oracle(w):
     T = TMatrix.from_json(w["matrix"])
     if w["part"] == "attain":
@@ -291,6 +313,7 @@ ORACLES = {
     ),
     "norm-sandwich": lambda w: _norm_sandwich_value(w["part"], TMatrix.from_json(w["matrix"])),
     "compose-norm": lambda w: _compose_norm_value(TMatrix.from_json(w["a"]), TMatrix.from_json(w["b"])),
+    "hahn-banach": _hahn_banach_value,
 }
 
 
@@ -304,10 +327,49 @@ def test_batched_check_equals_the_per_object_oracle(check_id, seed):
 
 
 def _failing_batched_checks():
-    # open-mapping is left out: it solves per trial, through TMatrix.solve
-    batched = sorted(set(ORACLES) - {"open-mapping"})
-    reports = [run_check(default_config(check_id, trials=20)) for check_id in batched]
+    reports = [run_check(default_config(check_id, trials=20)) for check_id in sorted(ORACLES)]
     return {r.check_id for r in reports if not r.passed}
+
+
+def _hahn_banach_witness(rng, generators):
+    n = generators[0].n
+    return {
+        "n": n,
+        "generators": [g.to_json() for g in generators],
+        "ystar": rng.uniform(-1.0, 1.0, (n, 4)).tolist(),
+        "w": rng.uniform(-1.0, 1.0, 4).tolist(),
+        "x": rng.uniform(-1.0, 1.0, (n, 4)).tolist(),
+    }
+
+
+def test_hahn_banach_cuts_dependent_generators_to_rank_as_submodule_does():
+    # Two trials of one shape (n, count) = (4, 3) evaluated as one stack: the
+    # first spans 3 dimensions in each component; in the second, the second
+    # generator repeats the first in component 1 only, so the bases there
+    # have ranks (2, 3).
+    rng = np.random.default_rng(5)
+    full = [TVector(rng.uniform(-1.0, 1.0, (4, 4))) for _ in range(3)]
+    g1, g3 = TVector(rng.uniform(-1.0, 1.0, (4, 4))), TVector(rng.uniform(-1.0, 1.0, (4, 4)))
+    g2 = TVector.from_split(3.0 * g1.split()[0], rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    dependent = [g1, g2, g3]
+    assert (Submodule(4, dependent).dim1, Submodule(4, dependent).dim2) == (2, 3)
+    witnesses = [_hahn_banach_witness(rng, gens) for gens in (full, dependent)]
+    stacked = [np.array([w[key] for w in witnesses]) for key in ("generators", "ystar", "w", "x")]
+    values = verifier._hahn_banach_group(*stacked)
+    oracles = [_hahn_banach_value(w) for w in witnesses]
+    assert values.tolist() == oracles
+    assert [replay_witness("hahn-banach", w) for w in witnesses] == oracles
+    assert max(oracles) <= 1e-10
+
+
+def test_a_riesz_kernel_that_ignores_the_second_component_fails_hahn_banach(monkeypatch):
+    riesz_extension = _arrays.riesz_extension
+
+    def first_basis_twice(B1, B2, C):
+        return riesz_extension(B1, B1, C)
+
+    monkeypatch.setattr(_arrays, "riesz_extension", first_basis_twice)
+    assert "hahn-banach" in _failing_batched_checks()
 
 
 def test_a_singular_value_kernel_that_ignores_m2_fails_verify(monkeypatch):
