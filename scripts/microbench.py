@@ -9,6 +9,10 @@ the call.  Every call builds its argument vector from a raw array, as a
 request would.  The last row times the bare complex work of one call: two
 matvecs (M1 v1, M2 v2) and two LU solves.
 
+A second table gives the median wall time, in milliseconds, of 5 fresh
+processes each: `import bicomplex`, a `calc` command and a `solve` command at
+n = 8.  Only `solve` imports numpy.
+
     python scripts/microbench.py
     python scripts/microbench.py --number 100
 """
@@ -20,10 +24,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
 import timeit  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import bicomplex  # noqa: E402
 from bicomplex import TMatrix, TVector  # noqa: E402
 
 SIZES = (2, 8, 64)
@@ -76,6 +88,33 @@ ROWS = (
 )
 
 
+def _cold_ms(args: list, env: dict) -> float:
+    """Median wall time in milliseconds of REPEAT fresh `python args` processes."""
+    times = []
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
+def cold_start() -> dict:
+    """Milliseconds to start a fresh process on the imported package: the bare
+    import, and one `calc` and one n = 8 `solve` through `python -m bicomplex`."""
+    src = str(Path(bicomplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    rng = np.random.default_rng(8)
+    with tempfile.TemporaryDirectory() as work:
+        matrix, vector = Path(work) / "matrix.json", Path(work) / "vector.json"
+        matrix.write_text(json.dumps(TMatrix(_conditioned(rng, 8)).to_json()))
+        vector.write_text(json.dumps(TVector(rng.uniform(-1.0, 1.0, (8, 4))).to_json()))
+        return {
+            "`import bicomplex`": _cold_ms(["-c", "import bicomplex"], env),
+            "`python -m bicomplex calc`": _cold_ms(["-m", "bicomplex", "calc", "1 2 3 4", "mul", "0.5 0 0 -0.5"], env),
+            "`python -m bicomplex solve`": _cold_ms(["-m", "bicomplex", "solve", str(matrix), str(vector)], env),
+        }
+
+
 def table(results: dict) -> str:
     lines = ["| operation | " + " | ".join(f"n={n}" for n in results) + " |", "|---" * (len(results) + 1) + "|"]
     for label, keys in ROWS:
@@ -89,6 +128,9 @@ def main() -> int:
     parser.add_argument("--number", type=int, default=None, help="calls per timing (default: as many as take 0.2 s)")
     args = parser.parse_args()
     print(table({n: measure(n, args.number) for n in SIZES}))
+    print("\n| cold process | median ms |\n|---|---|")
+    for label, ms in cold_start().items():
+        print(f"| {label} | {ms:.1f} |")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Low-level float64 kernels shared by the scalar, vector, and operator layers.
+"""Low-level float64 array kernels shared by the vector and operator layers,
+on the float formulas of _floats that the scalar layer uses.
 
 Everything in the package is backed by the four real coefficients
 (a, b, c, d) of w = a + b*i1 + c*i2 + d*j, stored along the trailing axis
@@ -15,17 +16,10 @@ identically.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-SQRT2 = float(np.sqrt(2.0))
-
-#: A norm taken as the square root of a plain sum of squares is exact to
-#: rounding only in [NORM_FLOOR, inf): above, the sum overflowed; below, it
-#: fell under the smallest normal float and lost digits or vanished.  Norms
-#: outside that range are recomputed with scaling.
-NORM_FLOOR = math.sqrt(sys.float_info.min)
+from ._floats import NORM_FLOOR, SQRT2, checked_norm, mul_parts, qmean
 
 
 def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
@@ -56,17 +50,6 @@ def hat_split(C: np.ndarray) -> np.ndarray:
     return H
 
 
-def merge_parts(h1, h2) -> tuple:
-    """Coefficients (a, b, c, d) of h1*e1 + h2*e2, for complex scalars and
-    complex arrays alike."""
-    return (
-        0.5 * (h1.real + h2.real),
-        0.5 * (h1.imag + h2.imag),
-        0.5 * (h2.imag - h1.imag),
-        0.5 * (h1.real - h2.real),
-    )
-
-
 def hat_merge(h1, h2) -> np.ndarray:
     """Inverse of hat_split: merge_parts' sums written into one fresh
     (..., 4) array, with the same bits.  Writing them in place takes about
@@ -83,19 +66,6 @@ def hat_merge(h1, h2) -> np.ndarray:
     return C
 
 
-def mul_parts(au, bu, cu, du, av, bv, cv, dv) -> tuple:
-    """Coefficients of the product (au + bu*i1 + cu*i2 + du*j)(av + ... + dv*j),
-    expanded over the real basis with i1^2 = i2^2 = -1 and j^2 = +1.  Floats
-    and arrays go through the same terms in the same order, so they round
-    alike."""
-    return (
-        au * av - bu * bv - cu * cv + du * dv,
-        au * bv + bu * av - cu * dv - du * cv,
-        au * cv + cu * av - bu * dv - du * bv,
-        au * dv + du * av + bu * cv + cu * bv,
-    )
-
-
 def mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Bilinear product of coefficient arrays (mul_parts over the trailing
     axis).  Broadcasts like numpy arithmetic."""
@@ -107,16 +77,6 @@ def mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     )
 
 
-def checked_norm(plain: float, parts) -> float:
-    """`plain`, the square root of the plain sum of squares of `parts`, when it
-    lies in [NORM_FLOOR, inf) where it is exact to rounding; otherwise the norm
-    of `parts` recomputed with scaling (math.hypot over every real and
-    imaginary part)."""
-    if NORM_FLOOR <= plain < math.inf:
-        return plain
-    return math.hypot(*np.ravel(parts).view(np.float64))
-
-
 def checked_norms(plain: np.ndarray, parts: np.ndarray) -> np.ndarray:
     """checked_norm over a stack: the norms `plain` (...) of `parts` (..., ...),
     each recomputed from its own parts where it falls outside [NORM_FLOOR, inf)."""
@@ -124,7 +84,8 @@ def checked_norms(plain: np.ndarray, parts: np.ndarray) -> np.ndarray:
     if not np.count_nonzero(outside):
         return plain
     plain = np.array(plain)
-    plain[outside] = [checked_norm(float(p), c) for p, c in zip(plain[outside], parts[outside])]
+    rows = zip(plain[outside], parts[outside])
+    plain[outside] = [checked_norm(float(p), np.ravel(c).view(np.float64)) for p, c in rows]
     return plain
 
 
@@ -143,14 +104,8 @@ def pair_norms(u1: np.ndarray, u2: np.ndarray) -> tuple:
     us = [np.ascontiguousarray(u, dtype=np.complex128) for u in (u1, u2)]
     with np.errstate(over="ignore"):
         plain = [np.sqrt(dots(u.real, u.real) + dots(u.imag, u.imag)) for u in us]
-    return tuple(checked_norm(float(p), u) if u.ndim == 1 else checked_norms(p, u) for p, u in zip(plain, us))
-
-
-def qmean(x: float, y: float) -> float:
-    """Quadratic mean sqrt((x*x + y*y) / 2) of two magnitudes, with the scaled
-    fallback of checked_norm.  Pass Python floats: numpy scalars warn when
-    x*x overflows."""
-    return checked_norm(math.sqrt((x * x + y * y) / 2.0), (x / SQRT2, y / SQRT2))
+    return tuple(checked_norm(float(p), u.view(np.float64)) if u.ndim == 1 else checked_norms(p, u)
+                 for p, u in zip(plain, us))
 
 
 def operator_norms(s1, s2) -> tuple[np.ndarray, np.ndarray]:
@@ -287,9 +242,3 @@ def riesz_extension(B1: np.ndarray, B2: np.ndarray, C: np.ndarray) -> np.ndarray
     in restrict_pair."""
     R1, R2 = restrict_pair(B1, B2, C)
     return np.conj([_matvec(B1, R1), _matvec(B2, R2)])
-
-
-def fmt17(v: float) -> str:
-    """Format a float at up to 17 significant digits (lossless round trip).
-    Negative zero is normalized so output is canonical."""
-    return format(float(v) + 0.0, ".17g")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import SQRT2, hat_merge, hat_split, real_block_matrix
+from ._arrays import hat_merge, hat_split, real_block_matrix
+from ._floats import SQRT2
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._arrays import SQRT2, checked_norm, fmt17, merge_parts, mul_parts, qmean
+from ._floats import SQRT2, checked_norm, fmt17, merge_parts, mul_parts, qmean
 from .errors import SingularElement
 
 #: Default relative tolerance for singularity classification, scaled by the
@@ -79,13 +79,6 @@ class Bicomplex:
         object.__setattr__(self, "d", _require_finite(self.d, "d"))
 
     # construction ---------------------------------------------------------
-
-    @classmethod
-    def from_complex_pair(cls, z1: complex, z2: complex) -> "Bicomplex":
-        """Build w = z1 + i2*z2 from its two i1-complex parts."""
-        z1 = complex(z1)
-        z2 = complex(z2)
-        return cls(z1.real, z1.imag, z2.real, z2.imag)
 
     @classmethod
     def from_idempotent(cls, h1: complex, h2: complex) -> "Bicomplex":

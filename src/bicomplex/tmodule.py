@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import checked_norm, hat_merge, hat_split, pair_norms, qmean, vec_norm4
+from ._arrays import hat_merge, hat_split, pair_norms, vec_norm4
+from ._floats import checked_norm, fmt17, qmean
 from .errors import DimensionMismatch
 from .scalar import Bicomplex
 
@@ -120,7 +121,7 @@ class TVector:
         """Euclidean norm over the 4n real coefficients; equals
         sqrt((|v1|^2 + |v2|^2) / 2) in component coordinates."""
         with np.errstate(over="ignore"):
-            return checked_norm(float(vec_norm4(self._coeffs)), self._coeffs)
+            return checked_norm(float(vec_norm4(self._coeffs)), self._coeffs.flat)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TVector) and np.array_equal(self._coeffs, other._coeffs)
@@ -140,8 +141,6 @@ class TVector:
         return cls(np.array(data, dtype=np.float64))
 
     def to_csv(self) -> str:
-        from ._arrays import fmt17
-
         return "\n".join(",".join(fmt17(v) for v in row) for row in self._coeffs)
 
     @classmethod

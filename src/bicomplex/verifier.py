@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from . import _arrays
-from ._arrays import SQRT2, hat_merge, hat_split, mul4, norm4, vec_norm4
+from ._arrays import hat_merge, hat_split, mul4, norm4, vec_norm4
+from ._floats import SQRT2
 from .errors import CheckCrashed, SingularOperator, UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
 from .operators import TMatrix, refusal

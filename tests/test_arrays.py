@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from bicomplex import _arrays
-from bicomplex._arrays import hat_merge, hat_split, merge_parts
+from bicomplex._arrays import hat_merge, hat_split
+from bicomplex._floats import merge_parts
 
 #: Powers of two from the subnormals to the top of the range, and 1e+-300.
 SCALES = [2.0**k for k in (-1074, -1070, -1050, -1022, -997, -530, -1, 0, 1, 997, 1022, 1023)]

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from bicomplex import Bicomplex, Submodule, TFunctional, TMatrix, TVector, _arrays
+from bicomplex import CHECK_IDS, Bicomplex, Submodule, TFunctional, TMatrix, TVector, _arrays, verifier
 from bicomplex.cli import main
 
 
@@ -87,6 +87,15 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # needs --all or --check
     assert exc.value.code == 2
+
+
+def test_unknown_check_id_is_a_usage_error_naming_the_valid_ids(capsys, monkeypatch):
+    monkeypatch.setattr(verifier, "run_check", lambda config: pytest.fail("a check ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "no-such-check", "--trials", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "no-such-check" in err and all(check_id in err for check_id in CHECK_IDS)
 
 
 def test_an_exception_escaping_a_check_exits_3(capsys, monkeypatch):

@@ -103,11 +103,6 @@ def test_ring_axioms(s, t, u):
     assert per_coeff((s + t) + u, s + (t + u)) <= 1e-13
 
 
-def test_complex_pair_round_trip():
-    w = Bicomplex(0.1, -0.2, 0.3, -0.4)
-    assert Bicomplex.from_complex_pair(w.z1, w.z2) == w
-
-
 def test_idempotent_examples():
     assert J.to_idempotent() == IdempotentForm(1 + 0j, -1 + 0j)
     assert E1.to_idempotent() == IdempotentForm(1 + 0j, 0j)

@@ -39,4 +39,9 @@ def test_microbench_prints_the_table_at_tiny_repetitions():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "| operation | n=2 | n=8 | n=64 |"
-    assert len(lines) == 7 and all(line.count("|") == 5 for line in lines)
+    assert len(lines) == 13 and all(line.count("|") == 5 for line in lines[:7])
+    assert lines[7:10] == ["", "| cold process | median ms |", "|---|---|"]
+    assert [line.split(" | ")[0] for line in lines[10:]] == [
+        "| `import bicomplex`", "| `python -m bicomplex calc`", "| `python -m bicomplex solve`"
+    ]
+    assert all(float(line.split(" | ")[1].rstrip(" |")) > 0.0 for line in lines[10:])
