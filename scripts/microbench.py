@@ -3,11 +3,13 @@
 
 Each figure is the best of 5 timings, in microseconds per call; a timing
 runs --number calls, or by default as many as take 0.2 s.  *Warm* reuses
-one operator whose hat split, singular values and determinant are already
-cached; *cold* builds the operator from its raw coefficient array inside
-the call.  Every call builds its argument vector from a raw array, as a
-request would.  The last row times the bare complex work of one call: two
-matvecs (M1 v1, M2 v2) and two LU solves.
+one operator whose hat split, singular values, determinant and inverse are
+already cached; *cold* builds the operator from its raw coefficient array
+inside the call.  Every call builds its argument vector from a raw array, as
+a request would.  The last row times the bare complex work of one call: the
+two matvecs (M1 v1, M2 v2) of `apply`, and the refined inverse-apply of both
+components that `solve` makes on the cached inverses (`_arrays.solve_pair`,
+five stacked matvecs).
 
 A second table gives the median wall time, in milliseconds, of 5 fresh
 processes each: `import bicomplex`, a `calc` command and a `solve` command at
@@ -36,7 +38,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import bicomplex  # noqa: E402
-from bicomplex import TMatrix, TVector  # noqa: E402
+from bicomplex import TMatrix, TVector, _arrays  # noqa: E402
 
 SIZES = (2, 8, 64)
 REPEAT = 5
@@ -65,8 +67,9 @@ def measure(n: int, number=None) -> dict:
     x = rng.uniform(-1.0, 1.0, (n, 4))
     warm = TMatrix(A)
     warm.solve(TVector(x))
-    M1, M2 = warm.split()
-    v1, v2 = TVector(x).split()
+    H, V = warm.split(), TVector(x).split()
+    Hinv = np.linalg.inv(H)
+    (M1, M2), (v1, v2) = H, V
     return {
         "apply warm": _best_us(lambda: warm.apply(TVector(x)), number),
         "apply cold": _best_us(lambda: TMatrix(A).apply(TVector(x)), number),
@@ -75,7 +78,7 @@ def measure(n: int, number=None) -> dict:
         "norms cold": _best_us(lambda: TMatrix(A).norms(), number),
         "compose cold": _best_us(lambda: TMatrix(A).compose(TMatrix(B)), number),
         "matvecs": _best_us(lambda: (M1 @ v1, M2 @ v2), number),
-        "lu solves": _best_us(lambda: (np.linalg.solve(M1, v1), np.linalg.solve(M2, v2)), number),
+        "inverse-applies": _best_us(lambda: _arrays.solve_pair(H, Hinv, V), number),
     }
 
 
@@ -84,7 +87,7 @@ ROWS = (
     ("`solve` warm / cold", ("solve warm", "solve cold")),
     ("`norms` cold", ("norms cold",)),
     ("`compose` (cold)", ("compose cold",)),
-    ("two raw complex matvecs / LU solves", ("matvecs", "lu solves")),
+    ("two raw complex matvecs / refined inverse-applies", ("matvecs", "inverse-applies")),
 )
 
 

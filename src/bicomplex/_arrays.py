@@ -160,11 +160,22 @@ def apply_pair(H: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (H @ V[..., None])[..., 0]
 
 
-def solve_pair(H: np.ndarray, V: np.ndarray) -> np.ndarray:
+def solve_pair(H: np.ndarray, Hinv: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Hat stack (2, ..., n) of the solutions x of T x = v, from the hat stacks
-    of the operators (2, ..., n, n) and right-hand sides (2, ..., n), which
-    broadcast.  Each right-hand side is its own LAPACK gesv."""
-    return np.linalg.solve(H, V[..., None])[..., 0]
+    of the operators (2, ..., n, n), of their inverses and of the right-hand
+    sides (2, ..., n), which broadcast: the inverse-apply x = Hinv v, then two
+    steps of iterative refinement x += Hinv (v - H x), all matvecs, no
+    factorization.  Each matvec rounds as it does for one operator and one
+    right-hand side, so a stacked solve equals the per-object ones bit for bit.
+
+    The inverse-apply alone leaves a backward error |H x - v| / (|H| |x|) of
+    ~kappa eps, one step ~kappa^2 eps^2 (4e-10 at kappa = 1e11), and two bring
+    it back to an LU solve's O(eps) below the solve guard's condition limit."""
+    V = V[..., None]
+    X = Hinv @ V
+    X += Hinv @ (V - H @ X)
+    X += Hinv @ (V - H @ X)
+    return X[..., 0]
 
 
 def compose_pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -189,29 +200,17 @@ def lift_rows(rho: np.ndarray) -> np.ndarray:
 
 
 def real_block_matrix(C: np.ndarray) -> np.ndarray:
-    """Realify an (m, n, 4) operator into the (4m, 4n) matrix acting on the
-    stacked real coefficients.  Used by sampling oracles; deliberately avoids
-    the hat decomposition so it is an independent evaluation path."""
-    m, n = C.shape[0], C.shape[1]
+    """Realify an (m, n, 4) operator, or a stack (..., m, n, 4), into the
+    (..., 4m, 4n) matrix acting on the stacked real coefficients x.reshape(4n).
+    Used by independent oracles; deliberately avoids the hat decomposition so
+    it is an independent evaluation path."""
+    m, n = C.shape[-3], C.shape[-2]
     a, b, c, d = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
-    block = np.empty((m, 4, n, 4), dtype=np.float64)
-    block[:, 0, :, 0] = a
-    block[:, 0, :, 1] = -b
-    block[:, 0, :, 2] = -c
-    block[:, 0, :, 3] = d
-    block[:, 1, :, 0] = b
-    block[:, 1, :, 1] = a
-    block[:, 1, :, 2] = -d
-    block[:, 1, :, 3] = -c
-    block[:, 2, :, 0] = c
-    block[:, 2, :, 1] = -d
-    block[:, 2, :, 2] = a
-    block[:, 2, :, 3] = -b
-    block[:, 3, :, 0] = d
-    block[:, 3, :, 1] = c
-    block[:, 3, :, 2] = b
-    block[:, 3, :, 3] = a
-    return block.reshape(4 * m, 4 * n)
+    block = np.empty(C.shape[:-3] + (m, 4, n, 4), dtype=np.float64)
+    for row, entries in enumerate(((a, -b, -c, d), (b, a, -d, -c), (c, -d, a, -b), (d, c, b, a))):
+        for col, entry in enumerate(entries):
+            block[..., :, row, :, col] = entry
+    return block.reshape(C.shape[:-3] + (4 * m, 4 * n))
 
 
 def orthonormal_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

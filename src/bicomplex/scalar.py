@@ -15,7 +15,6 @@ union of the two principal ideals generated by e1 = (1+j)/2 and e2 = (1-j)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._floats import SQRT2, checked_norm, fmt17, merge_parts, mul_parts, qmean
 from .errors import SingularElement
@@ -32,16 +31,52 @@ def _require_finite(value: float, name: str) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class IdempotentForm:
+class _Frozen:
+    """Immutable value objects over the __slots__ named in _fields: equal when
+    their class and fields are, hashed and shown by their fields, as frozen
+    dataclasses are, without importing dataclasses (the scalar commands start
+    without it)."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class IdempotentForm(_Frozen):
     """Hat coordinates (h1, h2) of a scalar in the e1/e2 basis.
 
     Multiplication of scalars is componentwise multiplication here, which is
     what makes the null cone and inversion transparent.
     """
 
-    h1: complex
-    h2: complex
+    __slots__ = _fields = ("h1", "h2")
+
+    def __init__(self, h1: complex, h2: complex):
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
 
     def to_bicomplex(self) -> "Bicomplex":
         return Bicomplex.from_idempotent(self.h1, self.h2)
@@ -54,29 +89,27 @@ class IdempotentForm:
         return IdempotentForm(self.h1 * other.h1, self.h2 * other.h2)
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(_Frozen):
     """Outcome of the null-cone test for one scalar."""
 
-    is_singular: bool
-    vanishing_components: tuple[int, ...]
-    magnitudes: tuple[float, float]
+    __slots__ = _fields = ("is_singular", "vanishing_components", "magnitudes")
+
+    def __init__(self, is_singular: bool, vanishing_components: tuple[int, ...], magnitudes: tuple[float, float]):
+        object.__setattr__(self, "is_singular", is_singular)
+        object.__setattr__(self, "vanishing_components", vanishing_components)
+        object.__setattr__(self, "magnitudes", magnitudes)
 
 
-@dataclass(frozen=True)
-class Bicomplex:
+class Bicomplex(_Frozen):
     """An immutable bicomplex scalar with real coefficients (a, b, c, d)."""
 
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 0.0
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _require_finite(self.a, "a"))
-        object.__setattr__(self, "b", _require_finite(self.b, "b"))
-        object.__setattr__(self, "c", _require_finite(self.c, "c"))
-        object.__setattr__(self, "d", _require_finite(self.d, "d"))
+    def __init__(self, a: float = 0.0, b: float = 0.0, c: float = 0.0, d: float = 0.0):
+        object.__setattr__(self, "a", _require_finite(a, "a"))
+        object.__setattr__(self, "b", _require_finite(b, "b"))
+        object.__setattr__(self, "c", _require_finite(c, "c"))
+        object.__setattr__(self, "d", _require_finite(d, "d"))
 
     # construction ---------------------------------------------------------
 

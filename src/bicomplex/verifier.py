@@ -763,7 +763,7 @@ def _replay_bxy_complete(witness: dict) -> float:
 
 # --- open-mapping ----------------------------------------------------------------
 
-_OPEN_MAPPING_PARTS = ("unit-ball", "residual")
+_OPEN_MAPPING_PARTS = ("unit-ball", "residual", "real-solve")
 _OPEN_MAPPING_POINTS = 5
 
 
@@ -782,18 +782,27 @@ def _scaled_rhs_group(S, A, Y, u):
 
 def _open_mapping_group(C, Y):
     """Operators C (G, n, n, 4) and right-hand sides Y (G, k, n, 4) ->
-    (G, k, 2): for the solution x of T x = y, |x| - 1 and the relative residual
-    of T x = y.  Each operator is refused or accepted as TMatrix.solve decides."""
+    (G, k, 3): for the solution x of T x = y, |x| - 1, the relative residual
+    of T x = y, and the distance from x to the solution of the realified
+    system R x = y.  Each operator is refused or accepted as TMatrix.solve
+    decides, inverted once and solved through TMatrix.solve's kernel; R
+    (real_block_matrix) and its LU solve share nothing with that path, so the
+    last part catches a fault in the hat kernels that both sides of the
+    residual share."""
     H = hat_split(C)
     sv, det = _arrays.pair_singular_values(H), np.linalg.det(H)
     for t in range(len(C)):
         why = refusal(sv[:, t], Bicomplex.from_idempotent(*det[:, t]), DEFAULT_SINGULAR_TOL)
         if why is not None:
             raise SingularOperator(*why)
-    X = hat_merge(*_arrays.solve_pair(H[:, :, None], hat_split(Y)))
+    X = hat_merge(*_arrays.solve_pair(H[:, :, None], np.linalg.inv(H)[:, :, None], hat_split(Y)))
     unit_ball = _arrays.vector_norms(X) - 1.0
     residual = _arrays.vector_norms(_apply(H[:, :, None], X) - Y) / (1.0 + _arrays.vector_norms(Y))
-    return np.stack([unit_ball, residual], axis=-1)
+    G, k, n = Y.shape[:3]
+    R = _arrays.real_block_matrix(C)[:, None]
+    real = np.linalg.solve(R, Y.reshape(G, k, 4 * n, 1)).reshape(Y.shape)
+    real_solve = _arrays.vector_norms(X - real) / (1.0 + _arrays.vector_norms(real))
+    return np.stack([unit_ball, residual, real_solve], axis=-1)
 
 
 def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bicomplex import _arrays
+from bicomplex import TMatrix, TVector, _arrays
 from bicomplex._arrays import hat_merge, hat_split
 from bicomplex._floats import merge_parts
 
@@ -109,6 +109,35 @@ def test_stacked_factorizations_equal_per_matrix_calls(n):
     Y = _complex(rng, (25, 5, n))
     X = np.linalg.solve(A[:, None], Y[..., None])[..., 0]
     assert np.array_equal(X, _each(lambda M, ys: _each(lambda y: np.linalg.solve(M, y[:, None])[:, 0], ys), A, Y))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_solve_equals_per_object_solves(n):
+    # open-mapping solves G operators x k right-hand sides in one broadcast
+    # solve_pair call, and its witness replay solves one: both must be
+    # TMatrix.solve's bits.
+    rng = np.random.default_rng([n, 14])
+    C = rng.uniform(-1.0, 1.0, (6, n, n, 4))
+    C[..., 0] += 3.0 * np.eye(n)
+    Y = rng.uniform(-1.0, 1.0, (6, 5, n, 4))
+    H = hat_split(C)
+    X = hat_merge(*_arrays.solve_pair(H[:, :, None], np.linalg.inv(H)[:, :, None], hat_split(Y)))
+    for c, ys, xs in zip(C, Y, X):
+        T = TMatrix(c)
+        for y, x in zip(ys, xs):
+            assert np.array_equal(T.solve(TVector(y)).coeffs, x)
+
+
+def test_real_block_matrix_of_a_stack_realifies_each_operator():
+    rng = np.random.default_rng(15)
+    C = rng.uniform(-1.0, 1.0, (2, 3, 4, 5, 4))
+    x = rng.uniform(-1.0, 1.0, (5, 4))
+    R = _arrays.real_block_matrix(C)
+    assert R.shape == (2, 3, 16, 20)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(R[index], _arrays.real_block_matrix(C[index]))
+        Tx = TMatrix(C[index]).apply(TVector(x)).coeffs
+        assert np.allclose(R[index] @ x.reshape(-1), Tx.reshape(-1), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -237,7 +237,7 @@ def test_verify_all_at_seed_42_is_pinned_bit_for_bit(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "42")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "5d1bb6725de752ad5032ca5daae83fb187448313ebcfa57c91343434a4734f7f"
+        "a195c0257971308cbe73e6f1ec54f2cdcbbeee45da2be0a5c726e290d2425f78"
     )
 
 

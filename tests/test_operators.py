@@ -388,11 +388,13 @@ def test_warm_operator_gives_the_results_of_a_fresh_one():
             "det": np.array(operator().det().coeffs),
         }
 
-    warm = TMatrix(C)
-    warm.norms(), warm.det(), warm.solve(b)
-    fresh, warmed = outputs(lambda: TMatrix(C)), outputs(lambda: warm)
-    for name in fresh:
-        assert np.array_equal(fresh[name], warmed[name]), name
+    # Either of solve and invert may build the cached inverse the other uses.
+    for warm_up in (lambda T: T.invert(), lambda T: T.solve(b)):
+        warm = TMatrix(C)
+        warm.norms(), warm.det(), warm_up(warm)
+        fresh, warmed = outputs(lambda: TMatrix(C)), outputs(lambda: warm)
+        for name in fresh:
+            assert np.array_equal(fresh[name], warmed[name]), name
 
 
 def test_solve_decides_each_tolerance_afresh():
@@ -407,8 +409,9 @@ def test_solve_decides_each_tolerance_afresh():
 
 
 def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
-    # One stacked call covers both hat components; each solve is one more.
-    calls = {"svd": 0, "det": 0, "solve": 0}
+    # One stacked call covers both hat components; solves and invert share
+    # the cached inverse and factor nothing more.
+    calls = {"svd": 0, "det": 0, "inv": 0, "solve": 0}
 
     def counted(name):
         original = getattr(np.linalg, name)
@@ -425,7 +428,46 @@ def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
     T = random_conditioned(rng, 5)
     for _ in range(10):
         T.solve(TVector(rng.uniform(-1, 1, (5, 4))))
-    assert calls == {"svd": 1, "det": 1, "solve": 10}
+    T.invert()
+    assert calls == {"svd": 1, "det": 1, "inv": 1, "solve": 0}
+
+
+def test_a_refused_operator_builds_no_inverse(monkeypatch):
+    inverses = []
+    monkeypatch.setattr(np.linalg, "inv", lambda *args: inverses.append(args))
+    T = TMatrix.scalar(2, E1)
+    for call in (lambda: T.solve(TVector.basis(2, 0)), T.invert):
+        with pytest.raises(SingularOperator):
+            call()
+    assert inverses == []
+
+
+def _with_one_small_singular_value(rng, n, kappa):
+    """Hat components U diag(1, ..., 1, 1/kappa) V^H: condition number kappa,
+    determinant modulus 1/kappa, far above the determinant floor."""
+    comps = []
+    for _ in range(2):
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        s = np.ones(n)
+        s[-1] = 1.0 / kappa
+        comps.append((q1 * s) @ q2.conj().T)
+    return TMatrix.from_hat(*comps)
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e11])
+@pytest.mark.parametrize("n", [8, 64])
+def test_solve_has_the_backward_error_of_an_lu_solve(n, kappa):
+    # b = T v with v along each component's top right singular vector: the
+    # right-hand side on which an unrefined inverse-apply errs most.
+    rng = np.random.default_rng([n, int(math.log10(kappa))])
+    T = _with_one_small_singular_value(rng, n, kappa)
+    tops = [np.linalg.svd(M)[2][0].conj() for M in T.split()]
+    b = T.apply(TVector.from_split(*tops))
+    x = T.solve(b)
+    for M, xk, bk in zip(T.split(), x.split(), b.split()):
+        backward = np.linalg.norm(M @ xk - bk) / (np.linalg.norm(M, 2) * np.linalg.norm(xk))
+        assert backward <= 1e-13
 
 
 def test_repeated_solves_classify_the_determinant_once_per_tolerance(monkeypatch):

@@ -25,6 +25,7 @@ from bicomplex import (
     run_check,
 )
 from bicomplex import _arrays, verifier
+from bicomplex._arrays import real_block_matrix
 from bicomplex.verifier import CHECKS
 
 SMALL_TRIALS = 25
@@ -140,16 +141,34 @@ def test_submult_witness_is_near_the_idempotent():
 
 def test_open_mapping_catches_a_solve_that_ignores_the_second_component(monkeypatch):
     # The check solves through the kernel TMatrix.solve calls, so a fault
-    # there reaches both.
-    def solve_with_first_component_twice(H, V):
-        return np.linalg.solve(H[0], V[..., None])[..., 0]
+    # there reaches both; the residual and the realified solve each see it.
+    def solve_with_first_component_twice(H, Hinv, V):
+        return (Hinv[0] @ V[..., None])[..., 0]
 
     T, b = TMatrix.from_hat(np.eye(2), 2 * np.eye(2)), TVector.basis(2, 0)
     monkeypatch.setattr(_arrays, "solve_pair", solve_with_first_component_twice)
     assert (T.apply(T.solve(b)) - b).norm() > 0.1
     report = run_check(default_config("open-mapping", trials=5))
     assert not report.passed
-    assert report.worst_witness["part"] == "residual"
+    for part in ("residual", "real-solve"):
+        assert replay_witness("open-mapping", dict(report.worst_witness, part=part)) > report.bound, part
+
+
+def test_open_mapping_catches_a_hat_fault_that_both_sides_of_the_residual_share(monkeypatch):
+    # Solve and apply both read the operator's hat stack; with its second
+    # component replaced by the first, T x = y still holds in the wrong
+    # operator, and only the realified solve, which never splits, sees it.
+    apply_pair, solve_pair = _arrays.apply_pair, _arrays.solve_pair
+
+    def first_twice(H):
+        return np.stack([H[0], H[0]])
+
+    monkeypatch.setattr(_arrays, "apply_pair", lambda H, V: apply_pair(first_twice(H), V))
+    monkeypatch.setattr(_arrays, "solve_pair", lambda H, Hinv, V: solve_pair(first_twice(H), first_twice(Hinv), V))
+    report = run_check(default_config("open-mapping", trials=5))
+    assert not report.passed
+    assert report.worst_witness["part"] == "real-solve"
+    assert replay_witness("open-mapping", dict(report.worst_witness, part="residual")) <= 1e-15
 
 
 def test_report_json_excludes_elapsed_by_default():
@@ -237,6 +256,9 @@ def _open_mapping_value(part, T, y):
     x = T.solve(y)
     if part == "unit-ball":
         return float(x.norm() - 1.0)
+    if part == "real-solve":
+        real = TVector(np.linalg.solve(real_block_matrix(T.coeffs), y.coeffs.reshape(-1)).reshape(y.n, 4))
+        return float((x - real).norm() / (1.0 + real.norm()))
     return float((T.apply(x) - y).norm() / (1.0 + y.norm()))
 
 
