@@ -2,7 +2,8 @@
 """Run the full property-verification suite and summarize the outcome.
 
 Writes one JSON report per line (stdout or --out) and a human summary to
-stderr.  Exit status 0 iff every check passes.
+stderr.  Exit status 0 iff every check passes, 1 if one fails, 2 on a bad
+argument.
 
     python scripts/run_verification.py --seed 42
     python scripts/run_verification.py --trials 50 --out reports.jsonl
@@ -23,7 +24,10 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     args = parser.parse_args()
 
-    reports = run_all(seed=args.seed, trials=args.trials, tol=args.tol)
+    try:
+        reports = run_all(seed=args.seed, trials=args.trials, tol=args.tol)
+    except ValueError as exc:  # CheckConfig's own validation: a usage error
+        parser.error(str(exc))
     lines = "\n".join(json.dumps({**r.to_json(), "elapsed": r.elapsed}) for r in reports)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

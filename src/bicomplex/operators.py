@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge, hat_split, real_block_matrix
-from ._floats import SQRT2
+from ._arrays import hat_merge, hat_split
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector
@@ -94,7 +93,11 @@ class TMatrix:
     __slots__ = ("_coeffs", "_split", "_singular_values", "_det", "_refusals", "_inverse")
 
     def __init__(self, coeffs):
-        self._coeffs = _arrays.frozen_coeffs(coeffs, 3, "matrix")
+        self._start(_arrays.frozen_coeffs(coeffs, 3, "matrix"))
+
+    def _start(self, coeffs: np.ndarray):
+        """Hold the frozen `coeffs`, with every cache empty."""
+        self._coeffs = coeffs
         self._split = None
         self._singular_values = None
         self._det = None
@@ -114,12 +117,7 @@ class TMatrix:
         if M1.shape != M2.shape or M1.ndim != 2:
             raise DimensionMismatch("component matrices must be 2-d with equal shapes")
         T = cls.__new__(cls)  # hat_merge's fresh array needs no defensive copy
-        T._coeffs = _arrays.frozen_coeffs(hat_merge(M1, M2), 3, "matrix", copy=False)
-        T._split = None
-        T._singular_values = None
-        T._det = None
-        T._refusals = {}
-        T._inverse = None
+        T._start(_arrays.frozen_coeffs(hat_merge(M1, M2), 3, "matrix", copy=False))
         return T
 
     @classmethod
@@ -238,11 +236,6 @@ class TMatrix:
         sv1, sv2 = self.component_singular_values()
         return NormReport.of(sv1[0], sv2[0])
 
-    def bound_constant(self) -> float:
-        """The least M with |Tx| <= sqrt(2) * M * |x| for every x; coincides
-        with sup_norm since sup |Tx| / |x| = max(s1, s2)."""
-        return self.norms().sup_norm
-
     # inversion ------------------------------------------------------------------
 
     def det(self) -> Bicomplex:
@@ -255,13 +248,25 @@ class TMatrix:
             self._det = Bicomplex.from_idempotent(complex(d1), complex(d2))
         return self._det
 
+    def _guard_det(self) -> Bicomplex:
+        """det(), unless float64 may not hold it (the largest singular value s
+        has s^n > 2^1000): then the determinant divided by the larger component
+        modulus, from np.linalg.slogdet.  A null-cone test of a determinant of
+        modulus at least 1 is relative, so the division keeps the decision."""
+        sv = self.component_singular_values()
+        if max(sv[0, 0], sv[1, 0]) <= 2.0 ** (1000 / self.n):
+            return self.det()
+        sign, logdet = np.linalg.slogdet(self.split())
+        d1, d2 = sign * np.exp(logdet - max(logdet.max(), 0.0))
+        return Bicomplex.from_idempotent(complex(d1), complex(d2))
+
     def _invertibility_guard(self, tol: float):
         """Raise the refusal of solve and invert at `tol`, decided on the first
         call with that tol and kept with the singular values."""
         if self.m != self.n:
             raise NotSquare(f"inversion needs a square matrix, got {self.m}x{self.n}")
         if tol not in self._refusals:
-            self._refusals[tol] = refusal(self.component_singular_values(), self.det(), tol)
+            self._refusals[tol] = refusal(self.component_singular_values(), self._guard_det(), tol)
         if self._refusals[tol] is not None:
             raise SingularOperator(*self._refusals[tol])
 
@@ -303,44 +308,3 @@ class TMatrix:
         if entries.shape != (m * n, 4):
             raise ValueError(f"expected {m * n} entries of 4 reals, got shape {entries.shape}")
         return cls(entries.reshape(m, n, 4))
-
-
-def sampled_sup_norm(T: TMatrix, samples: int = 4096, seed: int = 0, refine_steps: int = 0) -> float:
-    """Estimate sup over the unit sphere of |Tx| / sqrt(2) by random sampling.
-
-    Works through the real block form of the operator, never through the hat
-    decomposition, so it is an independent evaluation path for the closed-form
-    norm.  Directions are drawn uniformly on the coefficient sphere; the best
-    candidate is optionally sharpened by power iteration on R^T R.  Every
-    evaluation is a genuine unit-vector ratio, so the estimate can only
-    approach the true supremum from below.
-    """
-    R = real_block_matrix(T.coeffs)
-    dim = R.shape[1]
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    best_x = None
-    remaining = int(samples)
-    while remaining > 0:
-        batch = min(remaining, 200_000)
-        X = rng.standard_normal((batch, dim))
-        lengths = np.linalg.norm(X, axis=1)
-        lengths[lengths == 0.0] = 1.0
-        X /= lengths[:, None]
-        values = np.linalg.norm(X @ R.T, axis=1)
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best = float(values[k])
-            best_x = X[k].copy()
-        remaining -= batch
-    if refine_steps > 0 and best_x is not None:
-        x = best_x
-        for _ in range(refine_steps):
-            y = R @ x
-            z = R.T @ y
-            length = np.linalg.norm(z)
-            if length == 0.0:
-                break
-            x = z / length
-            best = max(best, float(np.linalg.norm(R @ x)))
-    return best / SQRT2

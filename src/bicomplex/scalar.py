@@ -19,8 +19,8 @@ import math
 from ._floats import SQRT2, checked_norm, fmt17, merge_parts, mul_parts, qmean
 from .errors import SingularElement
 
-#: Default relative tolerance for singularity classification, scaled by the
-#: hat-coordinate magnitude sqrt(2)*|w|.  Zero selects the exact test.
+#: Default tolerance of the null-cone test, which scales it by max(1, sqrt(2)|w|):
+#: relative for sqrt(2)|w| >= 1, absolute below.  Zero selects the exact test.
 DEFAULT_SINGULAR_TOL = 1e-12
 
 
@@ -199,7 +199,7 @@ class Bicomplex(_Frozen):
 
         tol = 0 selects the exact comparison.
         """
-        if tol < 0:
+        if not tol >= 0:
             raise ValueError("tol must be nonnegative")
         form = self.to_idempotent()
         m1, m2 = abs(form.h1), abs(form.h2)

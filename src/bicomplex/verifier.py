@@ -37,9 +37,9 @@ class CheckConfig:
     """Fully resolved configuration for one check run."""
 
     check_id: str
-    seed: int = 42
-    trials: int = 1
-    tol: float = 1e-10
+    seed: int
+    trials: int
+    tol: float
 
     def __post_init__(self):
         _check(self.check_id)

@@ -19,8 +19,8 @@ from bicomplex import (
     SingularOperator,
     TMatrix,
     TVector,
-    sampled_sup_norm,
 )
+from oracles import sampled_sup_norm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,9 +196,9 @@ def test_sampling_oracle_validates_sup_norm():
 
 
 def test_bound_constant_examples():
-    assert TMatrix.identity(1).bound_constant() == pytest.approx(1 / SQRT2, rel=1e-15)
-    assert TMatrix.zeros(2, 2).bound_constant() == 0.0
-    assert TMatrix.scalar(2, E1).bound_constant() == pytest.approx(1 / SQRT2, rel=1e-14)
+    assert TMatrix.identity(1).norms().sup_norm == pytest.approx(1 / SQRT2, rel=1e-15)
+    assert TMatrix.zeros(2, 2).norms().sup_norm == 0.0
+    assert TMatrix.scalar(2, E1).norms().sup_norm == pytest.approx(1 / SQRT2, rel=1e-14)
 
 
 def test_bound_constant_contract_and_tightness():
@@ -206,7 +206,7 @@ def test_bound_constant_contract_and_tightness():
     for trial in range(10):
         n = int(rng.integers(1, 9))
         T = TMatrix(rng.uniform(-1, 1, (n, n, 4)))
-        limit = SQRT2 * T.bound_constant()
+        limit = SQRT2 * T.norms().sup_norm
         best_ratio = 0.0
         for _ in range(200):
             x = TVector(rng.uniform(-1, 1, (n, 4)))
@@ -223,7 +223,7 @@ def test_bound_constant_contract_and_tightness():
         g = TVector(rng.uniform(-1, 1, (n, 4))).scale(E1)
         if g.norm() > 1e-6:
             attained = Me1.apply(g).norm() / g.norm()
-            assert attained == pytest.approx(SQRT2 * Me1.bound_constant(), rel=1e-12)
+            assert attained == pytest.approx(SQRT2 * Me1.norms().sup_norm, rel=1e-12)
 
 
 def test_det_examples():
@@ -408,6 +408,49 @@ def test_solve_decides_each_tolerance_afresh():
         T.solve(b, tol=0.5)
 
 
+def test_solve_rejects_a_nan_tol_and_keeps_no_decision_for_it():
+    T = TMatrix.identity(2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            T.solve(TVector.basis(2, 0), tol=math.nan)
+    assert T._refusals == {}
+
+
+def _hats_with_spectra(rng, n, s1, s2):
+    """Hat components U diag(s_k) V^H with random unitary U, V."""
+    comps = []
+    for s in (s1, s2):
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        comps.append((q1 * s) @ q2.conj().T)
+    return comps
+
+
+def test_solve_and_invert_do_not_depend_on_a_large_scale():
+    # Past about 2^128, det(2^k T) overflows float64 at n = 8; the decision is
+    # relative there, so it and the solution scale exactly.
+    rng = np.random.default_rng(45)
+    M1, M2 = _hats_with_spectra(rng, 8, rng.uniform(0.5, 2.0, 8), rng.uniform(0.5, 2.0, 8))
+    b = TVector(rng.uniform(-1, 1, (8, 4)))
+    x, inverse = TMatrix.from_hat(M1, M2).solve(b), TMatrix.from_hat(M1, M2).invert()
+    for k in range(0, 601, 5):
+        T = TMatrix.from_hat(M1 * 2.0**k, M2 * 2.0**k)
+        assert np.allclose(T.solve(TVector(b.coeffs * 2.0**k)).coeffs, x.coeffs, rtol=1e-12, atol=0.0)
+        assert np.allclose(T.invert().coeffs * 2.0**k, inverse.coeffs, rtol=1e-12, atol=0.0)
+
+
+def test_a_determinant_refusal_does_not_depend_on_a_large_scale():
+    # Both components have condition number 1, but det M2 / det M1 = 1e-16.
+    rng = np.random.default_rng(46)
+    M1, M2 = _hats_with_spectra(rng, 8, np.ones(8), np.full(8, 1e-2))
+    for k in range(0, 601, 25):
+        T = TMatrix.from_hat(M1 * 2.0**k, M2 * 2.0**k)
+        for attempt in (lambda: T.solve(TVector.basis(8, 0)), T.invert):
+            with pytest.raises(SingularOperator) as exc:
+                attempt()
+            assert exc.value.components == (2,)
+
+
 def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
     # One stacked call covers both hat components; solves and invert share
     # the cached inverse and factor nothing more.
@@ -445,14 +488,9 @@ def test_a_refused_operator_builds_no_inverse(monkeypatch):
 def _with_one_small_singular_value(rng, n, kappa):
     """Hat components U diag(1, ..., 1, 1/kappa) V^H: condition number kappa,
     determinant modulus 1/kappa, far above the determinant floor."""
-    comps = []
-    for _ in range(2):
-        q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        s = np.ones(n)
-        s[-1] = 1.0 / kappa
-        comps.append((q1 * s) @ q2.conj().T)
-    return TMatrix.from_hat(*comps)
+    s = np.ones(n)
+    s[-1] = 1.0 / kappa
+    return TMatrix.from_hat(*_hats_with_spectra(rng, n, s, s))
 
 
 @pytest.mark.parametrize("kappa", [1e4, 1e8, 1e11])

@@ -1,7 +1,9 @@
 """Scalar layer: ring arithmetic, norms, idempotent decomposition,
 singularity classification, and inversion."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ from bicomplex import (
     Bicomplex,
     IdempotentForm,
     SingularElement,
+    SingularityReport,
 )
 from bicomplex._arrays import hat_merge, mul4, real_block_matrix
 
@@ -201,6 +204,15 @@ def test_classify_rejects_negative_tol():
         ONE.classify(-1.0)
 
 
+def test_classify_and_inverse_reject_a_nan_tol():
+    # e1 is on the null cone: a NaN threshold would report it non-singular.
+    for w in (ONE, E1):
+        with pytest.raises(ValueError, match="nonnegative"):
+            w.classify(math.nan)
+        with pytest.raises(ValueError, match="nonnegative"):
+            w.inverse(math.nan)
+
+
 def real_system_singular_values(w: Bicomplex) -> np.ndarray:
     """Oracle: the 4x4 real system for w*x = 1; its solvability margin is
     its smallest singular value."""
@@ -284,3 +296,49 @@ def test_idempotent_form_norm_matches_reconstruction(h1, h2):
     form = IdempotentForm(h1, h2)
     rebuilt = form.to_bicomplex().norm()
     assert abs(form.norm() - rebuilt) <= 1e-12 * (1 + rebuilt)
+
+
+# --- immutable value objects ------------------------------------------------
+
+FROZEN = [
+    Bicomplex(1.0, -2.0, 0.5, 3.0),
+    IdempotentForm(1 + 2j, -0.5j),
+    SingularityReport(True, (2,), (1.5, 0.0)),
+]
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=lambda v: type(v).__name__)
+def test_frozen_values_survive_pickle_and_copy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("value", FROZEN, ids=lambda v: type(v).__name__)
+def test_frozen_values_refuse_assignment_and_deletion(value):
+    field = value._fields[0]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) == before
+
+
+def test_signed_zeros_are_one_value():
+    assert Bicomplex(0.0) == Bicomplex(-0.0)
+    assert hash(Bicomplex(0.0)) == hash(Bicomplex(-0.0))
+
+
+def test_frozen_values_of_different_classes_differ():
+    class Subclass(IdempotentForm):
+        __slots__ = ()
+
+    # Equal fields, different classes.
+    assert Subclass(1.0, 2.0) != IdempotentForm(1.0, 2.0)
+    assert IdempotentForm(1.0, 2.0) != Subclass(1.0, 2.0)
+    assert IdempotentForm(1.0, 2.0) != SingularityReport(1.0, 2.0, 3.0)
+    assert Bicomplex(1.0, 2.0, 3.0, 4.0) != SingularityReport(1.0, 2.0, 3.0)
+    assert Bicomplex(1.0, 2.0, 0.0, 0.0) != IdempotentForm(1.0, 2.0)
+    assert Bicomplex(1.0) != (1.0, 0.0, 0.0, 0.0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,6 +34,14 @@ def test_run_verification_prints_one_timed_report_per_check():
     reports = [json.loads(line) for line in done.stdout.splitlines()]
     assert len(reports) == 18
     assert all("elapsed" in r for r in reports)
+
+
+@pytest.mark.parametrize("argument", [["--trials", "0"], ["--tol", "0"], ["--tol", "nan"]])
+def test_run_verification_reports_a_bad_argument_as_a_usage_error(argument):
+    done = run_script("run_verification.py", *argument)
+    assert done.returncode == 2
+    assert "error:" in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_microbench_prints_the_table_at_tiny_repetitions():

@@ -97,16 +97,22 @@ def test_unknown_check_id_rejected():
     with pytest.raises(UnknownCheckId):
         default_config("no-such-check")
     with pytest.raises(UnknownCheckId):
-        CheckConfig(check_id="no-such-check")
+        CheckConfig("no-such-check", seed=42, trials=1, tol=1e-12)
     with pytest.raises(UnknownCheckId):
         replay_witness("no-such-check", {})
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        CheckConfig(check_id="submult", trials=0)
-    with pytest.raises(ValueError):
-        CheckConfig(check_id="submult", tol=0.0)
+    for trials, tol in [(0, 1e-12), (1, 0.0), (1, -1e-12), (1, float("nan"))]:
+        with pytest.raises(ValueError):
+            CheckConfig("submult", seed=42, trials=trials, tol=tol)
+
+
+def test_config_has_no_defaults_to_fall_back_on():
+    # default_config is the one constructor with defaults: the registry's.
+    with pytest.raises(TypeError):
+        CheckConfig("submult")
+    assert default_config("submult") == CheckConfig("submult", seed=42, trials=1_000_000, tol=1e-12)
 
 
 def test_run_all_shape_and_aggregate():
