@@ -6,10 +6,13 @@ runs --number calls, or by default as many as take 0.2 s.  *Warm* reuses
 one operator whose hat split, singular values, determinant and inverse are
 already cached; *cold* builds the operator from its raw coefficient array
 inside the call.  Every call builds its argument vector from a raw array, as
-a request would.  The last row times the bare complex work of one call: the
-two matvecs (M1 v1, M2 v2) of `apply`, and the refined inverse-apply of both
-components that `solve` makes on the cached inverses (`_arrays.solve_pair`,
-five stacked matvecs).
+a request would.  The chained rows feed one warm operator's result to the
+next call, and `separating_functional` runs against a warm submodule of n/2
+generators; none of them reads a result's coefficients, so a result kept in
+hat form is never merged.  The last row times the bare complex work of one
+call: the two matvecs (M1 v1, M2 v2) of `apply`, and the refined
+inverse-apply of both components that `solve` makes on the cached inverses
+(`_arrays.solve_pair`, five stacked matvecs).
 
 A second table gives the median wall time, in milliseconds, of 5 fresh
 processes each: `import bicomplex`, a `calc` command and a `solve` command at
@@ -38,7 +41,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import bicomplex  # noqa: E402
-from bicomplex import TMatrix, TVector, _arrays  # noqa: E402
+from bicomplex import Submodule, TMatrix, TVector, _arrays, separating_functional  # noqa: E402
 
 SIZES = (2, 8, 64)
 REPEAT = 5
@@ -65,8 +68,9 @@ def measure(n: int, number=None) -> dict:
     rng = np.random.default_rng(n)
     A, B = _conditioned(rng, n), _conditioned(rng, n)
     x = rng.uniform(-1.0, 1.0, (n, 4))
-    warm = TMatrix(A)
-    warm.solve(TVector(x))
+    warm, warm_b = TMatrix(A), TMatrix(B)
+    warm.solve(TVector(x)), warm_b.split()
+    Y = Submodule(n, [TVector(g) for g in rng.uniform(-1.0, 1.0, (n // 2, n, 4))])
     H, V = warm.split(), TVector(x).split()
     Hinv = np.linalg.inv(H)
     (M1, M2), (v1, v2) = H, V
@@ -77,6 +81,9 @@ def measure(n: int, number=None) -> dict:
         "solve cold": _best_us(lambda: TMatrix(A).solve(TVector(x)), number),
         "norms cold": _best_us(lambda: TMatrix(A).norms(), number),
         "compose cold": _best_us(lambda: TMatrix(A).compose(TMatrix(B)), number),
+        "compose apply": _best_us(lambda: warm.compose(warm_b).apply(TVector(x)), number),
+        "solve apply": _best_us(lambda: warm.apply(warm.solve(TVector(x))), number),
+        "separate": _best_us(lambda: separating_functional(TVector(x), Y), number),
         "matvecs": _best_us(lambda: (M1 @ v1, M2 @ v2), number),
         "inverse-applies": _best_us(lambda: _arrays.solve_pair(H, Hinv, V), number),
     }
@@ -87,6 +94,9 @@ ROWS = (
     ("`solve` warm / cold", ("solve warm", "solve cold")),
     ("`norms` cold", ("norms cold",)),
     ("`compose` (cold)", ("compose cold",)),
+    ("`compose` then `apply` (warm)", ("compose apply",)),
+    ("`solve` then `apply` (warm)", ("solve apply",)),
+    ("`separating_functional` (warm submodule)", ("separate",)),
     ("two raw complex matvecs / refined inverse-applies", ("matvecs", "inverse-applies")),
 )
 

@@ -246,7 +246,7 @@ def hahn_banach_extend(ystar, Y: Submodule) -> ExtensionReport:
         raise DimensionMismatch(f"functional dimension {ystar.n} != ambient {Y.n}")
     C = ystar.coeffs.split()
     E = _arrays.riesz_extension(Y.basis1, Y.basis2, C)
-    extension = TFunctional(TVector.from_split(*E))
+    extension = TFunctional(TVector._of_hat(E))
 
     # Restriction error as an exact operator norm on Y: project the
     # coefficient difference back onto the component subspaces.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge, hat_split
+from ._arrays import hat_split
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector
@@ -79,26 +79,25 @@ def refusal(sv, det: Bicomplex, tol: float):
     return (sorted(bad), (float(sv[0, -1]), float(sv[1, -1])), condition) if bad else None
 
 
-class TMatrix:
-    """An m-by-n matrix of bicomplex entries, stored as an (m, n, 4) array.
-
-    The coefficients are frozen, so the hat split, the component singular
-    values, the determinant and, once solve or invert accepts the operator,
-    the inverse hat stack are computed from them once, on first use, and
-    kept for the life of the object.  split() returns the hat split as one
-    read-only stack (2, m, n) that unpacks as the component matrices M1, M2,
-    so each method below is one numpy call over both components.
+class TMatrix(_arrays.FrozenArrays):
+    """An m-by-n matrix of bicomplex entries, held as its read-only (m, n, 4)
+    real coefficients or its read-only hat stack (2, m, n), whichever it was
+    built from (from_hat, compose and invert build from a hat stack); the
+    other form is computed on first use and kept, as are the component
+    singular values, the determinant and, once solve or invert accepts the
+    operator, the inverse hat stack.  split() unpacks as the component
+    matrices M1, M2, so each method below is one numpy call over both.
     """
 
     __slots__ = ("_coeffs", "_split", "_singular_values", "_det", "_refusals", "_inverse")
 
     def __init__(self, coeffs):
-        self._start(_arrays.frozen_coeffs(coeffs, 3, "matrix"))
+        self._start(_arrays.frozen_coeffs(coeffs, 3, "matrix"), None)
 
-    def _start(self, coeffs: np.ndarray):
-        """Hold the frozen `coeffs`, with every cache empty."""
+    def _start(self, coeffs, split):
+        """Hold the frozen `coeffs` or hat stack `split`, every cache empty."""
         self._coeffs = coeffs
-        self._split = None
+        self._split = split
         self._singular_values = None
         self._det = None
         self._refusals = {}
@@ -116,8 +115,13 @@ class TMatrix:
         M1, M2 = np.asarray(M1), np.asarray(M2)
         if M1.shape != M2.shape or M1.ndim != 2:
             raise DimensionMismatch("component matrices must be 2-d with equal shapes")
-        T = cls.__new__(cls)  # hat_merge's fresh array needs no defensive copy
-        T._start(_arrays.frozen_coeffs(hat_merge(M1, M2), 3, "matrix", copy=False))
+        return cls._of_hat(np.array((M1, M2), dtype=np.complex128))
+
+    @classmethod
+    def _of_hat(cls, H: np.ndarray) -> "TMatrix":
+        """The matrix of the fresh hat stack H (2, m, n), kept without a copy."""
+        T = cls.__new__(cls)
+        T._start(*_arrays.frozen_hat(H, 3, "matrix"))
         return T
 
     @classmethod
@@ -142,23 +146,19 @@ class TMatrix:
 
     @property
     def m(self) -> int:
-        return self._coeffs.shape[0]
+        return self.shape[0]
 
     @property
     def n(self) -> int:
-        return self._coeffs.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.m, self.n)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._coeffs
+        return self._coeffs.shape[:2] if self._split is None else self._split.shape[1:]
 
     def __getitem__(self, key: tuple[int, int]) -> Bicomplex:
         i, k = key
-        return Bicomplex(*self._coeffs[i, k])
+        return Bicomplex(*self.coeffs[i, k])
 
     def split(self) -> np.ndarray:
         if self._split is None:
@@ -167,7 +167,7 @@ class TMatrix:
         return self._split
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TMatrix) and np.array_equal(self._coeffs, other._coeffs)
+        return isinstance(other, TMatrix) and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None
 
@@ -179,20 +179,20 @@ class TMatrix:
     def __add__(self, other: "TMatrix") -> "TMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"matrix shapes differ: {self.shape} vs {other.shape}")
-        return TMatrix(self._coeffs + other._coeffs)
+        return TMatrix(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "TMatrix") -> "TMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"matrix shapes differ: {self.shape} vs {other.shape}")
-        return TMatrix(self._coeffs - other._coeffs)
+        return TMatrix(self.coeffs - other.coeffs)
 
     def __neg__(self) -> "TMatrix":
-        return TMatrix(-self._coeffs)
+        return TMatrix(-self.coeffs)
 
     def scale(self, w) -> "TMatrix":
         w = Bicomplex.coerce(w)
         wrow = np.array(w.coeffs, dtype=np.float64)
-        return TMatrix(_arrays.mul4(wrow, self._coeffs))
+        return TMatrix(_arrays.mul4(wrow, self.coeffs))
 
     def __rmul__(self, w) -> "TMatrix":
         if isinstance(w, (Bicomplex, int, float, complex)):
@@ -204,7 +204,7 @@ class TMatrix:
         hat coordinates."""
         if x.n != self.n:
             raise DimensionMismatch(f"operator takes dimension {self.n}, got {x.n}")
-        return TVector.from_split(*_arrays.apply_pair(self.split(), x.split()))
+        return TVector._of_hat(_arrays.apply_pair(self.split(), x.split()))
 
     __call__ = apply
 
@@ -212,7 +212,7 @@ class TMatrix:
         """Composition self after other; hat components multiply componentwise."""
         if self.n != other.m:
             raise DimensionMismatch(f"inner dimensions differ: {self.n} vs {other.m}")
-        return TMatrix.from_hat(*_arrays.compose_pair(self.split(), other.split()))
+        return TMatrix._of_hat(_arrays.compose_pair(self.split(), other.split()))
 
     __matmul__ = compose
 
@@ -240,11 +240,15 @@ class TMatrix:
 
     def det(self) -> Bicomplex:
         """Determinant assembled from the component determinants; the operator
-        is invertible over the ring exactly when this scalar is nonsingular."""
+        is invertible over the ring exactly when this scalar is nonsingular.
+        OverflowError when float64 cannot hold it."""
         if self.m != self.n:
             raise NotSquare(f"determinant needs a square matrix, got {self.m}x{self.n}")
         if self._det is None:
-            d1, d2 = np.linalg.det(self.split())
+            with np.errstate(over="ignore", invalid="ignore"):
+                d1, d2 = np.linalg.det(self.split())
+            if not np.isfinite([d1, d2]).all():
+                raise OverflowError("determinant overflows float64; solve and invert decide through slogdet")
             self._det = Bicomplex.from_idempotent(complex(d1), complex(d2))
         return self._det
 
@@ -286,11 +290,11 @@ class TMatrix:
         if b.n != self.m:
             raise DimensionMismatch(f"right-hand side dimension {b.n} != {self.m}")
         Hinv = self._inverse_split(tol)
-        return TVector.from_split(*_arrays.solve_pair(self.split(), Hinv, b.split()))
+        return TVector._of_hat(_arrays.solve_pair(self.split(), Hinv, b.split()))
 
     def invert(self) -> "TMatrix":
         """The inverse operator, with hat components M1^-1, M2^-1."""
-        return TMatrix.from_hat(*self._inverse_split(DEFAULT_SINGULAR_TOL))
+        return TMatrix._of_hat(self._inverse_split(DEFAULT_SINGULAR_TOL))
 
     # file form --------------------------------------------------------------------
 
@@ -298,7 +302,7 @@ class TMatrix:
         return {
             "m": self.m,
             "n": self.n,
-            "entries": self._coeffs.reshape(self.m * self.n, 4).tolist(),
+            "entries": self.coeffs.reshape(self.m * self.n, 4).tolist(),
         }
 
     @classmethod

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge, hat_split, pair_norms, vec_norm4
+from ._arrays import hat_split, pair_norms, vec_norm4
 from ._floats import checked_norm, fmt17, qmean
 from .errors import DimensionMismatch
 from .scalar import Bicomplex
@@ -25,12 +25,13 @@ from .scalar import Bicomplex
 SPAN_TOL = 1e-10
 
 
-class TVector:
-    """An element of T^n, stored as an (n, 4) array of real coefficients.
-
-    The coefficients are frozen, so the hat split is computed once, on first
-    use, and kept for the life of the object.  split() returns it as one
-    read-only stack (2, n) that unpacks as the component vectors v1, v2.
+class TVector(_arrays.FrozenArrays):
+    """An element of T^n, held as its read-only (n, 4) real coefficients or
+    its read-only hat stack (2, n), whichever it was built from; the other
+    form is computed on first use and kept.  A vector built from a hat stack
+    (from_split, and the results of apply, solve, distance_to and the
+    functionals) merges its coefficients only when they are read, so chained
+    operations never merge.  split() unpacks as the component vectors v1, v2.
     """
 
     __slots__ = ("_coeffs", "_split")
@@ -38,6 +39,13 @@ class TVector:
     def __init__(self, coeffs):
         self._coeffs = _arrays.frozen_coeffs(coeffs, 2, "vector")
         self._split = None
+
+    @classmethod
+    def _of_hat(cls, H: np.ndarray) -> "TVector":
+        """The vector of the fresh hat stack H (2, n), kept without a copy."""
+        x = cls.__new__(cls)
+        x._coeffs, x._split = _arrays.frozen_hat(H, 2, "vector")
+        return x
 
     # construction ---------------------------------------------------------
 
@@ -48,14 +56,10 @@ class TVector:
 
     @classmethod
     def from_split(cls, v1, v2) -> "TVector":
-        v1 = np.asarray(v1, dtype=np.complex128)
-        v2 = np.asarray(v2, dtype=np.complex128)
+        v1, v2 = np.asarray(v1), np.asarray(v2)
         if v1.shape != v2.shape or v1.ndim != 1:
             raise DimensionMismatch("component vectors must be 1-d and equal length")
-        x = cls.__new__(cls)  # hat_merge's fresh array needs no defensive copy
-        x._coeffs = _arrays.frozen_coeffs(hat_merge(v1, v2), 2, "vector", copy=False)
-        x._split = None
-        return x
+        return cls._of_hat(np.array((v1, v2), dtype=np.complex128))
 
     @classmethod
     def zero(cls, n: int) -> "TVector":
@@ -71,17 +75,13 @@ class TVector:
 
     @property
     def n(self) -> int:
-        return self._coeffs.shape[0]
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self._coeffs
+        return len(self._coeffs) if self._split is None else self._split.shape[1]
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, k: int) -> Bicomplex:
-        return Bicomplex(*self._coeffs[k])
+        return Bicomplex(*self.coeffs[k])
 
     def split(self) -> np.ndarray:
         if self._split is None:
@@ -97,20 +97,20 @@ class TVector:
 
     def __add__(self, other: "TVector") -> "TVector":
         self._check_dim(other)
-        return TVector(self._coeffs + other._coeffs)
+        return TVector(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "TVector") -> "TVector":
         self._check_dim(other)
-        return TVector(self._coeffs - other._coeffs)
+        return TVector(self.coeffs - other.coeffs)
 
     def __neg__(self) -> "TVector":
-        return TVector(-self._coeffs)
+        return TVector(-self.coeffs)
 
     def scale(self, w) -> "TVector":
         """Entrywise product with a scalar from the ring (or a subring)."""
         w = Bicomplex.coerce(w)
         wrow = np.array(w.coeffs, dtype=np.float64)
-        return TVector(_arrays.mul4(wrow, self._coeffs))
+        return TVector(_arrays.mul4(wrow, self.coeffs))
 
     def __rmul__(self, w) -> "TVector":
         if isinstance(w, (Bicomplex, int, float, complex)):
@@ -120,28 +120,29 @@ class TVector:
     def norm(self) -> float:
         """Euclidean norm over the 4n real coefficients; equals
         sqrt((|v1|^2 + |v2|^2) / 2) in component coordinates."""
+        C = self.coeffs
         with np.errstate(over="ignore"):
-            return checked_norm(float(vec_norm4(self._coeffs)), self._coeffs.flat)
+            return checked_norm(float(vec_norm4(C)), C.flat)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TVector) and np.array_equal(self._coeffs, other._coeffs)
+        return isinstance(other, TVector) and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"TVector({self._coeffs.tolist()!r})"
+        return f"TVector({self.coeffs.tolist()!r})"
 
     # file forms -------------------------------------------------------------
 
     def to_json(self) -> list[list[float]]:
-        return self._coeffs.tolist()
+        return self.coeffs.tolist()
 
     @classmethod
     def from_json(cls, data) -> "TVector":
         return cls(np.array(data, dtype=np.float64))
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(fmt17(v) for v in row) for row in self._coeffs)
+        return "\n".join(",".join(fmt17(v) for v in row) for row in self.coeffs)
 
     @classmethod
     def from_csv(cls, text: str) -> "TVector":
@@ -249,11 +250,11 @@ class Submodule:
     def distance_to(self, x: TVector) -> DistanceResult:
         if x.n != self._n:
             raise DimensionMismatch(f"vector dimension {x.n} != ambient {self._n}")
-        v1, v2 = x.split()
-        p1 = self._basis1 @ (self._basis1.conj().T @ v1)
-        p2 = self._basis2 @ (self._basis2.conj().T @ v2)
-        d1, d2 = pair_norms(v1 - p1, v2 - p2)
-        return DistanceResult(qmean(d1, d2), d1, d2, TVector.from_split(p1, p2))
+        V = x.split()
+        P = np.array((self._basis1 @ (self._basis1.conj().T @ V[0]),
+                      self._basis2 @ (self._basis2.conj().T @ V[1])))
+        d1, d2 = pair_norms(*(V - P))
+        return DistanceResult(qmean(d1, d2), d1, d2, TVector._of_hat(P))
 
     def contains(self, x: TVector) -> bool:
         """Span membership: distance at most SPAN_TOL * |x|."""

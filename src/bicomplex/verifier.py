@@ -980,11 +980,11 @@ def _hahn_banach_values(B1, B2, F, W, X):
     E = _arrays.riesz_extension(B1, B2, C)
     ext = hat_merge(*E)
     y1, y2 = _arrays.pair_norms(*_arrays.restrict_pair(B1, B2, C))
-    x1, x2 = _arrays.pair_norms(*hat_split(ext))
+    x1, x2 = _arrays.pair_norms(*E)
     err = np.maximum(*_arrays.pair_norms(*_arrays.restrict_pair(B1, B2, E - C)))
     lifted = _arrays.lift_rows(np.stack([ext, *_arrays.unit_multiples(ext)], axis=-1)[..., 0, :])
-    at_x = _arrays.dots(hat_split(ext), hat_split(X))
-    at_wx = _arrays.dots(hat_split(ext), hat_split(mul4(W[:, None, :], X)))
+    at_x = _arrays.dots(E, hat_split(X))
+    at_wx = _arrays.dots(E, hat_split(mul4(W[:, None, :], X)))
     rhs = mul4(W, hat_merge(*at_x))
     parts = (
         err / (1.0 + _arrays.operator_norms(y1, y2)[1]),
@@ -1095,15 +1095,14 @@ def _replay_norm_sandwich(witness: dict) -> float:
 
 def _compose_norm_values(lefts: list, rights: list) -> np.ndarray:
     """(N,): the excess of each norm of A @ B over sqrt(2) * |A| * |B|, the
-    worse of sup_norm and idem_norm.  The products are built as
-    TMatrix.compose builds them; each operand's norms are taken in groups of
-    its own shape, which hold far more trials than groups of (m, k, n)."""
+    worse of sup_norm and idem_norm.  Each product's norms are taken from the
+    hat stack TMatrix.compose keeps; every norm is taken in groups of one
+    shape, which hold far more trials than groups of (m, k, n)."""
     products = _grouped(
-        lambda A, B: hat_merge(*_arrays.compose_pair(hat_split(A), hat_split(B))), lefts, rights
+        lambda A, B: np.swapaxes(_arrays.compose_pair(hat_split(A), hat_split(B)), 0, 1), lefts, rights
     )
-    ra, rb, rab = (
-        np.array(_grouped(lambda C: np.stack(_norms(C), axis=-1), Cs)) for Cs in (lefts, rights, products)
-    )
+    ra, rb = (np.array(_grouped(lambda C: np.stack(_norms(C), axis=-1), Cs)) for Cs in (lefts, rights))
+    rab = np.array(_grouped(lambda H: np.stack(_split_norms(np.swapaxes(H, 0, 1)), axis=-1), products))
     bound = SQRT2 * ra * rb
     return np.max((rab - bound) / (1.0 + bound), axis=-1)
 

@@ -237,7 +237,7 @@ def test_verify_all_at_seed_42_is_pinned_bit_for_bit(capsys):
     code, out, _ = run_cli(capsys, "verify", "--all", "--seed", "42")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "a195c0257971308cbe73e6f1ec54f2cdcbbeee45da2be0a5c726e290d2425f78"
+        "9c510f550077675a516ae5982d33b3355f75b297fe5e75b24ea0e436d240fc49"
     )
 
 

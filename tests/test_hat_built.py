@@ -1,0 +1,173 @@
+"""Objects built from a hat stack: from_split, from_hat and the results of
+apply, solve, compose, invert, distance_to and the functionals keep the stack
+as their split() and merge the coefficients only when they are read."""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bicomplex import (
+    Submodule,
+    TFunctional,
+    TMatrix,
+    TVector,
+    _arrays,
+    hahn_banach_extend,
+    norming_functional,
+)
+from bicomplex._arrays import hat_merge
+
+# --- construction at every magnitude ---------------------------------------------
+
+parts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hat_stacks(draw):
+    """A hat stack (2, n) or (2, m, n) of parts in [-2, 2] scaled by 2^k, |k| <= 1100."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    count = 4 * int(np.prod(shape))
+    real = np.array(draw(st.lists(parts, min_size=count, max_size=count)))
+    with np.errstate(over="ignore"):
+        real = np.ldexp(real, draw(st.integers(-1100, 1100)))
+    return real.reshape([2, *shape, 2]).view(np.complex128)[..., 0]
+
+
+def _build(H):
+    return TVector.from_split(*H) if H.ndim == 2 else TMatrix.from_hat(*H)
+
+
+@given(hat_stacks())
+@settings(max_examples=300)
+@example(np.array([[2.0**1023], [2.0**1023]], dtype=complex))  # parts at the limit, merge overflows
+@example(np.array([[2.0**1023], [0.0]], dtype=complex))  # parts at the limit, merge finite
+@example(np.array([[np.inf], [-np.inf]], dtype=complex))
+@example(np.full((2, 1, 1), np.nan, dtype=complex))
+def test_a_hat_built_object_merges_as_an_eager_merge_would(H):
+    with np.errstate(over="ignore", invalid="ignore"):
+        eager = hat_merge(*H)
+    if not np.isfinite(eager).all():
+        with pytest.raises(ValueError):
+            _build(H)
+        return
+    built = _build(H)
+    assert built.coeffs.tobytes() == eager.tobytes()
+    assert built.split().tobytes() == H.tobytes()
+
+
+# --- behaviour of hat-built objects ---------------------------------------------
+
+
+def _hats(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+
+
+def _vector_pair():
+    """A vector built from a hat stack, and one built from its coefficients."""
+    H = _hats((3,))
+    return TVector.from_split(*H), TVector(hat_merge(*H))
+
+
+def _matrix_pair():
+    H = _hats((2, 3))
+    return TMatrix.from_hat(*H), TMatrix(hat_merge(*H))
+
+
+PAIRS = [_vector_pair, _matrix_pair]
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """The argument tuples of the hat_merge calls made while the test runs."""
+    calls = []
+    merge = _arrays.hat_merge
+
+    def counted(*args):
+        calls.append(args)
+        return merge(*args)
+
+    monkeypatch.setattr(_arrays, "hat_merge", counted)
+    return calls
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_equality_and_repr_are_those_of_the_coefficient_built_object(pair):
+    hat_built, coefficient_built = pair()
+    assert hat_built == coefficient_built and coefficient_built == hat_built
+    assert repr(hat_built) == repr(coefficient_built)
+    assert hat_built != pair()[1].scale(2.0)
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))])
+def test_copies_keep_the_value_the_split_and_the_read_only_flags(pair, round_trip):
+    for obj in pair():
+        split = obj.split()
+        again = round_trip(obj)
+        assert again == obj and type(again) is type(obj)
+        assert again.split().tobytes() == split.tobytes()
+        for arr in (again.split(), again.coeffs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_sizes_and_split_do_not_merge(pair, merges):
+    hat_built, coefficient_built = pair()
+    merges.clear()
+    sizes = ("n", "m", "shape") if isinstance(hat_built, TMatrix) else ("n",)
+    for name in sizes:
+        assert getattr(hat_built, name) == getattr(coefficient_built, name)
+    assert hat_built.split() is hat_built.split()
+    assert len(merges) == 0
+    assert hat_built.coeffs is hat_built.coeffs
+    assert len(merges) == 1
+    for arr in (hat_built.split(), hat_built.coeffs):
+        assert not arr.flags.writeable
+
+
+def _operators(n=6, seed=3):
+    rng = np.random.default_rng(seed)
+    T, S = (TMatrix.from_hat(*_hats((n, n), seed + k)) + TMatrix.scalar(n, 4.0) for k in (0, 1))
+    return T, S, TVector(rng.uniform(-1.0, 1.0, (n, 4)))
+
+
+def test_chained_operations_never_merge(merges):
+    T, S, b = _operators()
+    Y = Submodule(6, [TVector.basis(6, 0), b])
+    merges.clear()
+    T.compose(S).apply(b)
+    T.apply(T.solve(b))
+    T.invert().apply(Y.project(b))
+    hahn_banach_extend(TFunctional(T.apply(b)), Y).extension.norms()
+    assert merges == []
+
+
+def _close(a, b, rel=1e-14):
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) <= rel * np.linalg.norm(b)
+
+
+def _through_coeffs(obj):
+    """obj rebuilt from its coefficients, as every result was before."""
+    return type(obj)(obj.coeffs)
+
+
+def test_chains_agree_with_the_coefficient_built_path():
+    T, S, b = _operators()
+    assert _close(T.compose(S).apply(b).coeffs, _through_coeffs(T.compose(S)).apply(b).coeffs)
+    assert _close(T.apply(T.solve(b)).coeffs, T.apply(_through_coeffs(T.solve(b))).coeffs)
+    assert _close(T.apply(T.solve(b)).coeffs, b.coeffs, rel=1e-13)
+    Y = Submodule(6, [TVector.basis(6, 0), b])
+    report = hahn_banach_extend(TFunctional(T.apply(b)), Y)
+    rebuilt = TFunctional(_through_coeffs(report.extension.coeffs))
+    assert report.x_component_norms == pytest.approx(rebuilt.component_norms(), rel=1e-14, abs=0.0)
+    x = T.apply(TVector.basis(6, 2))
+    assert norming_functional(x).value.coeffs == pytest.approx(
+        norming_functional(_through_coeffs(x)).value.coeffs, rel=1e-14, abs=1e-14 * x.norm()
+    )

@@ -233,6 +233,15 @@ def test_det_examples():
         TMatrix.zeros(2, 3).det()
 
 
+def test_a_determinant_float64_cannot_hold_raises_overflow_without_a_warning():
+    # Pytest turns a RuntimeWarning from np.linalg.det into an error.
+    T = TMatrix.scalar(8, 2.0**200)
+    with pytest.raises(OverflowError, match="slogdet"):
+        T.det()
+    assert T.solve(TVector.basis(8, 0)) == TVector.basis(8, 0).scale(2.0**-200)
+    assert T.invert() == TMatrix.scalar(8, 2.0**-200)
+
+
 @given(matrices(3, 3), matrices(3, 3))
 @settings(max_examples=50)
 def test_det_is_multiplicative(A, B):
