@@ -15,9 +15,10 @@ functionals module, not here.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -108,6 +109,13 @@ class _Best:
             self.value = v
             self.witness = make_witness(k)
 
+    def merge(self, *others: "_Best"):
+        """Fold in bests accumulated apart, in order, as if their updates had
+        followed this one's: the same worst value and witness, ties and NaNs
+        included."""
+        for other in others:
+            self.update(other.value, lambda k, other=other: other.witness)
+
 
 #: The dimensions n every check draws its inputs from.
 DIMS = range(1, 9)
@@ -129,12 +137,41 @@ def _dim_schedule(trials: int) -> list[tuple[int, int]]:
     return schedule
 
 
-def _uniform4(rng, count: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, (count, 4))
+#: Leading rows of its input columns a scalar or vector check draws and
+#: evaluates at a time.  Its value functions make dozens of elementwise
+#: passes; over blocks this size their temporaries stay in cache, and neither
+#: they nor the draws grow with the trial count.
+_BLOCK_ROWS = 4096
 
 
-def _uniform_vectors(rng, count: int, n: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, (count, n, 4))
+def _streamed(rng, count: int, *shapes):
+    """Blocks of up to _BLOCK_ROWS rows of the columns that
+    rng.uniform(-1, 1, (count,) + shape) draws for each shape in turn, with
+    the same bits.  Asking for the first block moves rng past them all.
+
+    PCG64 spends one 64-bit draw on each double, so each column comes from
+    its own copy of the bit generator advanced to the column's offset.  Each
+    column is filled into one reused buffer: a block is valid until the next."""
+    if count <= _BLOCK_ROWS:  # one block: the columns follow one another
+        yield [rng.uniform(-1.0, 1.0, (count, *shape)) for shape in shapes]
+        return
+    sizes = [count * math.prod(shape) for shape in shapes]
+    state, draws = rng.bit_generator.state, []
+    for offset in itertools.accumulate(sizes[:-1], initial=0):
+        bits = np.random.PCG64()
+        bits.state = state
+        draws.append(np.random.Generator(bits.advance(offset)).random)
+    # advancing drops a buffered 32-bit half that drawing doubles would keep
+    end = rng.bit_generator.advance(sum(sizes)).state
+    rng.bit_generator.state = {**end, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    buffers = [np.empty((_BLOCK_ROWS, *shape)) for shape in shapes]
+    for start in range(0, count, _BLOCK_ROWS):
+        blocks = [buffer[: count - start] for buffer in buffers]
+        for draw, block in zip(draws, blocks):
+            draw(out=block)
+            block *= 2.0
+            block -= 1.0  # -1 + 2u, as uniform(-1, 1) computes it
+        yield blocks
 
 
 def _conditioned_draws(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +199,11 @@ def _nonsingular_scalars(rng, count: int) -> np.ndarray:
     out = np.empty((count, 4))
     filled = 0
     while filled < count:
-        cand = rng.uniform(-1.0, 1.0, (count - filled, 4))
-        h1, h2 = hat_split(cand)
-        ok = (np.abs(h1) >= 1e-3) & (np.abs(h2) >= 1e-3)
-        good = cand[ok]
-        out[filled : filled + good.shape[0]] = good
-        filled += good.shape[0]
+        for (cand,) in _streamed(rng, count - filled, (4,)):
+            h1, h2 = hat_split(cand)
+            good = cand[(np.abs(h1) >= 1e-3) & (np.abs(h2) >= 1e-3)]
+            out[filled : filled + good.shape[0]] = good
+            filled += good.shape[0]
     return out
 
 
@@ -178,20 +214,6 @@ def _hat_norm(C: np.ndarray) -> np.ndarray:
 
 _E1_ROW = np.array([0.5, 0.0, 0.0, 0.5])
 _IDENTITY_SCALAR = np.array([1.0, 0.0, 0.0, 0.0])
-
-#: Leading rows a scalar or vector check evaluates together.  Its value
-#: function makes dozens of elementwise passes; over blocks this size their
-#: temporaries stay in cache instead of spanning the whole draw.
-_BLOCK_ROWS = 4096
-
-
-def _blocked(fn, *arrays) -> np.ndarray:
-    """fn(*arrays) for a fn whose row k depends on row k of each array only,
-    evaluated over successive blocks of _BLOCK_ROWS rows: the same bits, with
-    temporaries that do not grow with the row count."""
-    blocks = range(0, len(arrays[0]), _BLOCK_ROWS)
-    return np.concatenate([fn(*(a[i : i + _BLOCK_ROWS] for a in arrays)) for i in blocks])
-
 
 # --- ring-axioms -------------------------------------------------------------
 
@@ -223,19 +245,19 @@ def _ring_axiom_values(part: str, S, T, U) -> np.ndarray:
 def _run_ring_axioms(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     best.update(_idempotent_identity_violation(), lambda k: {"part": "idempotent-identities"})
-    S = _uniform4(rng, cfg.trials)
-    T = _uniform4(rng, cfg.trials)
-    U = _uniform4(rng, cfg.trials)
-    for part in ("mul-associative", "mul-commutative", "distributive", "add-associative"):
-        best.update(
-            _blocked(partial(_ring_axiom_values, part), S, T, U),
-            lambda k, part=part: {
-                "part": part,
-                "s": S[k].tolist(),
-                "t": T[k].tolist(),
-                "u": U[k].tolist(),
-            },
-        )
+    parts = {part: _Best() for part in ("mul-associative", "mul-commutative", "distributive", "add-associative")}
+    for S, T, U in _streamed(rng, cfg.trials, (4,), (4,), (4,)):
+        for part, part_best in parts.items():
+            part_best.update(
+                _ring_axiom_values(part, S, T, U),
+                lambda k, part=part: {
+                    "part": part,
+                    "s": S[k].tolist(),
+                    "t": T[k].tolist(),
+                    "u": U[k].tolist(),
+                },
+            )
+    best.merge(*parts.values())
     return best, cfg.trials
 
 
@@ -259,9 +281,8 @@ def _submult_values(S, T) -> np.ndarray:
 
 def _run_submult(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    S = _uniform4(rng, cfg.trials)
-    T = _uniform4(rng, cfg.trials)
-    best.update(_blocked(_submult_values, S, T), lambda k: {"s": S[k].tolist(), "t": T[k].tolist()})
+    for S, T in _streamed(rng, cfg.trials, (4,), (4,)):
+        best.update(_submult_values(S, T), lambda k: {"s": S[k].tolist(), "t": T[k].tolist()})
     # e1 * e1 = e1 attains the bound sqrt(2)
     best.update(
         _submult_values(_E1_ROW[None], _E1_ROW[None]), lambda k: {"s": _E1_ROW.tolist(), "t": _E1_ROW.tolist()}
@@ -283,8 +304,8 @@ def _norm_identity_values(W) -> np.ndarray:
 
 def _run_norm_identity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    W = _uniform4(rng, cfg.trials)
-    best.update(_blocked(_norm_identity_values, W), lambda k: {"w": W[k].tolist()})
+    for (W,) in _streamed(rng, cfg.trials, (4,)):
+        best.update(_norm_identity_values(W), lambda k: {"w": W[k].tolist()})
     return best, cfg.trials
 
 
@@ -326,28 +347,27 @@ def _run_scalar_homogeneity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
     for n, count in _dim_schedule(cfg.trials):
-        X = _uniform_vectors(rng, count, n)
-        z = rng.uniform(-1.0, 1.0, (count, 2))
-        A_complex = np.zeros((count, 4))
-        A_complex[:, :2] = z
-        W = _uniform4(rng, count)
-        G = _uniform_vectors(rng, count, n)
-        X_ideal = mul4(_E1_ROW, G)
-        A_e1 = np.broadcast_to(_E1_ROW, (count, 4))
-        shared = _blocked(_shared_vector_values, A_complex, W, X)
-        for part, A, V, values in (
-            ("complex-exact", A_complex, X, shared[:, 0]),
-            ("ring-bound", W, X, shared[:, 1]),
-            ("attainment", A_e1, X_ideal, _blocked(partial(_homogeneity_values, "attainment"), A_e1, X_ideal)),
-        ):
-            best.update(
-                values,
-                lambda k, part=part, A=A, V=V: {
-                    "part": part,
-                    "alpha": A[k].tolist(),
-                    "x": V[k].tolist(),
-                },
-            )
+        parts = {part: _Best() for part in ("complex-exact", "ring-bound", "attainment")}
+        for X, z, W, G in _streamed(rng, count, (n, 4), (2,), (4,), (n, 4)):
+            A_complex = np.zeros((len(z), 4))
+            A_complex[:, :2] = z
+            X_ideal = mul4(_E1_ROW, G)
+            A_e1 = np.broadcast_to(_E1_ROW, (len(z), 4))
+            shared = _shared_vector_values(A_complex, W, X)
+            for part, A, V, values in (
+                ("complex-exact", A_complex, X, shared[:, 0]),
+                ("ring-bound", W, X, shared[:, 1]),
+                ("attainment", A_e1, X_ideal, _homogeneity_values("attainment", A_e1, X_ideal)),
+            ):
+                parts[part].update(
+                    values,
+                    lambda k, part=part, A=A, V=V: {
+                        "part": part,
+                        "alpha": A[k].tolist(),
+                        "x": V[k].tolist(),
+                    },
+                )
+        best.merge(*parts.values())
         total += count
     return best, total
 
@@ -377,19 +397,19 @@ def _run_translation_invariance(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
     for n, count in _dim_schedule(cfg.trials):
-        X = _uniform_vectors(rng, count, n)
-        Y = _uniform_vectors(rng, count, n)
-        A = _uniform_vectors(rng, count, n)
-        for part in ("metric-shift", "fnorm-definition"):
-            best.update(
-                _blocked(partial(_translation_values, part), X, Y, A),
-                lambda k, part=part: {
-                    "part": part,
-                    "x": X[k].tolist(),
-                    "y": Y[k].tolist(),
-                    "a": A[k].tolist(),
-                },
-            )
+        parts = {part: _Best() for part in ("metric-shift", "fnorm-definition")}
+        for X, Y, A in _streamed(rng, count, (n, 4), (n, 4), (n, 4)):
+            for part, part_best in parts.items():
+                part_best.update(
+                    _translation_values(part, X, Y, A),
+                    lambda k, part=part: {
+                        "part": part,
+                        "x": X[k].tolist(),
+                        "y": Y[k].tolist(),
+                        "a": A[k].tolist(),
+                    },
+                )
+        best.merge(*parts.values())
         total += count
     return best, total
 
@@ -423,19 +443,19 @@ def _run_homeomorphism_ta(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
     for n, count in _dim_schedule(cfg.trials):
-        A = _uniform_vectors(rng, count, n)
-        X = _uniform_vectors(rng, count, n)
-        Y = _uniform_vectors(rng, count, n)
-        for part in ("isometry", "roundtrip"):
-            best.update(
-                _blocked(partial(_ta_values, part), A, X, Y),
-                lambda k, part=part: {
-                    "part": part,
-                    "a": A[k].tolist(),
-                    "x": X[k].tolist(),
-                    "y": Y[k].tolist(),
-                },
-            )
+        parts = {part: _Best() for part in ("isometry", "roundtrip")}
+        for A, X, Y in _streamed(rng, count, (n, 4), (n, 4), (n, 4)):
+            for part, part_best in parts.items():
+                part_best.update(
+                    _ta_values(part, A, X, Y),
+                    lambda k, part=part: {
+                        "part": part,
+                        "a": A[k].tolist(),
+                        "x": X[k].tolist(),
+                        "y": Y[k].tolist(),
+                    },
+                )
+        best.merge(*parts.values())
         total += count
     return best, total
 
@@ -472,25 +492,29 @@ def _run_homeomorphism_mlambda(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
     for n, count in _dim_schedule(cfg.trials):
+        # the multipliers are rejection-sampled, so drawn whole before the rest
         L = _nonsingular_scalars(rng, count)
-        X = _uniform_vectors(rng, count, n)
-        best.update(
-            _blocked(partial(_mlambda_values, "roundtrip"), L, X),
-            lambda k: {"part": "roundtrip", "lam": L[k].tolist(), "x": X[k].tolist()},
-        )
-        # singular multipliers with an exactly vanishing hat component
-        h = rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(-1.0, 1.0, count)
-        zeros = np.zeros_like(h)
-        for component, Ls in ((1, hat_merge(zeros, h)), (2, hat_merge(h, zeros))):
-            best.update(
-                _blocked(partial(_mlambda_values, "collapse", component=component), Ls, X),
-                lambda k, component=component, Ls=Ls: {
-                    "part": "collapse",
-                    "component": component,
-                    "lam": Ls[k].tolist(),
-                    "x": X[k].tolist(),
-                },
+        roundtrip, collapse = _Best(), {1: _Best(), 2: _Best()}
+        for X, re, im in _streamed(rng, count, (n, 4), (), ()):
+            Lb, L = L[: len(X)], L[len(X) :]
+            roundtrip.update(
+                _mlambda_values("roundtrip", Lb, X),
+                lambda k: {"part": "roundtrip", "lam": Lb[k].tolist(), "x": X[k].tolist()},
             )
+            # singular multipliers with an exactly vanishing hat component
+            h = re + 1j * im
+            zeros = np.zeros_like(h)
+            for component, Ls in ((1, hat_merge(zeros, h)), (2, hat_merge(h, zeros))):
+                collapse[component].update(
+                    _mlambda_values("collapse", Ls, X, component),
+                    lambda k, component=component, Ls=Ls: {
+                        "part": "collapse",
+                        "component": component,
+                        "lam": Ls[k].tolist(),
+                        "x": X[k].tolist(),
+                    },
+                )
+        best.merge(roundtrip, *collapse.values())
         total += count
     return best, total
 
@@ -951,14 +975,16 @@ def _run_total_family(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
     for n, count in _dim_schedule(cfg.trials):
-        X = _uniform_vectors(rng, count, n)
+        first = None
+        for (X,) in _streamed(rng, count, (n, 4)):
+            first = X[:1].copy() if first is None else first
+            best.update(
+                _total_family_values("lower-bound", X),
+                lambda k: {"part": "lower-bound", "x": X[k].tolist()},
+            )
         best.update(
-            _blocked(partial(_total_family_values, "lower-bound"), X),
-            lambda k: {"part": "lower-bound", "x": X[k].tolist()},
-        )
-        best.update(
-            _total_family_values("stacked-rank", X[:1]),
-            lambda k, n=n: {"part": "stacked-rank", "x": X[0].tolist()},
+            _total_family_values("stacked-rank", first),
+            lambda k: {"part": "stacked-rank", "x": first[0].tolist()},
         )
         total += count
     return best, total

@@ -241,6 +241,21 @@ def test_verify_all_at_seed_42_is_pinned_bit_for_bit(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("--seed", "1"), "d752a42aa7f0cf98f6160cbc92beecbb8ac9fc601a832f84d7479b9da1e4f40b"),
+        (("--seed", "7", "--trials", "40"), "6fcbcf033075bae975f54706d8278d158b716d1b0d68361eb189e9d1e0cb6f43"),
+        (("--seed", "123", "--trials", "40"), "67afd47f5cd77324c496bc05416a8f6521529459362e9880017597a27e757e68"),
+    ],
+    ids=["seed-1", "seed-7-trials-40", "seed-123-trials-40"],
+)
+def test_verify_all_at_more_seeds_and_trials_is_pinned_bit_for_bit(capsys, args, digest):
+    code, out, _ = run_cli(capsys, "verify", "--all", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--all", "--seed", "9", "--trials", "5")
     _, second, _ = run_cli(capsys, "verify", "--all", "--seed", "9", "--trials", "5")

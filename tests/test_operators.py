@@ -183,6 +183,18 @@ def test_operator_norms_are_homogeneous_at_every_magnitude(size, alpha):
     assert T.scale(alpha).norms().idem_norm == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_scaling_by_a_non_real_scalar_commutes_with_apply():
+    # Every part of w is nonzero, so a slip in any one of them shows.
+    rng = np.random.default_rng(21)
+    T = TMatrix(rng.uniform(-1, 1, (3, 2, 4)))
+    x = TVector(rng.uniform(-1, 1, (2, 4)))
+    w = Bicomplex(0.3, -0.7, 0.5, 1.1)
+    scaled = T.scale(w)
+    assert np.max(np.abs(scaled.apply(x).coeffs - T.apply(x).scale(w).coeffs)) <= 1e-14
+    assert np.max(np.abs(scaled.coeffs - TMatrix.scalar(3, w).compose(T).coeffs)) <= 1e-14
+    assert w * T == scaled
+
+
 def test_sampling_oracle_validates_sup_norm():
     rng = np.random.default_rng(5)
     for trial in range(8):

@@ -436,7 +436,8 @@ def test_drawing_in_chunks_does_not_change_a_report(check_id, monkeypatch):
     assert run_check(default_config(check_id, seed=3, trials=23)).to_json() == whole
 
 
-#: The checks whose value functions run over blocks of verifier._BLOCK_ROWS rows.
+#: The checks that draw and evaluate their inputs in blocks of
+#: verifier._BLOCK_ROWS rows.
 BLOCKED_CHECKS = (
     "ring-axioms",
     "submult",
@@ -461,8 +462,9 @@ def test_evaluating_in_blocks_does_not_change_a_report(check_id, trials, monkeyp
 
 @pytest.mark.parametrize("check_id, draws", [("submult", 2), ("ring-axioms", 3)])
 def test_blocked_checks_hold_little_beyond_their_draws(check_id, draws):
-    # Each draw is (trials, 4) float64.  The values are computed in blocks,
-    # so their temporaries add a few MiB, not several draws' worth.
+    # Drawn whole, each input would be (trials, 4) float64.  Drawn and
+    # evaluated in blocks, the check holds less than those draws plus a few
+    # MiB of temporaries.
     trials = 250_000
     tracemalloc.start()
     try:
@@ -471,6 +473,69 @@ def test_blocked_checks_hold_little_beyond_their_draws(check_id, draws):
     finally:
         tracemalloc.stop()
     assert peak <= draws * trials * 4 * 8 + 8 * 2**20
+
+
+@pytest.mark.parametrize("check_id", BLOCKED_CHECKS)
+def test_streamed_checks_hold_the_same_memory_at_four_times_the_trials(check_id):
+    # 40 000 trials give every dimension more than one full block.  Drawn
+    # whole, the inputs made the peak grow about fourfold.
+    run_check(default_config(check_id, seed=1, trials=9))
+    peaks = []
+    for trials in (40_000, 160_000):
+        tracemalloc.start()
+        try:
+            run_check(default_config(check_id, seed=1, trials=trials))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+#: Column shapes of one stream: a scalar, a T row and a vector of T^3.
+STREAMED_SHAPES = ((), (4,), (3, 4))
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4097, 12500])
+def test_streamed_blocks_are_the_rows_of_the_whole_draws(count):
+    # Both streams first draw a small integer, which leaves half of a 64-bit
+    # draw buffered; drawing the columns whole keeps it.
+    whole_rng, rng = np.random.default_rng([5, count]), np.random.default_rng([5, count])
+    assert whole_rng.integers(0, 10) == rng.integers(0, 10)
+    whole = [whole_rng.uniform(-1.0, 1.0, (count, *shape)) for shape in STREAMED_SHAPES]
+    blocks = [[column.copy() for column in block] for block in verifier._streamed(rng, count, *STREAMED_SHAPES)]
+    assert [len(block[0]) for block in blocks[:-1]] == [verifier._BLOCK_ROWS] * (len(blocks) - 1)
+    for c, column in enumerate(whole):
+        assert np.array_equal(np.concatenate([block[c] for block in blocks]), column)
+    assert rng.integers(0, 10, 5).tolist() == whole_rng.integers(0, 10, 5).tolist()
+    assert rng.uniform() == whole_rng.uniform()
+
+
+#: Parts of one check, each a list of blocks of values: a tie across the
+#: first two parts, a NaN in the third after a larger value, and another NaN.
+FOLDED_PARTS = (
+    [np.array([0.5, 2.0]), np.array([2.0, 1.0])],
+    [np.array([2.0, 0.1]), np.array([1.5])],
+    [np.array([7.0, 3.0]), np.array([1.0, np.nan, np.nan])],
+    [np.array([np.nan])],
+)
+
+
+@pytest.mark.parametrize("parts", [FOLDED_PARTS[:2], FOLDED_PARTS[1:3], FOLDED_PARTS[::-1], FOLDED_PARTS])
+def test_folding_parts_in_order_equals_updating_part_by_part(parts):
+    def updated(best, p, part):
+        for b, values in enumerate(part):
+            best.update(values, lambda k: {"part": p, "block": b, "row": k})
+        return best
+
+    one = verifier._Best()
+    one.update(1.0, lambda k: {"part": "first"})
+    folded = verifier._Best()
+    folded.update(1.0, lambda k: {"part": "first"})
+    for p, part in enumerate(parts):
+        updated(one, p, part)
+    folded.merge(*(updated(verifier._Best(), p, part) for p, part in enumerate(parts)))
+    assert folded.witness == one.witness
+    np.testing.assert_array_equal(folded.value, one.value)
 
 
 def test_the_first_nan_is_the_worst_value():
