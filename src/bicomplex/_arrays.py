@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ._floats import NORM_FLOOR, SQRT2, checked_norm, mul_parts, qmean
+from ._floats import NORM_FLOOR, SQRT2, checked_norm, merge_parts, mul_parts, qmean
 
 
 def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
@@ -167,6 +167,71 @@ def norm4(C: np.ndarray) -> np.ndarray:
 def vec_norm4(C: np.ndarray) -> np.ndarray:
     """Euclidean norm over the trailing (entries, 4) axes: (..., n, 4) -> (...)."""
     return np.sqrt(np.sum(C * C, axis=(-2, -1)))
+
+
+# Coefficient planes (4, ..., rows) hold a stack of `rows` scalars (4, rows)
+# or vectors (4, n, rows) with the row axis last, so that each pass of the
+# kernels below is one long contiguous loop; row by row, they give the bits
+# of the kernels above.
+
+
+def planes(C: np.ndarray) -> np.ndarray:
+    """The contiguous coefficient planes of a stack (rows, 4) or (rows, n, 4);
+    row k is planes(C).T[k]."""
+    return np.ascontiguousarray(C.T)
+
+
+def _coefficients_last(P: np.ndarray) -> np.ndarray:
+    """Planes (4, ..., rows) viewed as the (..., rows, 4) the kernels above take."""
+    return P.transpose(*range(1, P.ndim), 0)
+
+
+def plane_hat_split(P: np.ndarray) -> np.ndarray:
+    """hat_split on planes: (4, ..., rows) -> the hat stack (2, ..., rows)."""
+    return hat_split(_coefficients_last(P))
+
+
+def plane_hat_merge(h1, h2) -> np.ndarray:
+    """hat_merge into planes (4, ..., rows): merge_parts' sums, the same bits."""
+    return np.array(merge_parts(h1, h2))
+
+
+def plane_mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """mul4 on planes, which broadcast: scalars (4, rows) times vectors (4, n, rows)."""
+    return np.array(mul_parts(*U, *V))
+
+
+def plane_norm4(P: np.ndarray) -> np.ndarray:
+    """norm4 on planes: (4, ..., rows) -> (..., rows)."""
+    return norm4(_coefficients_last(P))
+
+
+def plane_vec_norm4(P: np.ndarray) -> np.ndarray:
+    """vec_norm4 on vector planes: (4, n, rows) -> (rows,), the squares summed
+    in the order np.sum takes a vector's (n, 4) squares."""
+    return np.sqrt(rowsum((P * P).swapaxes(0, 1)))
+
+
+def rowsum(Q: np.ndarray) -> np.ndarray:
+    """Sums over every axis of Q (..., rows) but the last, each equal bit for
+    bit to np.sum over the same m <= 128 floats in one contiguous row, in C
+    order.  numpy's pairwise summation adds fewer than 8 in turn from 0.0;
+    from 8 to 128 it adds them into 8 strided partial sums, combines those
+    pairwise as a tree and adds the last m % 8 in turn.  (Longer rows it halves
+    first.)  Each index of Q's first axis must hold a divisor of 8 floats, as
+    in (m, rows) and (n, 4, rows)."""
+    rows = Q.shape[-1]
+    m = Q.size // rows
+    if m < 8:
+        return Q.reshape(-1, rows).sum(axis=0)
+    group, k = m // len(Q), m - m % 8
+    r = Q[: k // group].reshape(k // 8, 8 // group, *Q.shape[1:]).sum(axis=0).reshape(8, rows)
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]  # (r0 + r1) + (r2 + r3) and (r4 + r5) + (r6 + r7)
+    total = r[0] + r[1]
+    for q in Q[k // group :].reshape(-1, rows):
+        total += q
+    return total
 
 
 def vector_norms(C: np.ndarray) -> np.ndarray:

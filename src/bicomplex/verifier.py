@@ -15,6 +15,7 @@ functionals module, not here.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import time
@@ -24,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge, hat_split, mul4, norm4, vec_norm4
+from ._arrays import hat_merge, hat_split, mul4, norm4, planes, rowsum, vec_norm4
+from ._arrays import plane_hat_merge, plane_hat_split, plane_mul4, plane_norm4, plane_vec_norm4
 from ._floats import SQRT2
 from .errors import CheckCrashed, SingularOperator, UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
@@ -137,22 +139,25 @@ def _dim_schedule(trials: int) -> list[tuple[int, int]]:
     return schedule
 
 
-#: Leading rows of its input columns a scalar or vector check draws and
-#: evaluates at a time.  Its value functions make dozens of elementwise
-#: passes; over blocks this size their temporaries stay in cache, and neither
-#: they nor the draws grow with the trial count.
-_BLOCK_ROWS = 4096
+#: Floats in one block of the widest input column that a scalar or vector
+#: check draws and evaluates at a time.  The block and each plane temporary
+#: made from it stay below 128 KiB, glibc's default mmap threshold, so none
+#: is mapped and faulted in afresh for every block, while each pass is long
+#: enough to amortize numpy's cost per call.  Neither grows with the trials.
+_BLOCK_ELEMENTS = 16_000
 
 
 def _streamed(rng, count: int, *shapes):
-    """Blocks of up to _BLOCK_ROWS rows of the columns that
-    rng.uniform(-1, 1, (count,) + shape) draws for each shape in turn, with
-    the same bits.  Asking for the first block moves rng past them all.
+    """Blocks of the columns that rng.uniform(-1, 1, (count,) + shape) draws
+    for each shape in turn, with the same bits, in as many rows at a time as
+    keep the widest column within _BLOCK_ELEMENTS floats.  Asking for the
+    first block moves rng past them all.
 
     PCG64 spends one 64-bit draw on each double, so each column comes from
     its own copy of the bit generator advanced to the column's offset.  Each
     column is filled into one reused buffer: a block is valid until the next."""
-    if count <= _BLOCK_ROWS:  # one block: the columns follow one another
+    rows = max(1, _BLOCK_ELEMENTS // max(math.prod(shape) for shape in shapes))
+    if count <= rows:  # one block: the columns follow one another
         yield [rng.uniform(-1.0, 1.0, (count, *shape)) for shape in shapes]
         return
     sizes = [count * math.prod(shape) for shape in shapes]
@@ -164,8 +169,8 @@ def _streamed(rng, count: int, *shapes):
     # advancing drops a buffered 32-bit half that drawing doubles would keep
     end = rng.bit_generator.advance(sum(sizes)).state
     rng.bit_generator.state = {**end, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
-    buffers = [np.empty((_BLOCK_ROWS, *shape)) for shape in shapes]
-    for start in range(0, count, _BLOCK_ROWS):
+    buffers = [np.empty((rows, *shape)) for shape in shapes]
+    for start in range(0, count, rows):
         blocks = [buffer[: count - start] for buffer in buffers]
         for draw, block in zip(draws, blocks):
             draw(out=block)
@@ -194,26 +199,74 @@ def _conditioned_matrices(S, A) -> np.ndarray:
     return hat_merge(M[:, 0], M[:, 1])
 
 
-def _nonsingular_scalars(rng, count: int) -> np.ndarray:
-    """Scalars whose hat components both have modulus at least 1e-3."""
-    out = np.empty((count, 4))
-    filled = 0
+def _nonsingular(cand: np.ndarray) -> np.ndarray:
+    """Which scalars (rows, 4) have both hat components of modulus at least 1e-3."""
+    h1, h2 = hat_split(cand)
+    return (np.abs(h1) >= 1e-3) & (np.abs(h2) >= 1e-3)
+
+
+def _nonsingular_scalars(rng, count: int):
+    """Blocks of `count` nonsingular scalars, rejection-sampled in rounds that
+    each draw as many candidates as are still missing.  The rounds are only
+    counted now, which moves rng past every candidate; the blocks redraw
+    them later, as one stream, from a copy of rng taken at the start."""
+    start = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    drawn = filled = 0
     while filled < count:
+        drawn += count - filled
         for (cand,) in _streamed(rng, count - filled, (4,)):
-            h1, h2 = hat_split(cand)
-            good = cand[(np.abs(h1) >= 1e-3) & (np.abs(h2) >= 1e-3)]
-            out[filled : filled + good.shape[0]] = good
-            filled += good.shape[0]
-    return out
+            filled += int(np.count_nonzero(_nonsingular(cand)))
+    return (cand[_nonsingular(cand)] for (cand,) in _streamed(start, drawn, (4,)))
 
 
-def _hat_norm(C: np.ndarray) -> np.ndarray:
-    h1, h2 = hat_split(C)
-    return np.sqrt((np.abs(h1) ** 2 + np.abs(h2) ** 2) / 2.0)
-
+# The scalar and vector checks evaluate each block on its coefficient planes
+# (_arrays.planes), scalars (4, rows) and vectors (4, n, rows), through one
+# value function that a witness replay calls on the planes of a stack of one.
 
 _E1_ROW = np.array([0.5, 0.0, 0.0, 0.5])
+_E1_PLANE = planes(_E1_ROW[None])
 _IDENTITY_SCALAR = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _witness_planes(witness: dict, *names: str) -> list:
+    return [planes(np.array([witness[name]])) for name in names]
+
+
+def _parts_best(rng, count: int, values, names: str, shape: tuple) -> _Best:
+    """The worst of the parts of values(*planes), a dict of part values, over
+    `count` trials of one column of `shape` per name, folded in part order.
+    A witness holds the part and each column's row."""
+    parts: dict = {}
+    for block in _streamed(rng, count, *[shape] * len(names)):
+        columns = dict(zip(names, map(planes, block)))
+        for part, part_values in values(*columns.values()).items():
+            parts.setdefault(part, _Best()).update(
+                part_values,
+                lambda k, part=part: {"part": part, **{name: P.T[k].tolist() for name, P in columns.items()}},
+            )
+    best = _Best()
+    best.merge(*parts.values())
+    return best
+
+
+def _vector_parts_run(values, names: str):
+    """The run of a check that takes _parts_best over one (n, 4) column per
+    name, for each n of _dim_schedule."""
+
+    def run(cfg: CheckConfig, rng) -> tuple[_Best, int]:
+        best, schedule = _Best(), _dim_schedule(cfg.trials)
+        best.merge(*(_parts_best(rng, count, values, names, (n, 4)) for n, count in schedule))
+        return best, sum(count for _, count in schedule)
+
+    return run
+
+
+def _parts_replay(values, names: str):
+    def replay(witness: dict) -> float:
+        return float(values(*_witness_planes(witness, *names))[witness["part"]][0])
+
+    return replay
+
 
 # --- ring-axioms -------------------------------------------------------------
 
@@ -230,98 +283,83 @@ def _idempotent_identity_violation() -> float:
     return float(max(devs))
 
 
-def _ring_axiom_values(part: str, S, T, U) -> np.ndarray:
-    if part == "mul-associative":
-        return np.max(np.abs(mul4(mul4(S, T), U) - mul4(S, mul4(T, U))), axis=-1)
-    if part == "mul-commutative":
-        return np.max(np.abs(mul4(S, T) - mul4(T, S)), axis=-1)
-    if part == "distributive":
-        return np.max(np.abs(mul4(S, T + U) - (mul4(S, T) + mul4(S, U))), axis=-1)
-    if part == "add-associative":
-        return np.max(np.abs((S + T) + U - (S + (T + U))), axis=-1)
-    raise ValueError(f"unknown ring axiom part {part!r}")
+def _ring_axiom_values(S, T, U) -> dict:
+    """Each axiom's largest coefficient deviation over scalar planes (4, rows)."""
+    ST = plane_mul4(S, T)
+    return {
+        "mul-associative": np.abs(plane_mul4(ST, U) - plane_mul4(S, plane_mul4(T, U))).max(axis=0),
+        "mul-commutative": np.abs(ST - plane_mul4(T, S)).max(axis=0),
+        "distributive": np.abs(plane_mul4(S, T + U) - (ST + plane_mul4(S, U))).max(axis=0),
+        "add-associative": np.abs((S + T) + U - (S + (T + U))).max(axis=0),
+    }
 
 
 def _run_ring_axioms(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     best.update(_idempotent_identity_violation(), lambda k: {"part": "idempotent-identities"})
-    parts = {part: _Best() for part in ("mul-associative", "mul-commutative", "distributive", "add-associative")}
-    for S, T, U in _streamed(rng, cfg.trials, (4,), (4,), (4,)):
-        for part, part_best in parts.items():
-            part_best.update(
-                _ring_axiom_values(part, S, T, U),
-                lambda k, part=part: {
-                    "part": part,
-                    "s": S[k].tolist(),
-                    "t": T[k].tolist(),
-                    "u": U[k].tolist(),
-                },
-            )
-    best.merge(*parts.values())
+    best.merge(_parts_best(rng, cfg.trials, _ring_axiom_values, "stu", (4,)))
     return best, cfg.trials
 
 
 def _replay_ring_axioms(witness: dict) -> float:
     if witness["part"] == "idempotent-identities":
         return _idempotent_identity_violation()
-    S = np.array([witness["s"]])
-    T = np.array([witness["t"]])
-    U = np.array([witness["u"]])
-    return float(_ring_axiom_values(witness["part"], S, T, U)[0])
+    return _parts_replay(_ring_axiom_values, "stu")(witness)
 
 
 # --- submult -----------------------------------------------------------------
 
 
 def _submult_values(S, T) -> np.ndarray:
-    denom = norm4(S) * norm4(T)
+    denom = plane_norm4(S) * plane_norm4(T)
     denom = np.where(denom == 0.0, 1.0, denom)
-    return norm4(mul4(S, T)) / denom
+    return plane_norm4(plane_mul4(S, T)) / denom
 
 
 def _run_submult(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
-    for S, T in _streamed(rng, cfg.trials, (4,), (4,)):
-        best.update(_submult_values(S, T), lambda k: {"s": S[k].tolist(), "t": T[k].tolist()})
+    for block in _streamed(rng, cfg.trials, (4,), (4,)):
+        S, T = map(planes, block)
+        best.update(_submult_values(S, T), lambda k: {"s": S.T[k].tolist(), "t": T.T[k].tolist()})
     # e1 * e1 = e1 attains the bound sqrt(2)
-    best.update(
-        _submult_values(_E1_ROW[None], _E1_ROW[None]), lambda k: {"s": _E1_ROW.tolist(), "t": _E1_ROW.tolist()}
-    )
+    best.update(_submult_values(_E1_PLANE, _E1_PLANE), lambda k: {"s": _E1_ROW.tolist(), "t": _E1_ROW.tolist()})
     return best, cfg.trials + 1
 
 
 def _replay_submult(witness: dict) -> float:
-    return float(_submult_values(np.array([witness["s"]]), np.array([witness["t"]]))[0])
+    return float(_submult_values(*_witness_planes(witness, "s", "t"))[0])
 
 
 # --- norm-identity -----------------------------------------------------------
 
 
 def _norm_identity_values(W) -> np.ndarray:
-    n = norm4(W)
-    return np.abs(n - _hat_norm(W)) / (1.0 + n)
+    n = plane_norm4(W)
+    h1, h2 = plane_hat_split(W)
+    return np.abs(n - np.sqrt((np.abs(h1) ** 2 + np.abs(h2) ** 2) / 2.0)) / (1.0 + n)
 
 
 def _run_norm_identity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     for (W,) in _streamed(rng, cfg.trials, (4,)):
-        best.update(_norm_identity_values(W), lambda k: {"w": W[k].tolist()})
+        W = planes(W)
+        best.update(_norm_identity_values(W), lambda k: {"w": W.T[k].tolist()})
     return best, cfg.trials
 
 
 def _replay_norm_identity(witness: dict) -> float:
-    return float(_norm_identity_values(np.array([witness["w"]]))[0])
+    return float(_norm_identity_values(*_witness_planes(witness, "w"))[0])
 
 
 # --- scalar-homogeneity --------------------------------------------------------
 
 
 def _homogeneity_values(part: str, A, X, nx=None) -> np.ndarray:
-    # A: (N, 4) scalar coefficients, X: (N, n, 4) vectors, nx: their norms
-    scaled = mul4(A[:, None, :], X)
-    nx = vec_norm4(X) if nx is None else nx
-    na = norm4(A)
-    ns = vec_norm4(scaled)
+    # A: scalar planes (4, rows), or (4, 1) for one scalar; X: vector planes
+    # (4, n, rows); nx: their norms
+    ns = plane_vec_norm4(plane_mul4(A, X))
+    nx = plane_vec_norm4(X) if nx is None else nx
+    na = plane_norm4(A)
     if part == "complex-exact":
         return np.abs(ns - na * nx) / (1.0 + na * nx)
     if part == "ring-bound":
@@ -333,38 +371,29 @@ def _homogeneity_values(part: str, A, X, nx=None) -> np.ndarray:
     raise ValueError(f"unknown homogeneity part {part!r}")
 
 
-def _shared_vector_values(A_complex, W, X) -> np.ndarray:
-    """(N, 2): complex-exact at A_complex and ring-bound at W, which scale the
-    same vectors X, so the norms of X are taken once for both."""
-    nx = vec_norm4(X)
-    return np.stack(
-        [_homogeneity_values("complex-exact", A_complex, X, nx), _homogeneity_values("ring-bound", W, X, nx)],
-        axis=-1,
-    )
-
-
 def _run_scalar_homogeneity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
     for n, count in _dim_schedule(cfg.trials):
         parts = {part: _Best() for part in ("complex-exact", "ring-bound", "attainment")}
         for X, z, W, G in _streamed(rng, count, (n, 4), (2,), (4,), (n, 4)):
-            A_complex = np.zeros((len(z), 4))
-            A_complex[:, :2] = z
-            X_ideal = mul4(_E1_ROW, G)
-            A_e1 = np.broadcast_to(_E1_ROW, (len(z), 4))
-            shared = _shared_vector_values(A_complex, W, X)
+            X, W = planes(X), planes(W)
+            A_complex = np.zeros_like(W)
+            A_complex[:2] = z.T
+            X_ideal = plane_mul4(_E1_PLANE, planes(G))
+            nx = plane_vec_norm4(X)
+            e1 = np.broadcast_to(_E1_PLANE, W.shape)  # the witnesses' alpha
             for part, A, V, values in (
-                ("complex-exact", A_complex, X, shared[:, 0]),
-                ("ring-bound", W, X, shared[:, 1]),
-                ("attainment", A_e1, X_ideal, _homogeneity_values("attainment", A_e1, X_ideal)),
+                ("complex-exact", A_complex, X, _homogeneity_values("complex-exact", A_complex, X, nx)),
+                ("ring-bound", W, X, _homogeneity_values("ring-bound", W, X, nx)),
+                ("attainment", e1, X_ideal, _homogeneity_values("attainment", _E1_PLANE, X_ideal)),
             ):
                 parts[part].update(
                     values,
                     lambda k, part=part, A=A, V=V: {
                         "part": part,
-                        "alpha": A[k].tolist(),
-                        "x": V[k].tolist(),
+                        "alpha": A.T[k].tolist(),
+                        "x": V.T[k].tolist(),
                     },
                 )
         best.merge(*parts.values())
@@ -373,118 +402,52 @@ def _run_scalar_homogeneity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
 
 
 def _replay_scalar_homogeneity(witness: dict) -> float:
-    A = np.array([witness["alpha"]])
-    X = np.array([witness["x"]])
-    return float(_homogeneity_values(witness["part"], A, X)[0])
+    return float(_homogeneity_values(witness["part"], *_witness_planes(witness, "alpha", "x"))[0])
 
 
 # --- translation-invariance ----------------------------------------------------
 
 
-def _translation_values(part: str, X, Y, A) -> np.ndarray:
-    if part == "metric-shift":
-        before = vec_norm4(X - Y)
-        after = vec_norm4((X + A) - (Y + A))
-        return np.abs(after - before) / (1.0 + before)
-    if part == "fnorm-definition":
-        fnorm = vec_norm4(X)
-        at_zero = vec_norm4(X - np.zeros_like(X))
-        return np.abs(fnorm - at_zero)
-    raise ValueError(f"unknown translation-invariance part {part!r}")
+def _translation_values(X, Y, A) -> dict:
+    before = plane_vec_norm4(X - Y)
+    return {
+        "metric-shift": np.abs(plane_vec_norm4((X + A) - (Y + A)) - before) / (1.0 + before),
+        "fnorm-definition": np.abs(plane_vec_norm4(X) - plane_vec_norm4(X - np.zeros_like(X))),
+    }
 
 
-def _run_translation_invariance(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    total = 0
-    for n, count in _dim_schedule(cfg.trials):
-        parts = {part: _Best() for part in ("metric-shift", "fnorm-definition")}
-        for X, Y, A in _streamed(rng, count, (n, 4), (n, 4), (n, 4)):
-            for part, part_best in parts.items():
-                part_best.update(
-                    _translation_values(part, X, Y, A),
-                    lambda k, part=part: {
-                        "part": part,
-                        "x": X[k].tolist(),
-                        "y": Y[k].tolist(),
-                        "a": A[k].tolist(),
-                    },
-                )
-        best.merge(*parts.values())
-        total += count
-    return best, total
-
-
-def _replay_translation_invariance(witness: dict) -> float:
-    return float(
-        _translation_values(
-            witness["part"],
-            np.array([witness["x"]]),
-            np.array([witness["y"]]),
-            np.array([witness["a"]]),
-        )[0]
-    )
+_run_translation_invariance = _vector_parts_run(_translation_values, "xya")
+_replay_translation_invariance = _parts_replay(_translation_values, "xya")
 
 
 # --- homeomorphism-Ta ------------------------------------------------------------
 
 
-def _ta_values(part: str, A, X, Y) -> np.ndarray:
-    if part == "isometry":
-        before = vec_norm4(X - Y)
-        after = vec_norm4((A + X) - (A + Y))
-        return np.abs(after - before) / (1.0 + before)
-    if part == "roundtrip":
-        back = (X + A) - A
-        return vec_norm4(back - X) / (1.0 + vec_norm4(X) + vec_norm4(A))
-    raise ValueError(f"unknown translation part {part!r}")
+def _ta_values(A, X, Y) -> dict:
+    before = plane_vec_norm4(X - Y)
+    return {
+        "isometry": np.abs(plane_vec_norm4((A + X) - (A + Y)) - before) / (1.0 + before),
+        "roundtrip": plane_vec_norm4(((X + A) - A) - X) / (1.0 + plane_vec_norm4(X) + plane_vec_norm4(A)),
+    }
 
 
-def _run_homeomorphism_ta(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    total = 0
-    for n, count in _dim_schedule(cfg.trials):
-        parts = {part: _Best() for part in ("isometry", "roundtrip")}
-        for A, X, Y in _streamed(rng, count, (n, 4), (n, 4), (n, 4)):
-            for part, part_best in parts.items():
-                part_best.update(
-                    _ta_values(part, A, X, Y),
-                    lambda k, part=part: {
-                        "part": part,
-                        "a": A[k].tolist(),
-                        "x": X[k].tolist(),
-                        "y": Y[k].tolist(),
-                    },
-                )
-        best.merge(*parts.values())
-        total += count
-    return best, total
-
-
-def _replay_homeomorphism_ta(witness: dict) -> float:
-    return float(
-        _ta_values(
-            witness["part"],
-            np.array([witness["a"]]),
-            np.array([witness["x"]]),
-            np.array([witness["y"]]),
-        )[0]
-    )
+_run_homeomorphism_ta = _vector_parts_run(_ta_values, "axy")
+_replay_homeomorphism_ta = _parts_replay(_ta_values, "axy")
 
 
 # --- homeomorphism-Mlambda ---------------------------------------------------------
 
 
-def _mlambda_values(part: str, L, X, component: int = 2) -> np.ndarray:
+def _mlambda_values(part: str, L, X, component: int = 2, nx=None) -> np.ndarray:
+    # L: scalar planes (4, rows), X: vector planes (4, n, rows), nx: their norms
+    nx = plane_vec_norm4(X) if nx is None else nx
     if part == "roundtrip":
-        h1, h2 = hat_split(L)
-        Linv = hat_merge(1.0 / h1, 1.0 / h2)
-        back = mul4(Linv[:, None, :], mul4(L[:, None, :], X))
-        return vec_norm4(back - X) / (1.0 + vec_norm4(X))
+        h1, h2 = plane_hat_split(L)
+        back = plane_mul4(plane_hat_merge(1.0 / h1, 1.0 / h2), plane_mul4(L, X))
+        return plane_vec_norm4(back - X) / (1.0 + nx)
     if part == "collapse":
-        scaled = mul4(L[:, None, :], X)
-        h1, h2 = hat_split(scaled)
-        dead = h1 if component == 1 else h2
-        return np.sqrt(np.sum(np.abs(dead) ** 2, axis=-1)) / (1.0 + vec_norm4(X))
+        dead = plane_hat_split(plane_mul4(L, X))[component - 1]
+        return np.sqrt(rowsum(np.abs(dead) ** 2)) / (1.0 + nx)
     raise ValueError(f"unknown multiplication part {part!r}")
 
 
@@ -492,26 +455,28 @@ def _run_homeomorphism_mlambda(cfg: CheckConfig, rng) -> tuple[_Best, int]:
     best = _Best()
     total = 0
     for n, count in _dim_schedule(cfg.trials):
-        # the multipliers are rejection-sampled, so drawn whole before the rest
-        L = _nonsingular_scalars(rng, count)
+        multipliers, L = _nonsingular_scalars(rng, count), np.empty((0, 4))
         roundtrip, collapse = _Best(), {1: _Best(), 2: _Best()}
         for X, re, im in _streamed(rng, count, (n, 4), (), ()):
-            Lb, L = L[: len(X)], L[len(X) :]
+            while len(L) < len(X):
+                L = np.concatenate([L, next(multipliers)])
+            Lb, L, X = planes(L[: len(X)]), L[len(X) :], planes(X)
+            nx = plane_vec_norm4(X)
             roundtrip.update(
-                _mlambda_values("roundtrip", Lb, X),
-                lambda k: {"part": "roundtrip", "lam": Lb[k].tolist(), "x": X[k].tolist()},
+                _mlambda_values("roundtrip", Lb, X, nx=nx),
+                lambda k: {"part": "roundtrip", "lam": Lb.T[k].tolist(), "x": X.T[k].tolist()},
             )
             # singular multipliers with an exactly vanishing hat component
             h = re + 1j * im
             zeros = np.zeros_like(h)
-            for component, Ls in ((1, hat_merge(zeros, h)), (2, hat_merge(h, zeros))):
+            for component, Ls in ((1, plane_hat_merge(zeros, h)), (2, plane_hat_merge(h, zeros))):
                 collapse[component].update(
-                    _mlambda_values("collapse", Ls, X, component),
+                    _mlambda_values("collapse", Ls, X, component, nx),
                     lambda k, component=component, Ls=Ls: {
                         "part": "collapse",
                         "component": component,
-                        "lam": Ls[k].tolist(),
-                        "x": X[k].tolist(),
+                        "lam": Ls.T[k].tolist(),
+                        "x": X.T[k].tolist(),
                     },
                 )
         best.merge(roundtrip, *collapse.values())
@@ -520,14 +485,8 @@ def _run_homeomorphism_mlambda(cfg: CheckConfig, rng) -> tuple[_Best, int]:
 
 
 def _replay_homeomorphism_mlambda(witness: dict) -> float:
-    return float(
-        _mlambda_values(
-            witness["part"],
-            np.array([witness["lam"]]),
-            np.array([witness["x"]]),
-            witness.get("component", 2),
-        )[0]
-    )
+    L, X = _witness_planes(witness, "lam", "x")
+    return float(_mlambda_values(witness["part"], L, X, witness.get("component", 2))[0])
 
 
 # --- stacked operator evaluation ---------------------------------------------------

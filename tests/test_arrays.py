@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bicomplex import TMatrix, TVector, _arrays
-from bicomplex._arrays import hat_merge, hat_split
+from bicomplex._arrays import hat_merge, hat_split, mul4, norm4, planes, vec_norm4
 from bicomplex._floats import merge_parts
 
 #: Powers of two from the subnormals to the top of the range, and 1e+-300.
@@ -172,3 +172,51 @@ def test_orthonormal_columns_cuts_each_matrix_of_a_stack_to_its_rank():
         assert rt == ranks[t] and np.array_equal(ut, u[t])
     u, ranks = _arrays.orthonormal_columns(np.zeros((2, 4, 0), dtype=np.complex128))
     assert u.shape == (2, 4, 0) and ranks.tolist() == [0, 0]
+
+
+# --- coefficient planes -------------------------------------------------------
+#
+# The scalar and vector checks evaluate coefficient planes (4, ..., rows).
+# Each plane kernel must give the bits of the coefficient kernel it stands
+# for.  rowsum and plane_vec_norm4 add in the order numpy's pairwise
+# summation takes along a contiguous row, which numpy does not document:
+# these tests guard that order for the numpy the CI installs (2.4.6).
+
+PLANE_ROWS = (1, 7, 4097)
+
+
+def _magnitudes(rng, shape):
+    """Floats of either sign and magnitude 2^k, |k| <= 500, where the order of
+    a sum matters; about a tenth are +0.0 and a tenth -0.0."""
+    x = rng.uniform(1.0, 2.0, shape) * 2.0 ** rng.integers(-500, 501, shape) * rng.choice([-1.0, 1.0], shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("rows", PLANE_ROWS)
+def test_rowsum_adds_in_the_order_of_np_sum(rows):
+    rng = np.random.default_rng([rows, 21])
+    for m in range(1, 41):
+        Q = _magnitudes(rng, (rows, m))
+        assert np.array_equal(_bits(_arrays.rowsum(planes(Q))), _bits(np.sum(Q, axis=-1))), m
+
+
+@pytest.mark.parametrize("rows", PLANE_ROWS)
+def test_plane_kernels_give_the_bits_of_the_coefficient_kernels(rows):
+    rng = np.random.default_rng([rows, 22])
+    S = _magnitudes(rng, (rows, 4))
+    assert np.array_equal(_bits(_arrays.plane_norm4(planes(S))), _bits(norm4(S)))
+    for n in range(1, 9):
+        X = _magnitudes(rng, (rows, n, 4))
+        assert np.array_equal(_bits(_arrays.plane_vec_norm4(planes(X))), _bits(vec_norm4(X))), n
+        # a scalar plane (4, rows) broadcast against vector planes (4, n, rows)
+        product = _arrays.plane_mul4(planes(S), planes(X))
+        assert np.array_equal(_bits(product.T), _bits(mul4(S[:, None], X))), n
+        H = _arrays.plane_hat_split(planes(X))
+        assert np.array_equal(_bits(H), _bits(np.moveaxis(hat_split(X), 1, -1))), n
+        assert np.array_equal(_bits(_arrays.plane_hat_merge(*H).T), _bits(hat_merge(*hat_split(X)))), n

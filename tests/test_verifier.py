@@ -1,6 +1,8 @@
 """Verification harness: determinism, witness replay, bounds, and dispatch."""
 
 import dataclasses
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,9 @@ import pytest
 
 from bicomplex import (
     CHECK_IDS,
+    E1,
+    E2,
+    ONE,
     Bicomplex,
     CheckConfig,
     CheckCrashed,
@@ -325,6 +330,70 @@ def _continuity_oracle(w):
     return _no_exceed_value(T, TVector.from_json(w["x"]))
 
 
+# The streamed scalar and vector checks evaluate coefficient planes.  Their
+# oracles take one witness through Bicomplex and TVector arithmetic, so a
+# slip in the plane layout cannot hide behind a replay that shares it.
+# norm-identity and homeomorphism-Mlambda have none: they take moduli and
+# reciprocals of complex hat components with numpy, which round otherwise
+# than Python's abs() and complex division in IdempotentForm.norm and
+# Bicomplex.inverse for about a third and a quarter of random components.
+# At seed 1, norm-identity's witness scores 2.5e-16 and IdempotentForm.norm
+# gives 8.4e-17.
+
+
+def _coefficient_deviation(u, v):
+    return max(abs(p - q) for p, q in zip(u.coeffs, v.coeffs))
+
+
+def _ring_axioms_value(w):
+    if w["part"] == "idempotent-identities":
+        return max(
+            _coefficient_deviation(E1 * E1, E1),
+            _coefficient_deviation(E2 * E2, E2),
+            _coefficient_deviation(E1 * E2, Bicomplex()),
+            _coefficient_deviation(E1 + E2, ONE),
+        )
+    s, t, u = (Bicomplex(*w[name]) for name in "stu")
+    sides = {
+        "mul-associative": ((s * t) * u, s * (t * u)),
+        "mul-commutative": (s * t, t * s),
+        "distributive": (s * (t + u), s * t + s * u),
+        "add-associative": ((s + t) + u, s + (t + u)),
+    }
+    return _coefficient_deviation(*sides[w["part"]])
+
+
+def _submult_value(w):
+    s, t = Bicomplex(*w["s"]), Bicomplex(*w["t"])
+    return (s * t).norm() / (s.norm() * t.norm())
+
+
+def _scalar_homogeneity_value(w):
+    alpha, x = Bicomplex(*w["alpha"]), TVector(w["x"])
+    ns, na, nx = x.scale(alpha).norm(), alpha.norm(), x.norm()
+    if w["part"] == "complex-exact":
+        return abs(ns - na * nx) / (1.0 + na * nx)
+    if w["part"] == "ring-bound":
+        return (ns - SQRT2 * na * nx) / (1.0 + SQRT2 * na * nx)
+    return abs((ns / (na * nx) if na * nx > 0.0 else SQRT2) - SQRT2)
+
+
+def _translation_value(w):
+    x, y, a = (TVector(w[name]) for name in "xya")
+    if w["part"] == "metric-shift":
+        before = (x - y).norm()
+        return abs(((x + a) - (y + a)).norm() - before) / (1.0 + before)
+    return abs(x.norm() - (x - TVector.zero(x.n)).norm())
+
+
+def _ta_value(w):
+    a, x, y = (TVector(w[name]) for name in "axy")
+    if w["part"] == "isometry":
+        before = (x - y).norm()
+        return abs(((a + x) - (a + y)).norm() - before) / (1.0 + before)
+    return (((x + a) - a) - x).norm() / (1.0 + x.norm() + a.norm())
+
+
 ORACLES = {
     "ubp": lambda w: _ubp_value([TMatrix.from_json(m) for m in w["family"]], TVector.from_json(w["x"])),
     "continuity-bounded": _continuity_oracle,
@@ -342,6 +411,11 @@ ORACLES = {
     "norm-sandwich": lambda w: _norm_sandwich_value(w["part"], TMatrix.from_json(w["matrix"])),
     "compose-norm": lambda w: _compose_norm_value(TMatrix.from_json(w["a"]), TMatrix.from_json(w["b"])),
     "hahn-banach": _hahn_banach_value,
+    "ring-axioms": _ring_axioms_value,
+    "submult": _submult_value,
+    "scalar-homogeneity": _scalar_homogeneity_value,
+    "translation-invariance": _translation_value,
+    "homeomorphism-Ta": _ta_value,
 }
 
 
@@ -429,15 +503,8 @@ def test_an_exception_escaping_a_check_is_raised_as_check_crashed(monkeypatch):
     assert str(info.value) == "ValueError: operands could not be broadcast together"
 
 
-@pytest.mark.parametrize("check_id", sorted(ORACLES))
-def test_drawing_in_chunks_does_not_change_a_report(check_id, monkeypatch):
-    whole = run_check(default_config(check_id, seed=3, trials=23)).to_json()
-    monkeypatch.setattr(verifier, "_CHUNK_TRIALS", 4)
-    assert run_check(default_config(check_id, seed=3, trials=23)).to_json() == whole
-
-
-#: The checks that draw and evaluate their inputs in blocks of
-#: verifier._BLOCK_ROWS rows.
+#: The checks that draw and evaluate their inputs in blocks of at most
+#: verifier._BLOCK_ELEMENTS floats in the widest column.
 BLOCKED_CHECKS = (
     "ring-axioms",
     "submult",
@@ -450,14 +517,37 @@ BLOCKED_CHECKS = (
 )
 
 
+@pytest.mark.parametrize("check_id", sorted(set(ORACLES) - set(BLOCKED_CHECKS)))
+def test_drawing_in_chunks_does_not_change_a_report(check_id, monkeypatch):
+    whole = run_check(default_config(check_id, seed=3, trials=23)).to_json()
+    monkeypatch.setattr(verifier, "_CHUNK_TRIALS", 4)
+    assert run_check(default_config(check_id, seed=3, trials=23)).to_json() == whole
+
+
 @pytest.mark.parametrize("trials", [1, 23])
 @pytest.mark.parametrize("check_id", BLOCKED_CHECKS)
 def test_evaluating_in_blocks_does_not_change_a_report(check_id, trials, monkeypatch):
     whole = run_check(default_config(check_id, seed=3, trials=trials))
-    monkeypatch.setattr(verifier, "_BLOCK_ROWS", 3)
+    # 6 rows of a scalar column, 3 of a vector of T^2, 2 of T^3, 1 from T^4 up
+    monkeypatch.setattr(verifier, "_BLOCK_ELEMENTS", 24)
     blocked = run_check(default_config(check_id, seed=3, trials=trials))
     assert blocked.to_json() == whole.to_json()
     assert replay_witness(check_id, blocked.worst_witness) == blocked.worst_value
+
+
+#: The streamed checks that evaluate their blocks as coefficient planes.
+PLANE_CHECKS = BLOCKED_CHECKS[:-1]
+
+
+def test_streamed_checks_over_many_blocks_are_pinned_bit_for_bit():
+    # At 40 000 trials every dimension spans several blocks.  The digest was
+    # taken from the row-major evaluation the plane layout replaced.
+    reports = [run_check(default_config(check_id, seed=5, trials=40_000)) for check_id in PLANE_CHECKS]
+    assert [replay_witness(r.check_id, r.worst_witness) for r in reports] == [r.worst_value for r in reports]
+    payload = json.dumps([r.to_json() for r in reports], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "74cda248ec33131e63ad5a088281e90d2c69d40d74859c6fefbac00dff7921bb"
+    )
 
 
 @pytest.mark.parametrize("check_id, draws", [("submult", 2), ("ring-axioms", 3)])
@@ -503,7 +593,8 @@ def test_streamed_blocks_are_the_rows_of_the_whole_draws(count):
     assert whole_rng.integers(0, 10) == rng.integers(0, 10)
     whole = [whole_rng.uniform(-1.0, 1.0, (count, *shape)) for shape in STREAMED_SHAPES]
     blocks = [[column.copy() for column in block] for block in verifier._streamed(rng, count, *STREAMED_SHAPES)]
-    assert [len(block[0]) for block in blocks[:-1]] == [verifier._BLOCK_ROWS] * (len(blocks) - 1)
+    rows = verifier._BLOCK_ELEMENTS // 12  # the widest column holds 12 floats a row
+    assert [len(block[0]) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
     for c, column in enumerate(whole):
         assert np.array_equal(np.concatenate([block[c] for block in blocks]), column)
     assert rng.integers(0, 10, 5).tolist() == whole_rng.integers(0, 10, 5).tolist()
