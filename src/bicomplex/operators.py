@@ -106,11 +106,6 @@ class TMatrix(_arrays.FrozenArrays):
     # construction ---------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows) -> "TMatrix":
-        data = [[Bicomplex.coerce(v).coeffs for v in row] for row in rows]
-        return cls(np.array(data, dtype=np.float64))
-
-    @classmethod
     def from_hat(cls, M1, M2) -> "TMatrix":
         M1, M2 = np.asarray(M1), np.asarray(M2)
         if M1.shape != M2.shape or M1.ndim != 2:

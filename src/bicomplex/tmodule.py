@@ -238,10 +238,6 @@ class Submodule:
             stacked = np.zeros((self._n, 0, 4))
         return hat_split(stacked)
 
-    def is_fundamental(self) -> bool:
-        """True when the generators span all of T^n (both component spaces full)."""
-        return self.dim1 == self._n and self.dim2 == self._n
-
     # geometry ---------------------------------------------------------------
 
     def project(self, x: TVector) -> TVector:

@@ -1,12 +1,13 @@
 """Randomized, seeded property suites over the scalar, module, operator, and
 functional layers.
 
-Each check draws its inputs from a stream derived from the seed and the
-stream index pinned in its registry record, evaluates a violation measure
-through the same kernels the library uses, and reports the worst value
-together with a witness, the inputs that produced it.  Replaying a witness
-re-evaluates it through the same kernels, so reports are reproducible bit
-for bit given the seed (timing aside).
+Each check is one record in the registry CHECKS: a draw of named input
+columns from a stream derived from the seed and the record's pinned stream
+index, a value function that measures each part's violation on a block of
+columns through the kernels the library uses, and a codec per column that
+writes the worst inputs into the report's witness and reads them back.  One
+runner and one replay serve every check, so reports are reproducible bit for
+bit given the seed (timing aside).
 
 No check asserts more than the finite-dimensional truth of the statement it
 exercises: quantities that are only measured (never guaranteed) live in the
@@ -16,8 +17,10 @@ functionals module, not here.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_merge, hat_split, mul4, norm4, planes, rowsum, vec_norm4
+from ._arrays import frozen_coeffs, hat_merge, hat_split, mul4, planes, rowsum
 from ._arrays import plane_hat_merge, plane_hat_split, plane_mul4, plane_norm4, plane_vec_norm4
 from ._floats import SQRT2
 from .errors import CheckCrashed, SingularOperator, UnknownCheckId
@@ -179,6 +182,11 @@ def _streamed(rng, count: int, *shapes):
         yield blocks
 
 
+def _plane_blocks(rng, count: int, *shapes):
+    """The blocks of _streamed as coefficient planes, scalars (4, rows) and vectors (4, n, rows)."""
+    return ([planes(column) for column in block] for block in _streamed(rng, count, *shapes))
+
+
 def _conditioned_draws(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The draws of one bijective operator on T^n: per hat component, its
     singular values in [0.4, 2] (2, n) and two complex Gaussian matrices
@@ -219,92 +227,155 @@ def _nonsingular_scalars(rng, count: int):
     return (cand[_nonsingular(cand)] for (cand,) in _streamed(start, drawn, (4,)))
 
 
-# The scalar and vector checks evaluate each block on its coefficient planes
-# (_arrays.planes), scalars (4, rows) and vectors (4, n, rows), through one
-# value function that a witness replay calls on the planes of a stack of one.
-
-_E1_ROW = np.array([0.5, 0.0, 0.0, 0.5])
-_E1_PLANE = planes(_E1_ROW[None])
-_IDENTITY_SCALAR = np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def _witness_planes(witness: dict, *names: str) -> list:
-    return [planes(np.array([witness[name]])) for name in names]
-
-
-def _parts_best(rng, count: int, values, names: str, shape: tuple) -> _Best:
-    """The worst of the parts of values(*planes), a dict of part values, over
-    `count` trials of one column of `shape` per name, folded in part order.
-    A witness holds the part and each column's row."""
-    parts: dict = {}
-    for block in _streamed(rng, count, *[shape] * len(names)):
-        columns = dict(zip(names, map(planes, block)))
-        for part, part_values in values(*columns.values()).items():
-            parts.setdefault(part, _Best()).update(
-                part_values,
-                lambda k, part=part: {"part": part, **{name: P.T[k].tolist() for name, P in columns.items()}},
-            )
-    best = _Best()
-    best.merge(*parts.values())
-    return best
+# --- one runner and one replay ----------------------------------------------------
+#
+# A check's draw yields groups of blocks with their trial counts: a group is a
+# dimension of _dim_schedule for the vector checks, the whole run otherwise.
+# A block holds the check's columns in order, None for one it leaves out.  The
+# value function maps a block to values, or to a dict of them by part: one
+# constant, one value per trial or one per point of each trial.  Each part
+# keeps its worst value over a group, and the parts are folded in order at its
+# end, so ties and NaNs pick the witness that one pass per part would.  A
+# witness holds the part, if any, then the columns its values are indexed by.
 
 
-def _vector_parts_run(values, names: str):
-    """The run of a check that takes _parts_best over one (n, 4) column per
-    name, for each n of _dim_schedule."""
+@dataclass(frozen=True)
+class _Codec:
+    """How an input column enters a witness and comes back for its replay: it
+    holds a constant of its block (axes 0), an item per trial (axes 1) or per
+    point of each trial (axes 2); encode(column, t, j) is the JSON of trial
+    t's item (point j's), decode(JSON) the stack of one trial it came from."""
 
-    def run(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-        best, schedule = _Best(), _dim_schedule(cfg.trials)
-        best.merge(*(_parts_best(rng, count, values, names, (n, 4)) for n, count in schedule))
-        return best, sum(count for _, count in schedule)
-
-    return run
+    axes: int
+    encode: Callable
+    decode: Callable
 
 
-def _parts_replay(values, names: str):
-    def replay(witness: dict) -> float:
-        return float(values(*_witness_planes(witness, *names))[witness["part"]][0])
+_CONSTANT = _Codec(0, lambda value, t, j: value, lambda value: value)
+_SCALAR = _Codec(1, lambda P, t, j: P.T[t].tolist(), lambda row: planes(frozen_coeffs([row], 2, "scalar")))
+_VECTOR = _Codec(1, lambda P, t, j: P.T[t].tolist(), lambda rows: planes(frozen_coeffs([rows], 3, "vector")))
+_TRIAL_SCALAR = _Codec(1, lambda A, t, j: A[t].tolist(), lambda row: frozen_coeffs([row], 2, "scalar"))
+_TRIAL_VECTOR = _Codec(1, lambda A, t, j: A[t].tolist(), lambda rows: frozen_coeffs([rows], 3, "vector"))
+_TRIAL_VECTORS = _Codec(1, lambda A, t, j: A[t].tolist(), lambda rows: frozen_coeffs([rows], 4, "vectors"))
+_POINT = _Codec(2, lambda A, t, j: A[t][j].tolist(), lambda rows: frozen_coeffs([[rows]], 4, "point"))
+_SIZE = _Codec(1, lambda A, t, j: A[t], lambda n: np.array([operator.index(n)]))
+_MATRIX = _Codec(1, lambda A, t, j: TMatrix(A[t]).to_json(), lambda data: TMatrix.from_json(data).coeffs[None])
+_FAMILY = _Codec(
+    1,
+    lambda A, t, j: [TMatrix(C).to_json() for C in A[t]],
+    lambda data: np.stack([TMatrix.from_json(m).coeffs for m in data])[None],
+)
+_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)  # what a bad or absent entry raises
 
-    return replay
+
+def _indexed(values):
+    """A part's values flat, their index axes and the (trial, point) of a flat
+    index; values per point come as a matrix or as rows of any lengths."""
+    if isinstance(values, list) or np.ndim(values) == 2:
+        trial = np.repeat(np.arange(len(values)), [len(row) for row in values])
+        return np.concatenate(values), 2, lambda k: (trial[k], k - np.searchsorted(trial, trial[k]))
+    return values, np.ndim(values), lambda k: (k, None)
+
+
+def _run(check: "Check", cfg: CheckConfig, rng) -> tuple[_Best, int]:
+    best, trials_run = _Best(), 0
+    for trials, blocks in check.draw(cfg, rng):
+        parts: dict = {}
+        for block in blocks:
+            values = check.values(*block)
+            for part, part_values in values.items() if isinstance(values, dict) else [(None, values)]:
+                flat, axes, at = _indexed(part_values)
+
+                def witness(k) -> dict:
+                    t, j = at(k)
+                    found = {} if part is None else {"part": part}
+                    for (name, codec), column in zip(check.columns.items(), block):
+                        if column is not None and codec.axes <= axes:
+                            found[name] = codec.encode(column, t, j)
+                    return found
+
+                parts.setdefault(part, _Best()).update(flat, witness)
+        best.merge(*parts.values())
+        trials_run += trials
+    return best, trials_run
+
+
+def _malformed(check: "Check", key: str) -> ValueError:
+    return ValueError(f"malformed {check.check_id} witness: {key!r} is missing or does not fit")
+
+
+def _replay(check: "Check", witness: dict) -> float:
+    """The witness's value on the stack of one trial it decodes to.  A column
+    it lacks is passed as None: an error only where the part's values index it."""
+    columns = []
+    for name, codec in check.columns.items():
+        try:
+            columns.append(codec.decode(witness[name]) if name in witness else None)
+        except _MALFORMED as exc:
+            raise _malformed(check, name) from exc
+    absent = [name for name, column in zip(check.columns, columns) if column is None]
+    absent.sort(key=lambda name: check.columns[name].axes == 0)  # constants last
+    try:
+        values = (check.replay or check.values)(*columns)
+    except _MALFORMED as exc:
+        if not absent:
+            raise
+        raise _malformed(check, absent[0]) from exc
+    if isinstance(values, dict):
+        if witness.get("part") not in values:
+            raise _malformed(check, "part")
+        values = values[witness["part"]]
+    flat, axes, _ = _indexed(values)
+    for name in absent:
+        if 0 < check.columns[name].axes <= axes:
+            raise _malformed(check, name)
+    return float(np.ravel(flat)[0])
+
+
+def _scalar_draw(columns: int, *extra):
+    """One group: `columns` columns of scalars as planes, then `extra` blocks of one trial."""
+    return lambda cfg, rng: [
+        (cfg.trials + len(extra), itertools.chain(_plane_blocks(rng, cfg.trials, *[(4,)] * columns), extra))
+    ]
+
+
+def _per_dimension(blocks):
+    """A group of blocks(rng, n, count) for each (n, count) of _dim_schedule."""
+    return lambda cfg, rng: ((count, blocks(rng, n, count)) for n, count in _dim_schedule(cfg.trials))
+
+
+def _vector_draw(columns: int):
+    """Per dimension n, `columns` columns of vectors of T^n, as planes."""
+    return _per_dimension(lambda rng, n, count: _plane_blocks(rng, count, *[(n, 4)] * columns))
 
 
 # --- ring-axioms -------------------------------------------------------------
+#
+# The scalar and vector checks evaluate each block on its coefficient planes,
+# through plane kernels that keep the bits of the coefficient layout.
+
+_E1_ROW, _E2_ROW = np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.5, 0.0, 0.0, -0.5])
+_E1_PLANE = planes(_E1_ROW[None])
 
 
+@functools.cache
 def _idempotent_identity_violation() -> float:
-    e1 = _E1_ROW
-    e2 = np.array([0.5, 0.0, 0.0, -0.5])
-    devs = [
-        np.max(np.abs(mul4(e1, e1) - e1)),
-        np.max(np.abs(mul4(e2, e2) - e2)),
-        np.max(np.abs(mul4(e1, e2))),
-        np.max(np.abs(e1 + e2 - _IDENTITY_SCALAR)),
-    ]
-    return float(max(devs))
+    e1, e2 = _E1_ROW, _E2_ROW
+    devs = (mul4(e1, e1) - e1, mul4(e2, e2) - e2, mul4(e1, e2), e1 + e2 - np.array([1.0, 0.0, 0.0, 0.0]))
+    return float(max(np.max(np.abs(dev)) for dev in devs))
 
 
 def _ring_axiom_values(S, T, U) -> dict:
-    """Each axiom's largest coefficient deviation over scalar planes (4, rows)."""
+    """The identities of e1 and e2, a constant replayed from no input, then each
+    axiom's largest coefficient deviation over scalar planes (4, rows)."""
+    values = {"idempotent-identities": _idempotent_identity_violation()}
+    S, T, U = (np.empty((4, 0)) if P is None else P for P in (S, T, U))  # a column a witness lacks has no rows
     ST = plane_mul4(S, T)
-    return {
-        "mul-associative": np.abs(plane_mul4(ST, U) - plane_mul4(S, plane_mul4(T, U))).max(axis=0),
-        "mul-commutative": np.abs(ST - plane_mul4(T, S)).max(axis=0),
-        "distributive": np.abs(plane_mul4(S, T + U) - (ST + plane_mul4(S, U))).max(axis=0),
-        "add-associative": np.abs((S + T) + U - (S + (T + U))).max(axis=0),
-    }
-
-
-def _run_ring_axioms(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    best.update(_idempotent_identity_violation(), lambda k: {"part": "idempotent-identities"})
-    best.merge(_parts_best(rng, cfg.trials, _ring_axiom_values, "stu", (4,)))
-    return best, cfg.trials
-
-
-def _replay_ring_axioms(witness: dict) -> float:
-    if witness["part"] == "idempotent-identities":
-        return _idempotent_identity_violation()
-    return _parts_replay(_ring_axiom_values, "stu")(witness)
+    values["mul-associative"] = np.abs(plane_mul4(ST, U) - plane_mul4(S, plane_mul4(T, U))).max(axis=0)
+    values["mul-commutative"] = np.abs(ST - plane_mul4(T, S)).max(axis=0)
+    values["distributive"] = np.abs(plane_mul4(S, T + U) - (ST + plane_mul4(S, U))).max(axis=0)
+    values["add-associative"] = np.abs((S + T) + U - (S + (T + U))).max(axis=0)
+    return values
 
 
 # --- submult -----------------------------------------------------------------
@@ -316,20 +387,6 @@ def _submult_values(S, T) -> np.ndarray:
     return plane_norm4(plane_mul4(S, T)) / denom
 
 
-def _run_submult(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for block in _streamed(rng, cfg.trials, (4,), (4,)):
-        S, T = map(planes, block)
-        best.update(_submult_values(S, T), lambda k: {"s": S.T[k].tolist(), "t": T.T[k].tolist()})
-    # e1 * e1 = e1 attains the bound sqrt(2)
-    best.update(_submult_values(_E1_PLANE, _E1_PLANE), lambda k: {"s": _E1_ROW.tolist(), "t": _E1_ROW.tolist()})
-    return best, cfg.trials + 1
-
-
-def _replay_submult(witness: dict) -> float:
-    return float(_submult_values(*_witness_planes(witness, "s", "t"))[0])
-
-
 # --- norm-identity -----------------------------------------------------------
 
 
@@ -339,70 +396,34 @@ def _norm_identity_values(W) -> np.ndarray:
     return np.abs(n - np.sqrt((np.abs(h1) ** 2 + np.abs(h2) ** 2) / 2.0)) / (1.0 + n)
 
 
-def _run_norm_identity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for (W,) in _streamed(rng, cfg.trials, (4,)):
-        W = planes(W)
-        best.update(_norm_identity_values(W), lambda k: {"w": W.T[k].tolist()})
-    return best, cfg.trials
-
-
-def _replay_norm_identity(witness: dict) -> float:
-    return float(_norm_identity_values(*_witness_planes(witness, "w"))[0])
-
-
 # --- scalar-homogeneity --------------------------------------------------------
 
-
-def _homogeneity_values(part: str, A, X, nx=None) -> np.ndarray:
-    # A: scalar planes (4, rows), or (4, 1) for one scalar; X: vector planes
-    # (4, n, rows); nx: their norms
-    ns = plane_vec_norm4(plane_mul4(A, X))
-    nx = plane_vec_norm4(X) if nx is None else nx
-    na = plane_norm4(A)
-    if part == "complex-exact":
-        return np.abs(ns - na * nx) / (1.0 + na * nx)
-    if part == "ring-bound":
-        return (ns - SQRT2 * na * nx) / (1.0 + SQRT2 * na * nx)
-    if part == "attainment":
-        denom = na * nx
-        ratio = np.where(denom > 0.0, ns / np.where(denom == 0.0, 1.0, denom), SQRT2)
-        return np.abs(ratio - SQRT2)
-    raise ValueError(f"unknown homogeneity part {part!r}")
+#: Each part's violation from the norms of alpha x, alpha and x.
+_HOMOGENEITY_PARTS = {
+    "complex-exact": lambda ns, na, nx: np.abs(ns - na * nx) / (1.0 + na * nx),
+    "ring-bound": lambda ns, na, nx: (ns - SQRT2 * na * nx) / (1.0 + SQRT2 * na * nx),
+    "attainment": lambda ns, na, nx: np.abs(
+        np.where(na * nx > 0.0, ns / np.where(na * nx == 0.0, 1.0, na * nx), SQRT2) - SQRT2
+    ),
+}
 
 
-def _run_scalar_homogeneity(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    total = 0
-    for n, count in _dim_schedule(cfg.trials):
-        parts = {part: _Best() for part in ("complex-exact", "ring-bound", "attainment")}
-        for X, z, W, G in _streamed(rng, count, (n, 4), (2,), (4,), (n, 4)):
-            X, W = planes(X), planes(W)
-            A_complex = np.zeros_like(W)
-            A_complex[:2] = z.T
-            X_ideal = plane_mul4(_E1_PLANE, planes(G))
-            nx = plane_vec_norm4(X)
-            e1 = np.broadcast_to(_E1_PLANE, W.shape)  # the witnesses' alpha
-            for part, A, V, values in (
-                ("complex-exact", A_complex, X, _homogeneity_values("complex-exact", A_complex, X, nx)),
-                ("ring-bound", W, X, _homogeneity_values("ring-bound", W, X, nx)),
-                ("attainment", e1, X_ideal, _homogeneity_values("attainment", _E1_PLANE, X_ideal)),
-            ):
-                parts[part].update(
-                    values,
-                    lambda k, part=part, A=A, V=V: {
-                        "part": part,
-                        "alpha": A.T[k].tolist(),
-                        "x": V.T[k].tolist(),
-                    },
-                )
-        best.merge(*parts.values())
-        total += count
-    return best, total
+def _homogeneity_values(part, A, X) -> dict:
+    """The violation of `part` at scalar planes A (4, rows), vector planes X (4, n, rows)."""
+    formula = _HOMOGENEITY_PARTS.get(part)
+    if formula is None:
+        return {}
+    return {part: formula(plane_vec_norm4(plane_mul4(A, X)), plane_norm4(A), plane_vec_norm4(X))}
 
 
-def _replay_scalar_homogeneity(witness: dict) -> float:
-    return float(_homogeneity_values(witness["part"], *_witness_planes(witness, "alpha", "x"))[0])
+@_per_dimension
+def _homogeneity_draw(rng, n: int, count: int):
+    """Each part's (part, alpha, x): complex alpha, any alpha, and alpha = e1
+    at x in the ideal e1 T^n, where the sqrt(2) bound is attained."""
+    for X, z, W, G in _plane_blocks(rng, count, (n, 4), (2,), (4,), (n, 4)):
+        yield "complex-exact", np.concatenate([z, np.zeros_like(z)]), X
+        yield "ring-bound", W, X
+        yield "attainment", np.broadcast_to(_E1_PLANE, W.shape), plane_mul4(_E1_PLANE, G)
 
 
 # --- translation-invariance ----------------------------------------------------
@@ -416,10 +437,6 @@ def _translation_values(X, Y, A) -> dict:
     }
 
 
-_run_translation_invariance = _vector_parts_run(_translation_values, "xya")
-_replay_translation_invariance = _parts_replay(_translation_values, "xya")
-
-
 # --- homeomorphism-Ta ------------------------------------------------------------
 
 
@@ -431,62 +448,52 @@ def _ta_values(A, X, Y) -> dict:
     }
 
 
-_run_homeomorphism_ta = _vector_parts_run(_ta_values, "axy")
-_replay_homeomorphism_ta = _parts_replay(_ta_values, "axy")
-
-
 # --- homeomorphism-Mlambda ---------------------------------------------------------
 
 
-def _mlambda_values(part: str, L, X, component: int = 2, nx=None) -> np.ndarray:
-    # L: scalar planes (4, rows), X: vector planes (4, n, rows), nx: their norms
-    nx = plane_vec_norm4(X) if nx is None else nx
+def _mlambda_values(part, component, L, X) -> dict:
+    """The violation of `part` at scalar planes L (4, rows) and vector planes
+    X (4, n, rows); for collapse, hat component `component` of L vanishes."""
     if part == "roundtrip":
         h1, h2 = plane_hat_split(L)
         back = plane_mul4(plane_hat_merge(1.0 / h1, 1.0 / h2), plane_mul4(L, X))
-        return plane_vec_norm4(back - X) / (1.0 + nx)
+        return {part: plane_vec_norm4(back - X) / (1.0 + plane_vec_norm4(X))}
     if part == "collapse":
         dead = plane_hat_split(plane_mul4(L, X))[component - 1]
-        return np.sqrt(rowsum(np.abs(dead) ** 2)) / (1.0 + nx)
-    raise ValueError(f"unknown multiplication part {part!r}")
+        return {part: np.sqrt(rowsum(np.abs(dead) ** 2)) / (1.0 + plane_vec_norm4(X))}
+    return {}
 
 
-def _run_homeomorphism_mlambda(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    total = 0
-    for n, count in _dim_schedule(cfg.trials):
-        multipliers, L = _nonsingular_scalars(rng, count), np.empty((0, 4))
-        roundtrip, collapse = _Best(), {1: _Best(), 2: _Best()}
-        for X, re, im in _streamed(rng, count, (n, 4), (), ()):
-            while len(L) < len(X):
-                L = np.concatenate([L, next(multipliers)])
-            Lb, L, X = planes(L[: len(X)]), L[len(X) :], planes(X)
-            nx = plane_vec_norm4(X)
-            roundtrip.update(
-                _mlambda_values("roundtrip", Lb, X, nx=nx),
-                lambda k: {"part": "roundtrip", "lam": Lb.T[k].tolist(), "x": X.T[k].tolist()},
-            )
-            # singular multipliers with an exactly vanishing hat component
-            h = re + 1j * im
-            zeros = np.zeros_like(h)
-            for component, Ls in ((1, plane_hat_merge(zeros, h)), (2, plane_hat_merge(h, zeros))):
-                collapse[component].update(
-                    _mlambda_values("collapse", Ls, X, component, nx),
-                    lambda k, component=component, Ls=Ls: {
-                        "part": "collapse",
-                        "component": component,
-                        "lam": Ls.T[k].tolist(),
-                        "x": X.T[k].tolist(),
-                    },
-                )
-        best.merge(roundtrip, *collapse.values())
-        total += count
-    return best, total
+@_per_dimension
+def _mlambda_draw(rng, n: int, count: int):
+    """Per block of vectors of T^n, the nonsingular multipliers (roundtrip),
+    then singular ones whose hat component 1, then 2, vanishes exactly."""
+    multipliers, L = _nonsingular_scalars(rng, count), np.empty((0, 4))
+    for X, re, im in _plane_blocks(rng, count, (n, 4), (), ()):
+        rows = X.shape[-1]
+        while len(L) < rows:
+            L = np.concatenate([L, next(multipliers)])
+        yield "roundtrip", None, planes(L[:rows]), X
+        L = L[rows:]
+        h = re + 1j * im
+        zeros = np.zeros_like(h)
+        yield "collapse", 1, plane_hat_merge(zeros, h), X
+        yield "collapse", 2, plane_hat_merge(h, zeros), X
 
 
-def _replay_homeomorphism_mlambda(witness: dict) -> float:
-    L, X = _witness_planes(witness, "lam", "x")
-    return float(_mlambda_values(witness["part"], L, X, witness.get("component", 2))[0])
+# --- total-family ----------------------------------------------------------------
+
+
+def _total_family_values(X) -> dict:
+    """Vector planes X (4, n, rows).  The family is the coordinate functionals,
+    so the entries are the evaluations; stacked as rows they are the identity."""
+    n = X.shape[1]
+    total = plane_vec_norm4(X)
+    s = np.linalg.svd(np.eye(n, dtype=np.complex128), compute_uv=False)
+    return {
+        "lower-bound": (total / np.sqrt(n) - np.max(plane_norm4(X), axis=0)) / (1.0 + total),
+        "stacked-rank": np.full(X.shape[-1], abs(float(s[-1]) - 1.0)),
+    }
 
 
 # --- stacked operator evaluation ---------------------------------------------------
@@ -494,19 +501,14 @@ def _replay_homeomorphism_mlambda(witness: dict) -> float:
 # The operator checks draw each trial's inputs in turn (one draw of shape
 # (k, ...) takes the stream's values in the order of k draws of shape (...)),
 # then evaluate a chunk of up to _CHUNK_TRIALS trials together.  Trials whose
-# arrays share their shapes are stacked and run through the library's kernels
-# (_arrays.pair_singular_values, operator_norms, apply_pair, compose_pair,
-# solve_pair, vector_norms; for hahn-banach orthonormal_columns,
-# restrict_pair, riesz_extension, pair_norms and dots) in one call each: the
-# kernels TMatrix, TVector, Submodule and TFunctional call for a single
+# arrays share their shapes are stacked and run in one call each through the
+# kernels that TMatrix, TVector, Submodule and TFunctional call for a single
 # object.  Stacked LAPACK and BLAS calls round each matrix as a single call
 # does, so the values are those of the per-object methods, bit for bit,
-# whatever the chunk and stack sizes.  Each replay evaluates a stack of one
-# through the same function, except hahn-banach's, which goes through the
-# per-object API.
+# whatever the chunk and stack sizes.  hahn-banach replays its witness
+# through the per-object API.
 
-#: Trials drawn and evaluated together, so that memory does not grow with
-#: the trial count.
+#: Trials drawn and evaluated together, so that memory does not grow with them.
 _CHUNK_TRIALS = 1024
 
 
@@ -514,6 +516,14 @@ def _chunks(trials: int):
     """Sizes of the successive chunks that `trials` trials are drawn in."""
     for start in range(0, trials, _CHUNK_TRIALS):
         yield min(_CHUNK_TRIALS, trials - start)
+
+
+def _chunked(trial, derive=lambda *columns: columns):
+    """One group of chunks, each trial drawn by trial(rng); derive turns a
+    chunk's columns into the inputs that the values and witnesses take."""
+    return lambda cfg, rng: [
+        (cfg.trials, (derive(*zip(*[trial(rng) for _ in range(count)])) for count in _chunks(cfg.trials)))
+    ]
 
 
 def _grouped(fn, *columns) -> list:
@@ -534,6 +544,11 @@ def _grouped(fn, *columns) -> list:
     return rows
 
 
+def _by_shape(kernel):
+    """The values of a kernel over stacks of one shape, for trials of any shapes."""
+    return lambda *columns: np.array(_grouped(kernel, *columns))
+
+
 def _split_norms(H):
     """(sup_norm, idem_norm) of operators given by their hat stack
     (2, ..., m, n), as TMatrix.norms computes them."""
@@ -552,6 +567,12 @@ def _apply(H, X):
     return hat_merge(*_arrays.apply_pair(H, hat_split(X)))
 
 
+def _uniform_trial(dims: int, shapes):
+    """A trial that draws `dims` dimensions from DIMS, then an array uniform
+    in [-1, 1] of each shape of shapes(*dimensions) in turn."""
+    return lambda rng: [rng.uniform(-1.0, 1.0, shape) for shape in shapes(*[_random_dim(rng) for _ in range(dims)])]
+
+
 # --- ubp ---------------------------------------------------------------------
 
 _FAMILY_SIZE = 5
@@ -566,29 +587,6 @@ def _ubp_group(F, X):
     lhs = _arrays.vector_norms(_apply(H[:, :, None], X[:, :, None]))
     rhs = (SQRT2 * bound)[:, None, None] * _arrays.vector_norms(X)[..., None]
     return np.max((lhs - rhs) / (1.0 + rhs), axis=-1)
-
-
-def _run_ubp(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        families, points = [], []
-        for _ in range(count):
-            n = _random_dim(rng)
-            families.append(rng.uniform(-1.0, 1.0, (_FAMILY_SIZE, n, n, 4)))
-            points.append(rng.uniform(-1.0, 1.0, (_UBP_POINTS, n, 4)))
-
-        def witness(k: int) -> dict:
-            t, j = divmod(k, _UBP_POINTS)
-            return {"family": [TMatrix(C).to_json() for C in families[t]], "x": TVector(points[t][j]).to_json()}
-
-        best.update(np.ravel(_grouped(_ubp_group, families, points)), witness)
-    return best, cfg.trials
-
-
-def _replay_ubp(witness: dict) -> float:
-    family = np.stack([TMatrix.from_json(m).coeffs for m in witness["family"]])
-    x = TVector.from_json(witness["x"]).coeffs
-    return float(_ubp_group(family[None], x[None, None])[0, 0])
 
 
 # --- continuity-bounded ----------------------------------------------------------
@@ -616,37 +614,11 @@ def _continuity_group(C, X):
     return np.concatenate([attain[:, None], exceed], axis=1)
 
 
-def _run_continuity_bounded(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        matrices, points = [], []
-        for _ in range(count):
-            m = _random_dim(rng)
-            n = _random_dim(rng)
-            matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
-            points.append(rng.uniform(-1.0, 1.0, (_CONTINUITY_POINTS, n, 4)))
-
-        def witness(k: int) -> dict:
-            t, j = divmod(k, 1 + _CONTINUITY_POINTS)
-            if j == 0:
-                return {"part": "attain", "matrix": TMatrix(matrices[t]).to_json()}
-            return {
-                "part": "no-exceed",
-                "matrix": TMatrix(matrices[t]).to_json(),
-                "x": TVector(points[t][j - 1]).to_json(),
-            }
-
-        best.update(np.ravel(_grouped(_continuity_group, matrices, points)), witness)
-    return best, cfg.trials
-
-
-def _replay_continuity_bounded(witness: dict) -> float:
-    C = TMatrix.from_json(witness["matrix"]).coeffs
-    if witness["part"] == "attain":
-        # attainment needs no points: evaluate at none
-        return float(_continuity_group(C[None], np.empty((1, 0, C.shape[1], 4)))[0, 0])
-    x = TVector.from_json(witness["x"]).coeffs
-    return float(_continuity_group(C[None], x[None, None])[0, 1])
+def _continuity_values(C, X) -> dict:
+    if X is None:  # an attain witness holds no points: evaluate at none
+        X = [np.empty((0, c.shape[1], 4)) for c in C]
+    rows = np.array(_grouped(_continuity_group, C, X))
+    return {"attain": rows[:, 0], "no-exceed": rows[:, 1:]}
 
 
 # --- limit-operator --------------------------------------------------------------
@@ -671,28 +643,6 @@ def _limit_operator_group(T, E):
     target = _norms(T)[0]
     tail = _norms(T[:, None] + mul4(_TAIL_ROWS[:, None, None, :], E[:, None]))[0]
     return (target - SQRT2 * np.min(tail, axis=-1)) / (1.0 + target)
-
-
-def _run_limit_operator(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        operators, perturbations = [], []
-        for _ in range(count):
-            n = _random_dim(rng)
-            operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-            perturbations.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-        perturbations = _grouped(_limit_perturbation_group, operators, perturbations)
-        best.update(
-            np.array(_grouped(_limit_operator_group, operators, perturbations)),
-            lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(perturbations[k]).to_json()},
-        )
-    return best, cfg.trials
-
-
-def _replay_limit_operator(witness: dict) -> float:
-    T = TMatrix.from_json(witness["t"]).coeffs
-    E = TMatrix.from_json(witness["e"]).coeffs
-    return float(_limit_operator_group(T[None], E[None])[0])
 
 
 # --- bxy-complete ----------------------------------------------------------------
@@ -723,31 +673,22 @@ def _bxy_complete_group(T, E):
     return np.max(np.concatenate(parts, axis=1), axis=1)
 
 
-def _run_bxy_complete(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        operators, directions = [], []
-        for _ in range(count):
-            n = _random_dim(rng)
-            operators.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-            directions.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-        best.update(
-            np.array(_grouped(_bxy_complete_group, operators, directions)),
-            lambda k: {"t": TMatrix(operators[k]).to_json(), "e": TMatrix(directions[k]).to_json()},
-        )
-    return best, cfg.trials
-
-
-def _replay_bxy_complete(witness: dict) -> float:
-    T = TMatrix.from_json(witness["t"]).coeffs
-    E = TMatrix.from_json(witness["e"]).coeffs
-    return float(_bxy_complete_group(T[None], E[None])[0])
-
-
 # --- open-mapping ----------------------------------------------------------------
 
 _OPEN_MAPPING_PARTS = ("unit-ball", "residual", "real-solve")
 _OPEN_MAPPING_POINTS = 5
+
+
+def _open_mapping_trial(rng):
+    n = _random_dim(rng)
+    S, A = _conditioned_draws(rng, n)
+    ys, us = [], []
+    for _ in range(_OPEN_MAPPING_POINTS):
+        y = rng.uniform(-1.0, 1.0, (n, 4))
+        if y.any():  # a zero y has no direction to rescale
+            ys.append(y)
+            us.append(rng.uniform(0.0, 1.0))
+    return S, A, np.reshape(ys, (len(ys), n, 4)), np.array(us)
 
 
 def _scaled_rhs_group(S, A, Y, u):
@@ -788,39 +729,9 @@ def _open_mapping_group(C, Y):
     return np.stack([unit_ball, residual, real_solve], axis=-1)
 
 
-def _run_open_mapping(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        spectra, gaussians, rhs, fractions = [], [], [], []
-        for _ in range(count):
-            n = _random_dim(rng)
-            S, A = _conditioned_draws(rng, n)
-            ys, us = [], []
-            for _ in range(_OPEN_MAPPING_POINTS):
-                y = rng.uniform(-1.0, 1.0, (n, 4))
-                if y.any():  # a zero y has no direction to rescale
-                    ys.append(y)
-                    us.append(rng.uniform(0.0, 1.0))
-            spectra.append(S)
-            gaussians.append(A)
-            rhs.append(np.reshape(ys, (len(ys), n, 4)))
-            fractions.append(np.array(us))
-        matrices, rhs = zip(*_grouped(_scaled_rhs_group, spectra, gaussians, rhs, fractions))
-        rows = _grouped(_open_mapping_group, matrices, rhs)
-        index = [(t, j, part) for t, row in enumerate(rows) for j in range(len(row)) for part in _OPEN_MAPPING_PARTS]
-
-        def witness(k: int) -> dict:
-            t, j, part = index[k]
-            return {"part": part, "matrix": TMatrix(matrices[t]).to_json(), "y": TVector(rhs[t][j]).to_json()}
-
-        best.update(np.concatenate([np.ravel(row) for row in rows]), witness)
-    return best, cfg.trials
-
-
-def _replay_open_mapping(witness: dict) -> float:
-    C = TMatrix.from_json(witness["matrix"]).coeffs
-    y = TVector.from_json(witness["y"]).coeffs
-    return float(_open_mapping_group(C[None], y[None, None])[0, 0, _OPEN_MAPPING_PARTS.index(witness["part"])])
+def _open_mapping_values(C, Y) -> dict:
+    rows = _grouped(_open_mapping_group, C, Y)
+    return {part: [row[:, i] for row in rows] for i, part in enumerate(_OPEN_MAPPING_PARTS)}
 
 
 # --- closed-graph ----------------------------------------------------------------
@@ -838,36 +749,16 @@ def _closed_graph_group(C, X, P):
     return _arrays.vector_norms(at_x - y_limit) / (1.0 + _arrays.vector_norms(at_x))
 
 
-def _run_closed_graph(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        matrices, points, directions = [], [], []
-        for _ in range(count):
-            n = _random_dim(rng)
-            matrices.append(rng.uniform(-1.0, 1.0, (n, n, 4)))
-            points.append(rng.uniform(-1.0, 1.0, (n, 4)))
-            directions.append(rng.uniform(-1.0, 1.0, (n, 4)))
-        best.update(
-            np.array(_grouped(_closed_graph_group, matrices, points, directions)),
-            lambda k: {
-                "matrix": TMatrix(matrices[k]).to_json(),
-                "x": TVector(points[k]).to_json(),
-                "p": TVector(directions[k]).to_json(),
-            },
-        )
-    return best, cfg.trials
-
-
-def _replay_closed_graph(witness: dict) -> float:
-    C = TMatrix.from_json(witness["matrix"]).coeffs
-    x = TVector.from_json(witness["x"]).coeffs
-    p = TVector.from_json(witness["p"]).coeffs
-    return float(_closed_graph_group(C[None], x[None], p[None])[0])
-
-
 # --- two-metric ------------------------------------------------------------------
 
 _TWO_METRIC_PAIRS = 5
+
+
+def _two_metric_trial(rng):
+    n = _random_dim(rng)
+    S, A = _conditioned_draws(rng, n)
+    pairs = rng.uniform(-1.0, 1.0, (_TWO_METRIC_PAIRS, 2, n, 4))
+    return S, A, pairs[:, 0], pairs[:, 1]
 
 
 def _two_metric_group(W, X, Y):
@@ -884,76 +775,13 @@ def _two_metric_group(W, X, Y):
     return np.maximum(c_lo * rho1 - rho2, rho2 - c_hi * rho1) / (1.0 + rho1)
 
 
-def _run_two_metric(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        spectra, gaussians, pairs = [], [], []
-        for _ in range(count):
-            n = _random_dim(rng)
-            S, A = _conditioned_draws(rng, n)
-            spectra.append(S)
-            gaussians.append(A)
-            pairs.append(rng.uniform(-1.0, 1.0, (_TWO_METRIC_PAIRS, 2, n, 4)))
-        matrices = _grouped(_conditioned_matrices, spectra, gaussians)
-        rows = _grouped(_two_metric_group, matrices, [p[:, 0] for p in pairs], [p[:, 1] for p in pairs])
-
-        def witness(k: int) -> dict:
-            t, j = divmod(k, _TWO_METRIC_PAIRS)
-            x, y = pairs[t][j]
-            return {"w_matrix": TMatrix(matrices[t]).to_json(), "x": TVector(x).to_json(), "y": TVector(y).to_json()}
-
-        best.update(np.ravel(rows), witness)
-    return best, cfg.trials
-
-
-def _replay_two_metric(witness: dict) -> float:
-    W = TMatrix.from_json(witness["w_matrix"]).coeffs
-    x = TVector.from_json(witness["x"]).coeffs
-    y = TVector.from_json(witness["y"]).coeffs
-    return float(_two_metric_group(W[None], x[None, None], y[None, None])[0, 0])
-
-
-# --- total-family ----------------------------------------------------------------
-
-
-def _total_family_values(part: str, X) -> np.ndarray:
-    # the family is the coordinate functionals; entries ARE the evaluations
-    if part == "lower-bound":
-        n = X.shape[1]
-        biggest = np.max(norm4(X), axis=-1)
-        total = vec_norm4(X)
-        return (total / np.sqrt(n) - biggest) / (1.0 + total)
-    if part == "stacked-rank":
-        n = X.shape[1]
-        s = np.linalg.svd(np.eye(n, dtype=np.complex128), compute_uv=False)
-        return np.array([abs(float(s[-1]) - 1.0)])
-    raise ValueError(f"unknown total-family part {part!r}")
-
-
-def _run_total_family(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    total = 0
-    for n, count in _dim_schedule(cfg.trials):
-        first = None
-        for (X,) in _streamed(rng, count, (n, 4)):
-            first = X[:1].copy() if first is None else first
-            best.update(
-                _total_family_values("lower-bound", X),
-                lambda k: {"part": "lower-bound", "x": X[k].tolist()},
-            )
-        best.update(
-            _total_family_values("stacked-rank", first),
-            lambda k: {"part": "stacked-rank", "x": first[0].tolist()},
-        )
-        total += count
-    return best, total
-
-
-def _replay_total_family(witness: dict) -> float:
-    return float(_total_family_values(witness["part"], np.array([witness["x"]]))[0])
-
-
 # --- hahn-banach -----------------------------------------------------------------
+
+
+def _hahn_banach_trial(rng):
+    n = _random_dim(rng)
+    shapes = [(int(rng.integers(1, n + 1)), n, 4), (n, 4), (4,), (n, 4)]
+    return n, *[rng.uniform(-1.0, 1.0, shape) for shape in shapes]
 
 
 def _hahn_banach_values(B1, B2, F, W, X):
@@ -996,37 +824,18 @@ def _hahn_banach_group(gens, F, W, X):
     return values
 
 
-def _run_hahn_banach(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        generators, functionals, scalars, points = [], [], [], []
-        for _ in range(count):
-            n = _random_dim(rng)
-            generators.append(rng.uniform(-1.0, 1.0, (int(rng.integers(1, n + 1)), n, 4)))
-            functionals.append(rng.uniform(-1.0, 1.0, (n, 4)))
-            scalars.append(rng.uniform(-1.0, 1.0, 4))
-            points.append(rng.uniform(-1.0, 1.0, (n, 4)))
-        best.update(
-            np.array(_grouped(_hahn_banach_group, generators, functionals, scalars, points)),
-            lambda k: {
-                "n": points[k].shape[0],
-                "generators": generators[k].tolist(),
-                "ystar": functionals[k].tolist(),
-                "w": scalars[k].tolist(),
-                "x": points[k].tolist(),
-            },
-        )
-    return best, cfg.trials
+def _hahn_banach_batch(n, *columns):
+    return _by_shape(_hahn_banach_group)(*columns)
 
 
-def _replay_hahn_banach(witness: dict) -> float:
+def _hahn_banach_replay(n, generators, ystar, w, x) -> float:
     # One trial through the per-object API, which rounds as the stacked
     # kernels do, so each replay also checks the batched value against
     # Submodule, hahn_banach_extend, lift_real, TVector.scale and TFunctional.
-    Y = Submodule(witness["n"], [TVector.from_json(g) for g in witness["generators"]])
-    report = hahn_banach_extend(TFunctional(TVector.from_json(witness["ystar"])), Y)
+    Y = Submodule(int(n[0]), [TVector(g) for g in generators[0]])
+    report = hahn_banach_extend(TFunctional(TVector(ystar[0])), Y)
     ext = report.extension
-    w, x = Bicomplex(*witness["w"]), TVector.from_json(witness["x"])
+    w, x = Bicomplex(*w[0]), TVector(x[0])
     lhs, rhs = ext(x.scale(w)), w * ext(x)
     parts = [report.restriction_error / (1.0 + report.y_norms.idem_norm)]
     parts += [abs(xc - yc) / (1.0 + yc) for yc, xc in zip(report.y_component_norms, report.x_component_norms)]
@@ -1055,30 +864,14 @@ def _norm_sandwich_group(C):
     return np.stack([sandwich, left, right], axis=-1)
 
 
-def _run_norm_sandwich(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        matrices = []
-        for _ in range(count):
-            m = _random_dim(rng)
-            n = _random_dim(rng)
-            matrices.append(rng.uniform(-1.0, 1.0, (m, n, 4)))
-        best.update(
-            np.ravel(_grouped(_norm_sandwich_group, matrices)),
-            lambda k: {"part": _SANDWICH_PARTS[k % 3], "matrix": TMatrix(matrices[k // 3]).to_json()},
-        )
-    return best, cfg.trials
-
-
-def _replay_norm_sandwich(witness: dict) -> float:
-    C = TMatrix.from_json(witness["matrix"]).coeffs
-    return float(_norm_sandwich_group(C[None])[0, _SANDWICH_PARTS.index(witness["part"])])
+def _norm_sandwich_values(C) -> dict:
+    return dict(zip(_SANDWICH_PARTS, np.array(_grouped(_norm_sandwich_group, C)).T))
 
 
 # --- compose-norm -----------------------------------------------------------------
 
 
-def _compose_norm_values(lefts: list, rights: list) -> np.ndarray:
+def _compose_norm_values(lefts, rights) -> np.ndarray:
     """(N,): the excess of each norm of A @ B over sqrt(2) * |A| * |B|, the
     worse of sup_norm and idem_norm.  Each product's norms are taken from the
     hat stack TMatrix.compose keeps; every norm is taken in groups of one
@@ -1092,29 +885,6 @@ def _compose_norm_values(lefts: list, rights: list) -> np.ndarray:
     return np.max((rab - bound) / (1.0 + bound), axis=-1)
 
 
-def _run_compose_norm(cfg: CheckConfig, rng) -> tuple[_Best, int]:
-    best = _Best()
-    for count in _chunks(cfg.trials):
-        lefts, rights = [], []
-        for _ in range(count):
-            m = _random_dim(rng)
-            k = _random_dim(rng)
-            n = _random_dim(rng)
-            lefts.append(rng.uniform(-1.0, 1.0, (m, k, 4)))
-            rights.append(rng.uniform(-1.0, 1.0, (k, n, 4)))
-        best.update(
-            _compose_norm_values(lefts, rights),
-            lambda k: {"a": TMatrix(lefts[k]).to_json(), "b": TMatrix(rights[k]).to_json()},
-        )
-    return best, cfg.trials
-
-
-def _replay_compose_norm(witness: dict) -> float:
-    A = TMatrix.from_json(witness["a"]).coeffs
-    B = TMatrix.from_json(witness["b"]).coeffs
-    return float(_compose_norm_values([A], [B])[0])
-
-
 # --- registry ---------------------------------------------------------------------
 
 
@@ -1122,36 +892,64 @@ def _replay_compose_norm(witness: dict) -> float:
 class Check:
     """One registered check.  `stream` is the index that, with the seed,
     selects the check's random stream; it is pinned here so that adding or
-    reordering checks reseeds none of the others."""
+    reordering checks reseeds none of the others.  `columns` maps each input
+    column, in witness order, to its codec; `replay`, if set, evaluates a
+    decoded witness in place of `values`."""
 
     check_id: str
     stream: int
     trials: int
     tol: float
-    run: Callable[[CheckConfig, np.random.Generator], tuple[_Best, int]]
-    replay: Callable[[dict], float]
+    draw: Callable
+    values: Callable
+    columns: dict
+    replay: Callable | None = None
     bound_offset: float = 0.0
 
 
+_operator_pair = _uniform_trial(1, lambda n: [(n, n, 4)] * 2)
+_submult_draw = _scalar_draw(2, [_E1_PLANE] * 2)  # e1 * e1 = e1 attains the bound sqrt(2)
+_ubp_draw = _chunked(_uniform_trial(1, lambda n: [(_FAMILY_SIZE, n, n, 4), (_UBP_POINTS, n, 4)]))
+_continuity_draw = _chunked(_uniform_trial(2, lambda m, n: [(m, n, 4), (_CONTINUITY_POINTS, n, 4)]))
+_limit_draw = _chunked(_operator_pair, lambda T, E: (T, _grouped(_limit_perturbation_group, T, E)))
+_open_mapping_draw = _chunked(_open_mapping_trial, lambda *draws: tuple(zip(*_grouped(_scaled_rhs_group, *draws))))
+_closed_graph_draw = _chunked(_uniform_trial(1, lambda n: [(n, n, 4), (n, 4), (n, 4)]))
+_two_metric_draw = _chunked(_two_metric_trial, lambda S, A, X, Y: (_grouped(_conditioned_matrices, S, A), X, Y))
+_hahn_banach_draw = _chunked(_hahn_banach_trial)
+_sandwich_draw = _chunked(_uniform_trial(2, lambda m, n: [(m, n, 4)]))
+_compose_draw = _chunked(_uniform_trial(3, lambda m, k, n: [(m, k, 4), (k, n, 4)]))
+_HOMOGENEITY_COLUMNS = {"part": _CONSTANT, "alpha": _SCALAR, "x": _VECTOR}
+_MLAMBDA_COLUMNS = {"part": _CONSTANT, "component": _CONSTANT, "lam": _SCALAR, "x": _VECTOR}
+_MATRIX_PAIR = {"t": _MATRIX, "e": _MATRIX}
+_CLOSED_GRAPH_COLUMNS = {"matrix": _MATRIX, "x": _TRIAL_VECTOR, "p": _TRIAL_VECTOR}
+_TWO_METRIC_COLUMNS = {"w_matrix": _MATRIX, "x": _POINT, "y": _POINT}
+_HAHN_BANACH_COLUMNS = dict(n=_SIZE, generators=_TRIAL_VECTORS, ystar=_TRIAL_VECTOR, w=_TRIAL_SCALAR, x=_TRIAL_VECTOR)
+
 CHECKS = (
-    Check("ring-axioms", 0, 100_000, 1e-13, _run_ring_axioms, _replay_ring_axioms),
-    Check("submult", 1, 1_000_000, 1e-12, _run_submult, _replay_submult, bound_offset=SQRT2),
-    Check("norm-identity", 2, 1_000_000, 1e-12, _run_norm_identity, _replay_norm_identity),
-    Check("scalar-homogeneity", 3, 100_000, 1e-12, _run_scalar_homogeneity, _replay_scalar_homogeneity),
-    Check("translation-invariance", 4, 50_000, 1e-12, _run_translation_invariance, _replay_translation_invariance),
-    Check("homeomorphism-Ta", 5, 50_000, 1e-12, _run_homeomorphism_ta, _replay_homeomorphism_ta),
-    Check("homeomorphism-Mlambda", 6, 20_000, 1e-9, _run_homeomorphism_mlambda, _replay_homeomorphism_mlambda),
-    Check("ubp", 7, 60, 1e-10, _run_ubp, _replay_ubp),
-    Check("continuity-bounded", 8, 200, 1e-9, _run_continuity_bounded, _replay_continuity_bounded),
-    Check("limit-operator", 9, 60, 1e-10, _run_limit_operator, _replay_limit_operator),
-    Check("bxy-complete", 10, 60, 1e-10, _run_bxy_complete, _replay_bxy_complete),
-    Check("open-mapping", 11, 150, 1e-9, _run_open_mapping, _replay_open_mapping),
-    Check("closed-graph", 12, 200, 1e-10, _run_closed_graph, _replay_closed_graph),
-    Check("two-metric", 13, 100, 1e-10, _run_two_metric, _replay_two_metric),
-    Check("total-family", 14, 400, 1e-10, _run_total_family, _replay_total_family),
-    Check("hahn-banach", 15, 150, 1e-10, _run_hahn_banach, _replay_hahn_banach),
-    Check("norm-sandwich", 16, 400, 1e-10, _run_norm_sandwich, _replay_norm_sandwich),
-    Check("compose-norm", 17, 400, 1e-10, _run_compose_norm, _replay_compose_norm),
+    Check("ring-axioms", 0, 100_000, 1e-13, _scalar_draw(3), _ring_axiom_values, dict.fromkeys("stu", _SCALAR)),
+    Check(
+        "submult", 1, 1_000_000, 1e-12, _submult_draw, _submult_values, dict.fromkeys("st", _SCALAR), bound_offset=SQRT2
+    ),
+    Check("norm-identity", 2, 1_000_000, 1e-12, _scalar_draw(1), _norm_identity_values, {"w": _SCALAR}),
+    Check("scalar-homogeneity", 3, 100_000, 1e-12, _homogeneity_draw, _homogeneity_values, _HOMOGENEITY_COLUMNS),
+    Check(
+        "translation-invariance", 4, 50_000, 1e-12, _vector_draw(3), _translation_values, dict.fromkeys("xya", _VECTOR)
+    ),
+    Check("homeomorphism-Ta", 5, 50_000, 1e-12, _vector_draw(3), _ta_values, dict.fromkeys("axy", _VECTOR)),
+    Check("homeomorphism-Mlambda", 6, 20_000, 1e-9, _mlambda_draw, _mlambda_values, _MLAMBDA_COLUMNS),
+    Check("ubp", 7, 60, 1e-10, _ubp_draw, _by_shape(_ubp_group), {"family": _FAMILY, "x": _POINT}),
+    Check("continuity-bounded", 8, 200, 1e-9, _continuity_draw, _continuity_values, {"matrix": _MATRIX, "x": _POINT}),
+    Check("limit-operator", 9, 60, 1e-10, _limit_draw, _by_shape(_limit_operator_group), _MATRIX_PAIR),
+    Check("bxy-complete", 10, 60, 1e-10, _chunked(_operator_pair), _by_shape(_bxy_complete_group), _MATRIX_PAIR),
+    Check("open-mapping", 11, 150, 1e-9, _open_mapping_draw, _open_mapping_values, {"matrix": _MATRIX, "y": _POINT}),
+    Check("closed-graph", 12, 200, 1e-10, _closed_graph_draw, _by_shape(_closed_graph_group), _CLOSED_GRAPH_COLUMNS),
+    Check("two-metric", 13, 100, 1e-10, _two_metric_draw, _by_shape(_two_metric_group), _TWO_METRIC_COLUMNS),
+    Check("total-family", 14, 400, 1e-10, _vector_draw(1), _total_family_values, {"x": _VECTOR}),
+    Check(
+        "hahn-banach", 15, 150, 1e-10, _hahn_banach_draw, _hahn_banach_batch, _HAHN_BANACH_COLUMNS, _hahn_banach_replay
+    ),
+    Check("norm-sandwich", 16, 400, 1e-10, _sandwich_draw, _norm_sandwich_values, {"matrix": _MATRIX}),
+    Check("compose-norm", 17, 400, 1e-10, _compose_draw, _compose_norm_values, dict.fromkeys("ab", _MATRIX)),
 )
 
 CHECK_IDS = tuple(check.check_id for check in CHECKS)
@@ -1172,7 +970,7 @@ def run_check(cfg: CheckConfig) -> CheckReport:
     rng = np.random.default_rng([int(cfg.seed) & 0xFFFFFFFFFFFFFFFF, check.stream])
     start = time.perf_counter()
     try:
-        best, trials_run = check.run(cfg, rng)
+        best, trials_run = _run(check, cfg, rng)
     except Exception as exc:
         raise CheckCrashed(cfg.check_id, exc) from exc
     elapsed = time.perf_counter() - start
@@ -1189,8 +987,10 @@ def run_check(cfg: CheckConfig) -> CheckReport:
 
 
 def replay_witness(check_id: str, witness: dict) -> float:
-    """Re-evaluate a worst_witness through the same kernels that produced it."""
-    return _check(check_id).replay(witness)
+    """Re-evaluate a worst_witness through the same kernels that produced it.
+    A witness that lacks a key its part needs, or holds one that does not
+    decode, raises ValueError naming the check and the key."""
+    return _replay(_check(check_id), witness)
 
 
 def run_all(seed: int = 42, trials: int | None = None, tol: float | None = None) -> list[CheckReport]:

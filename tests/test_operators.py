@@ -96,7 +96,7 @@ def test_compose_examples():
     A = TMatrix.scalar(2, E1)
     B = TMatrix.scalar(2, E2)
     assert np.max(np.abs((A @ B).coeffs)) == 0.0
-    C = TMatrix.from_rows([[ONE, J], [E1, E2]])
+    C = TMatrix(np.array([[ONE.coeffs, J.coeffs], [E1.coeffs, E2.coeffs]]))
     assert TMatrix.identity(2) @ C == C
     with pytest.raises(DimensionMismatch):
         TMatrix.identity(2) @ TMatrix.identity(3)
@@ -329,7 +329,7 @@ def test_bijective_operator_maps_balls_onto_balls():
 
 
 def test_matrix_json_round_trip():
-    T = TMatrix.from_rows([[ONE, J, E1], [E2, Bicomplex(0.1, -2e-7, 3.5, -0.25), ONE]])
+    T = TMatrix(np.array([[ONE.coeffs, J.coeffs, E1.coeffs], [E2.coeffs, (0.1, -2e-7, 3.5, -0.25), ONE.coeffs]]))
     back = TMatrix.from_json(T.to_json())
     assert back == T
     with pytest.raises(ValueError):

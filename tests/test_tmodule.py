@@ -191,8 +191,6 @@ def test_submodule_component_dims_can_differ():
     g = TVector.from_scalars([ONE, J]).scale(E1)
     Y = Submodule.span(g)
     assert Y.dim1 == 1 and Y.dim2 == 0
-    assert not Y.is_fundamental()
-    assert Submodule.full(2).is_fundamental()
 
 
 def test_distance_examples():
