@@ -3,9 +3,10 @@
 
 Each figure is the best of 5 timings, in microseconds per call; a timing
 runs --number calls, or by default as many as take 0.2 s.  *Warm* reuses
-one operator whose hat split, singular values, determinant and inverse are
-already cached; *cold* builds the operator from its raw coefficient array
-inside the call.  Every call builds its argument vector from a raw array, as
+one operator that has solved once, so its hat split, determinant and
+inverse are cached; accepting it took no SVD, so its singular values are
+not.  *Cold* builds the operator from its raw coefficient array inside the
+call.  Every call builds its argument vector from a raw array, as
 a request would.  The chained rows feed one warm operator's result to the
 next call, and `separating_functional` runs against a warm submodule of n/2
 generators; none of them reads a result's coefficients, so a result kept in
@@ -80,6 +81,7 @@ def measure(n: int, number=None) -> dict:
         "solve warm": _best_us(lambda: warm.solve(TVector(x)), number),
         "solve cold": _best_us(lambda: TMatrix(A).solve(TVector(x)), number),
         "norms cold": _best_us(lambda: TMatrix(A).norms(), number),
+        "invert cold": _best_us(lambda: TMatrix(A).invert(), number),
         "compose cold": _best_us(lambda: TMatrix(A).compose(TMatrix(B)), number),
         "compose apply": _best_us(lambda: warm.compose(warm_b).apply(TVector(x)), number),
         "solve apply": _best_us(lambda: warm.apply(warm.solve(TVector(x))), number),
@@ -92,7 +94,7 @@ def measure(n: int, number=None) -> dict:
 ROWS = (
     ("`apply` warm / cold", ("apply warm", "apply cold")),
     ("`solve` warm / cold", ("solve warm", "solve cold")),
-    ("`norms` cold", ("norms cold",)),
+    ("`norms` / `invert` cold", ("norms cold", "invert cold")),
     ("`compose` (cold)", ("compose cold",)),
     ("`compose` then `apply` (warm)", ("compose apply",)),
     ("`solve` then `apply` (warm)", ("solve apply",)),

@@ -15,18 +15,23 @@ reported rather than silently preferring one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _arrays
 from ._arrays import hat_split
+from ._floats import NORM_FLOOR
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector
 
 #: Hat components whose condition number exceeds this are rejected by
 #: solve/invert; proximity to the null cone is the dominant numerical hazard.
+#: Most operators are accepted without an SVD, by the Frobenius bound
+#: ||M||_F ||M^-1||_F <= CONDITION_LIMIT / 2 on the inverse solve needs anyway
+#: (TMatrix._certify); the SVD decides the rest and every refusal.
 #: solve applies the cached inverse and refines twice (_arrays.solve_pair):
 #: the inverse alone leaves a backward error that grows like kappa * eps,
 #: ~1e-6 near this limit, and two refinement steps bring it back to an LU
@@ -68,6 +73,21 @@ def _condition(sv) -> tuple[float, float]:
     return tuple(float("inf") if s[-1] == 0.0 else float(s[0] / s[-1]) for s in sv)
 
 
+def _det_fits(s: float, n: int) -> bool:
+    """Whether float64 holds the determinant of an n x n matrix whose largest
+    singular value is at most s: its modulus is at most s^n <= 2^1000."""
+    return s <= 2.0 ** (1000 / n)
+
+
+def _frobenius_norms(H: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of the two C-contiguous components of a hat stack
+    (2, n, n), one real dot each: inf past float64's range or at an infinite
+    entry, NaN at a NaN entry, and inexact below NORM_FLOOR, where the squares
+    underflow."""
+    R = H.view(np.float64)
+    return math.sqrt(np.vdot(R[0], R[0])), math.sqrt(np.vdot(R[1], R[1]))
+
+
 def refusal(sv, det: Bicomplex, tol: float):
     """The SingularOperator arguments with which solve and invert refuse a
     square operator of component singular values sv (2, n) and determinant det
@@ -84,9 +104,12 @@ class TMatrix(_arrays.FrozenArrays):
     real coefficients or its read-only hat stack (2, m, n), whichever it was
     built from (from_hat, compose and invert build from a hat stack); the
     other form is computed on first use and kept, as are the component
-    singular values, the determinant and, once solve or invert accepts the
-    operator, the inverse hat stack.  split() unpacks as the component
-    matrices M1, M2, so each method below is one numpy call over both.
+    singular values, the determinant, the decision of solve and invert for
+    each tol and, once that decision accepts the operator, the inverse hat
+    stack.  Accepting takes no SVD when the inverse certifies the condition
+    number (_certify); a refused operator keeps no inverse.  split() unpacks
+    as the component matrices M1, M2, so each method below is one numpy call
+    over both.
     """
 
     __slots__ = ("_coeffs", "_split", "_singular_values", "_det", "_refusals", "_inverse")
@@ -253,29 +276,58 @@ class TMatrix(_arrays.FrozenArrays):
         modulus, from np.linalg.slogdet.  A null-cone test of a determinant of
         modulus at least 1 is relative, so the division keeps the decision."""
         sv = self.component_singular_values()
-        if max(sv[0, 0], sv[1, 0]) <= 2.0 ** (1000 / self.n):
+        if _det_fits(max(sv[0, 0], sv[1, 0]), self.n):
             return self.det()
         sign, logdet = np.linalg.slogdet(self.split())
         d1, d2 = sign * np.exp(logdet - max(logdet.max(), 0.0))
         return Bicomplex.from_idempotent(complex(d1), complex(d2))
 
-    def _invertibility_guard(self, tol: float):
-        """Raise the refusal of solve and invert at `tol`, decided on the first
-        call with that tol and kept with the singular values."""
-        if self.m != self.n:
-            raise NotSquare(f"inversion needs a square matrix, got {self.m}x{self.n}")
-        if tol not in self._refusals:
-            self._refusals[tol] = refusal(self.component_singular_values(), self._guard_det(), tol)
-        if self._refusals[tol] is not None:
-            raise SingularOperator(*self._refusals[tol])
+    def _certify(self, tol: float) -> tuple:
+        """(inverse, accepted): a sufficient test that solve and invert accept
+        the square operator at `tol`, made from the inverse they need anyway.
+        It accepts when, in order, both component Frobenius norms lie in
+        [NORM_FLOOR, 2^(1000/n)], so that the largest singular values do too
+        and the guard's determinant is det(); det() does not vanish at `tol`;
+        np.linalg.inv succeeds; and for each component ||M^-1||_F is at least
+        NORM_FLOOR and ||M||_F ||M^-1||_F, which bounds the condition number
+        from above, is at most CONDITION_LIMIT / 2.  The computed inverse and
+        the SVD's condition number each err by about n eps kappa (4e-3 at
+        n = 64 below that bound), so the test never accepts what the guard
+        refuses.  `inverse` is the kept inverse or the one built on the way,
+        else None; a NaN or inf norm fails its comparison."""
+        inverse = self._inverse
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = _frobenius_norms(self.split())
+            if not all(NORM_FLOOR <= f and _det_fits(f, self.n) for f in norms):
+                return inverse, False
+            if self.det().classify(tol).is_singular:
+                return inverse, False
+            if inverse is None:
+                try:
+                    inverse = np.linalg.inv(self.split())
+                except np.linalg.LinAlgError:
+                    return None, False
+            accepted = all(NORM_FLOOR <= g and f * g <= CONDITION_LIMIT / 2
+                           for f, g in zip(norms, _frobenius_norms(inverse)))
+        return inverse, accepted
 
     def _inverse_split(self, tol: float) -> np.ndarray:
         """The read-only inverse hat stack (2, n, n), which unpacks as M1^-1,
-        M2^-1, built by the first call that passes the guard at `tol`."""
-        self._invertibility_guard(tol)
-        if self._inverse is None:
-            self._inverse = np.linalg.inv(self.split())
-            self._inverse.setflags(write=False)
+        M2^-1; raises the refusal of solve and invert at `tol` instead.  The
+        first call with a tol decides, and the decision is kept: _certify
+        accepts most operators; refusal, on the singular values and
+        _guard_det, decides the rest and gives every refusal its arguments.
+        The inverse is kept once a decision accepts, never for a refusal."""
+        if self.m != self.n:
+            raise NotSquare(f"inversion needs a square matrix, got {self.m}x{self.n}")
+        if tol not in self._refusals:
+            inverse, accepted = self._certify(tol)
+            self._refusals[tol] = None if accepted else refusal(self.component_singular_values(), self._guard_det(), tol)
+            if self._refusals[tol] is None:
+                self._inverse = np.linalg.inv(self.split()) if inverse is None else inverse
+                self._inverse.setflags(write=False)
+        if self._refusals[tol] is not None:
+            raise SingularOperator(*self._refusals[tol])
         return self._inverse
 
     def solve(self, b: TVector, tol: float = DEFAULT_SINGULAR_TOL) -> TVector:

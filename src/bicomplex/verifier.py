@@ -300,8 +300,11 @@ def _run(check: "Check", cfg: CheckConfig, rng) -> tuple[_Best, int]:
     return best, trials_run
 
 
-def _malformed(check: "Check", key: str) -> ValueError:
-    return ValueError(f"malformed {check.check_id} witness: {key!r} is missing or does not fit")
+def _malformed(check: "Check", key=None) -> ValueError:
+    """The one error of a witness that does not replay: entry `key` is missing
+    or does not decode, or, with no key, the entries do not fit together."""
+    what = "its entries do not fit together" if key is None else f"{key!r} is missing or does not fit"
+    return ValueError(f"malformed {check.check_id} witness: {what}")
 
 
 def _replay(check: "Check", witness: dict) -> float:
@@ -318,9 +321,7 @@ def _replay(check: "Check", witness: dict) -> float:
     try:
         values = (check.replay or check.values)(*columns)
     except _MALFORMED as exc:
-        if not absent:
-            raise
-        raise _malformed(check, absent[0]) from exc
+        raise _malformed(check, absent[0] if absent else None) from exc
     if isinstance(values, dict):
         if witness.get("part") not in values:
             raise _malformed(check, "part")

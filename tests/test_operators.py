@@ -20,6 +20,7 @@ from bicomplex import (
     TMatrix,
     TVector,
 )
+from bicomplex.operators import refusal
 from oracles import sampled_sup_norm
 
 SQRT2 = math.sqrt(2.0)
@@ -472,10 +473,9 @@ def test_a_determinant_refusal_does_not_depend_on_a_large_scale():
             assert exc.value.components == (2,)
 
 
-def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
-    # One stacked call covers both hat components; solves and invert share
-    # the cached inverse and factor nothing more.
-    calls = {"svd": 0, "det": 0, "inv": 0, "solve": 0}
+def _count_linalg(monkeypatch, names):
+    """Count the calls of each np.linalg function in `names`, in one dict."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         original = getattr(np.linalg, name)
@@ -488,12 +488,39 @@ def test_repeated_solves_run_the_svds_and_determinants_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls
+
+
+def test_repeated_solves_run_the_determinant_and_inverse_once_and_no_svd(monkeypatch):
+    # The inverse certifies the condition number, so accepting takes no SVD;
+    # solves and invert share the cached inverse and factor nothing more.
+    calls = _count_linalg(monkeypatch, ("svd", "det", "inv", "solve"))
     rng = np.random.default_rng(43)
     T = random_conditioned(rng, 5)
     for _ in range(10):
         T.solve(TVector(rng.uniform(-1, 1, (5, 4))))
     T.invert()
+    assert calls == {"svd": 0, "det": 1, "inv": 1, "solve": 0}
+    T.norms()
+    T.condition()
     assert calls == {"svd": 1, "det": 1, "inv": 1, "solve": 0}
+
+
+def test_an_operator_refused_for_its_condition_alone_keeps_no_inverse(monkeypatch):
+    # Singular values from 10^6.5 down to 10^-6.5: condition number 1e13 and
+    # determinant modulus 1, far from the determinant floor.  The certificate
+    # builds the inverse and cannot accept; the SVD refuses, and the inverse
+    # is dropped.
+    calls = _count_linalg(monkeypatch, ("svd", "inv"))
+    s = np.logspace(6.5, -6.5, 8)
+    T = TMatrix.from_hat(*_hats_with_spectra(np.random.default_rng(48), 8, s, s))
+    assert not T.det().classify().is_singular
+    for attempt in (lambda: T.solve(TVector.basis(8, 0)), T.invert):
+        with pytest.raises(SingularOperator) as exc:
+            attempt()
+        assert exc.value.components == (1, 2)
+    assert T._inverse is None
+    assert calls == {"svd": 1, "inv": 1}
 
 
 def test_a_refused_operator_builds_no_inverse(monkeypatch):
@@ -504,6 +531,76 @@ def test_a_refused_operator_builds_no_inverse(monkeypatch):
         with pytest.raises(SingularOperator):
             call()
     assert inverses == []
+
+
+def _wilkinson(n):
+    """The matrix of partial pivoting's worst growth factor, 2^(n-1): ones on
+    the diagonal and in the last column, -1 below the diagonal."""
+    W = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    W[:, -1] = 1.0
+    return W
+
+
+# log10 of a condition number, half the draws within a decade of the limit.
+_LOG_KAPPA = st.one_of(st.floats(0.0, 16.0), st.floats(11.0, 13.0))
+
+
+def _spectrum(rng, n, log_kappa):
+    """n singular values from 10^(log_kappa/2) down to 10^(-log_kappa/2), the
+    rest random and in pairs whose product is 1: condition number
+    10^log_kappa, determinant modulus 1."""
+    u = rng.uniform(0.0, 0.5, n // 2)
+    u[:1] = 0.0
+    logs = np.sort(np.concatenate([u, 1.0 - u, [0.5] * (n % 2)]))
+    return 10.0 ** ((logs - 0.5) * log_kappa)
+
+
+@st.composite
+def _square_operators(draw):
+    """Hat components (M1, M2) of one square operator, a right-hand side and
+    a tol.  Each component has a prescribed spectrum (_spectrum) and its own
+    scale, whose determinant ratio 2^(j1 - j2) crosses the null-cone test;
+    M2 may instead be rank deficient or have a zero row, and M1 may be the
+    Wilkinson matrix times a spectrum (a column scaling, which keeps its
+    pivots).  Both are then scaled by 2^k."""
+    n = draw(st.integers(0, 19).map(lambda i: 64 if i == 0 else 1 + i % 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spectra"] * 5 + ["rank-deficient", "zero-row", "wilkinson"]))
+    spectra = [_spectrum(rng, n, draw(_LOG_KAPPA)) for _ in range(2)]
+    if kind == "rank-deficient":
+        spectra[1][n - draw(st.integers(1, n)):] = 0.0
+    M1, M2 = _hats_with_spectra(rng, n, *spectra)
+    if kind == "zero-row":
+        M2[draw(st.integers(0, n - 1))] = 0.0
+    if kind == "wilkinson":
+        M1 = _wilkinson(n) * spectra[0] / 2.0 ** ((n - 1) / n)
+    k = draw(st.one_of(st.integers(-498, 498), st.integers(-8, 8)))
+    M1, M2 = (M * 2.0 ** (k + draw(st.integers(-48, 48)) / n) for M in (M1, M2))
+    b = TVector(rng.uniform(-1.0, 1.0, (n, 4)) * 2.0**k)
+    return M1, M2, b, draw(st.sampled_from([1e-12, 0.0, 1e-4]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square_operators())
+def test_solve_decides_as_the_svd_guard_does_and_gives_the_same_bits(case):
+    # The certificate accepts without an SVD; it must accept exactly what the
+    # guard on the singular values accepts, and build the same inverse.
+    M1, M2, b, tol = case
+    twin = TMatrix.from_hat(M1, M2)
+    expected = refusal(twin.component_singular_values(), twin._guard_det(), tol)
+    fresh, warm = TMatrix.from_hat(M1, M2), TMatrix.from_hat(M1, M2)
+    warm.norms()
+    outcomes = []
+    for T in (fresh, warm):
+        try:
+            outcomes.append(T.solve(b, tol).coeffs.tobytes())
+        except SingularOperator as exc:
+            outcomes.append((exc.components, exc.smallest, exc.condition))
+    if expected is None:
+        assert isinstance(outcomes[0], bytes)
+    else:
+        assert outcomes[0] == tuple(map(tuple, expected))
+    assert outcomes[0] == outcomes[1]
 
 
 def _with_one_small_singular_value(rng, n, kappa):

@@ -64,6 +64,13 @@ def _truncated(value):
     return value[:-1]
 
 
+# Witnesses whose entries each decode but do not fit together.
+_MISFITS = {
+    "closed-graph": lambda w: {"matrix": {"m": 1, "n": 1, "entries": w["x"][:1]}, "x": w["x"][:1], "p": w["p"][:1] * 2},
+    "two-metric": lambda w: {**w, "x": w["x"] + w["x"][:1]},
+}
+
+
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_a_malformed_witness_raises_one_value_error_naming_the_check_and_key(check_id):
     witness = run_check(default_config(check_id, seed=7, trials=SMALL_TRIALS)).worst_witness
@@ -78,6 +85,9 @@ def test_a_malformed_witness_raises_one_value_error_naming_the_check_and_key(che
             rejected({**witness, key: _truncated(value)}, key)
     if "part" in witness:
         rejected({**witness, "part": "no-such-part"}, "part")
+    if check_id in _MISFITS:
+        with pytest.raises(ValueError, match=f"^malformed {check_id} witness: its entries do not fit together$"):
+            replay_witness(check_id, _MISFITS[check_id](witness))
 
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
