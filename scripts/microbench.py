@@ -10,10 +10,12 @@ call.  Every call builds its argument vector from a raw array, as
 a request would.  The chained rows feed one warm operator's result to the
 next call, and `separating_functional` runs against a warm submodule of n/2
 generators; none of them reads a result's coefficients, so a result kept in
-hat form is never merged.  The last row times the bare complex work of one
-call: the two matvecs (M1 v1, M2 v2) of `apply`, and the refined
-inverse-apply of both components that `solve` makes on the cached inverses
-(`_arrays.solve_pair`, five stacked matvecs).
+hat form is never merged.  `hahn_banach_extend` builds that submodule from
+its raw generator arrays inside the call, as a one-shot request would, and
+extends a functional built from a raw array.  The last row times the bare
+complex work of one call: the two matvecs (M1 v1, M2 v2) of `apply`, and the
+refined inverse-apply of both components that `solve` makes on the cached
+inverses (`_arrays.solve_pair`, five stacked matvecs).
 
 A second table gives the median wall time, in milliseconds, of 5 fresh
 processes each: `import bicomplex`, a `calc` command and a `solve` command at
@@ -42,7 +44,9 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import bicomplex  # noqa: E402
-from bicomplex import Submodule, TMatrix, TVector, _arrays, separating_functional  # noqa: E402
+from bicomplex import (  # noqa: E402
+    Submodule, TFunctional, TMatrix, TVector, _arrays, hahn_banach_extend, separating_functional
+)
 
 SIZES = (2, 8, 64)
 REPEAT = 5
@@ -71,7 +75,8 @@ def measure(n: int, number=None) -> dict:
     x = rng.uniform(-1.0, 1.0, (n, 4))
     warm, warm_b = TMatrix(A), TMatrix(B)
     warm.solve(TVector(x)), warm_b.split()
-    Y = Submodule(n, [TVector(g) for g in rng.uniform(-1.0, 1.0, (n // 2, n, 4))])
+    gens = rng.uniform(-1.0, 1.0, (n // 2, n, 4))
+    Y = Submodule(n, [TVector(g) for g in gens])
     H, V = warm.split(), TVector(x).split()
     Hinv = np.linalg.inv(H)
     (M1, M2), (v1, v2) = H, V
@@ -86,6 +91,9 @@ def measure(n: int, number=None) -> dict:
         "compose apply": _best_us(lambda: warm.compose(warm_b).apply(TVector(x)), number),
         "solve apply": _best_us(lambda: warm.apply(warm.solve(TVector(x))), number),
         "separate": _best_us(lambda: separating_functional(TVector(x), Y), number),
+        "extend cold": _best_us(
+            lambda: hahn_banach_extend(TFunctional(TVector(x)), Submodule(n, [TVector(g) for g in gens])), number
+        ),
         "matvecs": _best_us(lambda: (M1 @ v1, M2 @ v2), number),
         "inverse-applies": _best_us(lambda: _arrays.solve_pair(H, Hinv, V), number),
     }
@@ -99,6 +107,7 @@ ROWS = (
     ("`compose` then `apply` (warm)", ("compose apply",)),
     ("`solve` then `apply` (warm)", ("solve apply",)),
     ("`separating_functional` (warm submodule)", ("separate",)),
+    ("`hahn_banach_extend` (cold submodule)", ("extend cold",)),
     ("two raw complex matvecs / refined inverse-applies", ("matvecs", "inverse-applies")),
 )
 

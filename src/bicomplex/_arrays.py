@@ -19,20 +19,22 @@ import math
 
 import numpy as np
 
-from ._floats import NORM_FLOOR, SQRT2, checked_norm, merge_parts, mul_parts, qmean
+from ._floats import EPS, NORM_FLOOR, SQRT2, checked_norm, merge_parts, mul_parts, qmean
 
 
 def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
     """A read-only float64 copy of `data`, checked to have `ndim` nonempty
-    axes, the last of length 4, and finite entries.  The copy keeps later
-    writes to `data` from reaching the per-object caches built on it; pass
-    copy=False only for a fresh float64 array that nothing else holds."""
+    axes, the last of length 4, and finite entries: the sum of squares, one
+    BLAS dot, is below inf, or else np.isfinite holds, as it does for entries
+    whose squares overflow.  The copy keeps later writes to `data` from
+    reaching the per-object caches built on it; pass copy=False only for a
+    fresh float64 array that nothing else holds."""
     arr = np.array(data, dtype=np.float64) if copy else np.asarray(data, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != 4:
         raise ValueError(f"{what}: expected shape {'(...,' * (ndim - 1)}4{')' * (ndim - 1)}, got {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{what}: every dimension must be at least 1, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not np.vdot(arr, arr) < math.inf and not np.isfinite(arr).all():
         raise ValueError(f"{what}: coefficients must be finite")
     arr.setflags(write=False)
     return arr
@@ -146,8 +148,9 @@ def pair_norms(u1: np.ndarray, u2: np.ndarray) -> tuple:
 
 def operator_norms(s1, s2) -> tuple[np.ndarray, np.ndarray]:
     """Both operator norms (sup_norm, idem_norm) = (max(s1, s2) / sqrt(2),
-    qmean(s1, s2)) from the largest component singular values s1, s2 of one
-    operator or, elementwise, of a stack of operators."""
+    qmean(s1, s2)), elementwise, from the largest component singular values
+    s1, s2 of a stack of operators; NormReport.of gives one operator's, with
+    the same bits, in Python floats."""
     with np.errstate(over="ignore"):
         idem = np.sqrt((s1 * s1 + s2 * s2) / 2.0)
     outside = ~((idem >= NORM_FLOOR) & (idem < math.inf))
@@ -320,8 +323,8 @@ def orthonormal_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and the ranks (...), cut at max(m, g) * eps * (largest singular value).
     A matrix's basis is its first `rank` columns."""
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    cutoff = max(M.shape[-2:]) * np.finfo(np.float64).eps * s[..., :1]
-    return u, np.count_nonzero(s > cutoff, axis=-1)
+    cutoff = max(M.shape[-2:]) * EPS * s[..., :1]
+    return u, (s > cutoff).sum(-1)
 
 
 def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -336,9 +339,8 @@ def restrict_pair(B1: np.ndarray, B2: np.ndarray, C: np.ndarray) -> tuple:
     return _matvec(B1.conj().swapaxes(-1, -2), C[0].conj()), _matvec(B2.conj().swapaxes(-1, -2), C[1].conj())
 
 
-def riesz_extension(B1: np.ndarray, B2: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Hat stack (2, ..., n) of the minimal-norm extensions conj(B_k B_k^H
-    conj(c_k)), the conjugated Riesz vectors, of the functionals restricted as
-    in restrict_pair."""
-    R1, R2 = restrict_pair(B1, B2, C)
-    return np.conj([_matvec(B1, R1), _matvec(B2, R2)])
+def riesz_extension(B1: np.ndarray, B2: np.ndarray, R: tuple) -> np.ndarray:
+    """Hat stack (2, ..., n) of the minimal-norm extensions conj(B_k r_k), the
+    conjugated Riesz vectors, of the functionals whose restrictions to the
+    spans of B1, B2 have the coordinates R = (r1, r2) of restrict_pair."""
+    return np.conj([_matvec(B1, R[0]), _matvec(B2, R[1])])

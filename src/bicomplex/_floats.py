@@ -7,6 +7,9 @@ import sys
 
 SQRT2 = math.sqrt(2.0)
 
+#: The gap between 1 and the next float64, twice the unit roundoff.
+EPS = sys.float_info.epsilon
+
 #: A norm taken as the square root of a plain sum of squares is exact to
 #: rounding only in [NORM_FLOOR, inf): above, the sum overflowed; below, it
 #: fell under the smallest normal float and lost digits or vanished.  Norms

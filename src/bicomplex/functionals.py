@@ -245,14 +245,15 @@ def hahn_banach_extend(ystar, Y: Submodule) -> ExtensionReport:
     if ystar.n != Y.n:
         raise DimensionMismatch(f"functional dimension {ystar.n} != ambient {Y.n}")
     C = ystar.coeffs.split()
-    E = _arrays.riesz_extension(Y.basis1, Y.basis2, C)
+    R = _arrays.restrict_pair(Y.basis1, Y.basis2, C)
+    E = _arrays.riesz_extension(Y.basis1, Y.basis2, R)
     extension = TFunctional(TVector._of_hat(E))
 
     # Restriction error as an exact operator norm on Y: project the
     # coefficient difference back onto the component subspaces.
     err = max(pair_norms(*_arrays.restrict_pair(Y.basis1, Y.basis2, E - C)))
 
-    y_comp = ystar.restricted_component_norms(Y)
+    y_comp = pair_norms(*R)
     x_comp = extension.component_norms()
     return ExtensionReport(
         extension=extension,

@@ -15,28 +15,35 @@ reported rather than silently preferring one.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _arrays
 from ._arrays import hat_split
-from ._floats import NORM_FLOOR
+from ._floats import EPS, NORM_FLOOR, SQRT2, qmean
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector
 
 #: Hat components whose condition number exceeds this are rejected by
 #: solve/invert; proximity to the null cone is the dominant numerical hazard.
-#: Most operators are accepted without an SVD, by the Frobenius bound
-#: ||M||_F ||M^-1||_F <= CONDITION_LIMIT / 2 on the inverse solve needs anyway
+#: Most operators are accepted without an SVD or a determinant, by the
+#: Frobenius bound ||M||_F ||M^-1||_F <= CONDITION_LIMIT / 2 on the inverse
+#: solve needs anyway and AM-GM bounds on |det M| from the same two norms
 #: (TMatrix._certify); the SVD decides the rest and every refusal.
 #: solve applies the cached inverse and refines twice (_arrays.solve_pair):
 #: the inverse alone leaves a backward error that grows like kappa * eps,
 #: ~1e-6 near this limit, and two refinement steps bring it back to an LU
 #: solve's O(eps) for every operator below it.
 CONDITION_LIMIT = 1e12
+
+#: Natural log of the smallest normal float64: a determinant below it is
+#: held with less than full precision, or as zero.
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -50,14 +57,10 @@ class NormReport:
 
     @classmethod
     def of(cls, s1: float, s2: float) -> "NormReport":
-        """Both norms from the component norms s1, s2."""
-        sup_norm, idem_norm = _arrays.operator_norms(s1, s2)
-        return cls(
-            sup_norm=float(sup_norm),
-            idem_norm=float(idem_norm),
-            s1=float(s1),
-            s2=float(s2),
-        )
+        """Both norms from the component norms s1, s2, in Python floats with
+        the bits of _arrays.operator_norms."""
+        s1, s2 = float(s1), float(s2)
+        return cls(sup_norm=max(s1, s2) / SQRT2, idem_norm=qmean(s1, s2), s1=s1, s2=s2)
 
     def to_json(self) -> dict:
         return {
@@ -83,18 +86,37 @@ def _frobenius_norms(H: np.ndarray) -> tuple[float, float]:
     """Frobenius norms of the two C-contiguous components of a hat stack
     (2, n, n), one real dot each: inf past float64's range or at an infinite
     entry, NaN at a NaN entry, and inexact below NORM_FLOOR, where the squares
-    underflow."""
+    underflow.  A BLAS dot raises no floating-point warning."""
     R = H.view(np.float64)
     return math.sqrt(np.vdot(R[0], R[0])), math.sqrt(np.vdot(R[1], R[1]))
 
 
-def refusal(sv, det: Bicomplex, tol: float):
+def _det_margin(n: int, kappa: float) -> float:
+    """How far, in logs, a computed n x n determinant and the AM-GM bound
+    (sqrt(n) / ||M^-1||_F)^n on a computed inverse may each stray from their
+    exact values, for ||M||_F ||M^-1||_F <= kappa: LU and the inverse err by
+    about n eps kappa in each of the n factors, and numpy's det, which sums
+    n logarithms of at most 745 in modulus, by about n * 745 eps."""
+    return 8.0 * EPS * n * (n * kappa + 1000.0)
+
+
+def _vanishing(dets, tol: float) -> list:
+    """The components k whose determinant d_k, of the pair dets = (d1, d2),
+    vanishes at `tol`: |d_k| <= tol * max(1, hypot(|d1|, |d2|)).  Merged into
+    one Bicomplex, a component 2^53 times smaller than the other is lost."""
+    m1, m2 = abs(dets[0]), abs(dets[1])
+    threshold = tol * max(1.0, math.hypot(m1, m2))
+    return [k for k, m in ((1, m1), (2, m2)) if m <= threshold]
+
+
+def refusal(sv, dets, tol: float):
     """The SingularOperator arguments with which solve and invert refuse a
-    square operator of component singular values sv (2, n) and determinant det
-    at `tol`, or None: a component is refused when det vanishes in it at `tol`
-    or its condition number exceeds CONDITION_LIMIT."""
+    square operator of component singular values sv (2, n) and component
+    determinants dets = (d1, d2) at `tol`, or None: a component is refused
+    when its determinant vanishes at `tol` (_vanishing) or its condition
+    number exceeds CONDITION_LIMIT."""
     condition = _condition(sv)
-    bad = set(det.classify(tol).vanishing_components)
+    bad = set(_vanishing(dets, tol))
     bad.update(k for k, cond in enumerate(condition, start=1) if cond > CONDITION_LIMIT)
     return (sorted(bad), (float(sv[0, -1]), float(sv[1, -1])), condition) if bad else None
 
@@ -106,13 +128,14 @@ class TMatrix(_arrays.FrozenArrays):
     other form is computed on first use and kept, as are the component
     singular values, the determinant, the decision of solve and invert for
     each tol and, once that decision accepts the operator, the inverse hat
-    stack.  Accepting takes no SVD when the inverse certifies the condition
-    number (_certify); a refused operator keeps no inverse.  split() unpacks
+    stack.  Accepting takes no SVD, and mostly no determinant, when the
+    inverse certifies the operator (_certify); a refused operator keeps no
+    inverse.  split() unpacks
     as the component matrices M1, M2, so each method below is one numpy call
     over both.
     """
 
-    __slots__ = ("_coeffs", "_split", "_singular_values", "_det", "_refusals", "_inverse")
+    __slots__ = ("_coeffs", "_split", "_singular_values", "_dets", "_det", "_refusals", "_inverse")
 
     def __init__(self, coeffs):
         self._start(_arrays.frozen_coeffs(coeffs, 3, "matrix"), None)
@@ -122,6 +145,7 @@ class TMatrix(_arrays.FrozenArrays):
         self._coeffs = coeffs
         self._split = split
         self._singular_values = None
+        self._dets = None
         self._det = None
         self._refusals = {}
         self._inverse = None
@@ -264,52 +288,71 @@ class TMatrix(_arrays.FrozenArrays):
             raise NotSquare(f"determinant needs a square matrix, got {self.m}x{self.n}")
         if self._det is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                d1, d2 = np.linalg.det(self.split())
-            if not np.isfinite([d1, d2]).all():
+                dets = tuple(map(complex, np.linalg.det(self.split())))
+            if not all(map(cmath.isfinite, dets)):
                 raise OverflowError("determinant overflows float64; solve and invert decide through slogdet")
-            self._det = Bicomplex.from_idempotent(complex(d1), complex(d2))
+            self._dets = dets
+            self._det = Bicomplex.from_idempotent(*dets)
         return self._det
 
-    def _guard_det(self) -> Bicomplex:
-        """det(), unless float64 may not hold it (the largest singular value s
-        has s^n > 2^1000): then the determinant divided by the larger component
-        modulus, from np.linalg.slogdet.  A null-cone test of a determinant of
+    def _component_dets(self) -> tuple:
+        """The component determinants (d1, d2) that det() merges."""
+        self.det()
+        return self._dets
+
+    def _guard_det(self) -> tuple:
+        """_component_dets(), unless float64 may not hold them (the largest
+        singular value s has s^n > 2^1000): then both divided by the larger
+        modulus, from np.linalg.slogdet.  A null-cone test of determinants of
         modulus at least 1 is relative, so the division keeps the decision."""
         sv = self.component_singular_values()
         if _det_fits(max(sv[0, 0], sv[1, 0]), self.n):
-            return self.det()
+            return self._component_dets()
         sign, logdet = np.linalg.slogdet(self.split())
-        d1, d2 = sign * np.exp(logdet - max(logdet.max(), 0.0))
-        return Bicomplex.from_idempotent(complex(d1), complex(d2))
+        return tuple(sign * np.exp(logdet - max(logdet.max(), 0.0)))
 
     def _certify(self, tol: float) -> tuple:
         """(inverse, accepted): a sufficient test that solve and invert accept
         the square operator at `tol`, made from the inverse they need anyway.
-        It accepts when, in order, both component Frobenius norms lie in
-        [NORM_FLOOR, 2^(1000/n)], so that the largest singular values do too
-        and the guard's determinant is det(); det() does not vanish at `tol`;
-        np.linalg.inv succeeds; and for each component ||M^-1||_F is at least
-        NORM_FLOOR and ||M||_F ||M^-1||_F, which bounds the condition number
-        from above, is at most CONDITION_LIMIT / 2.  The computed inverse and
-        the SVD's condition number each err by about n eps kappa (4e-3 at
-        n = 64 below that bound), so the test never accepts what the guard
-        refuses.  `inverse` is the kept inverse or the one built on the way,
-        else None; a NaN or inf norm fails its comparison."""
+        Both Frobenius norms F_k must lie in [NORM_FLOOR, 2^(1000/n)], so that
+        the guard's determinants are det()'s.  By AM-GM on the singular
+        values, (sqrt(n) / ||M_k^-1||_F)^n <= |det M_k| <= (F_k / sqrt(n))^n.
+        An upper bound below tol, the least the guard's threshold can be,
+        leaves the decision to the guard before any inverse is built.
+        Otherwise np.linalg.inv must succeed, each ||M_k^-1||_F be at least
+        NORM_FLOOR, and F_k ||M_k^-1||_F, which bounds the condition number
+        from above, at most CONDITION_LIMIT / 2 (the computed inverse and the
+        SVD's condition number each err by about n eps kappa, 4e-3 at n = 64).
+        Then each lower bound must clear, in logs and by _det_margin, the
+        smallest normal float and the guard's threshold tol * max(1,
+        hypot(|d1|, |d2|)) taken at the upper bounds; where one does not,
+        det() decides on the pair the guard tests.  So the test never accepts
+        what the guard refuses.  `inverse` is the kept inverse or the one
+        built on the way, else None; a NaN or inf norm fails its comparison."""
         inverse = self._inverse
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms = _frobenius_norms(self.split())
-            if not all(NORM_FLOOR <= f and _det_fits(f, self.n) for f in norms):
-                return inverse, False
-            if self.det().classify(tol).is_singular:
-                return inverse, False
-            if inverse is None:
-                try:
-                    inverse = np.linalg.inv(self.split())
-                except np.linalg.LinAlgError:
-                    return None, False
-            accepted = all(NORM_FLOOR <= g and f * g <= CONDITION_LIMIT / 2
-                           for f, g in zip(norms, _frobenius_norms(inverse)))
-        return inverse, accepted
+        n = self.n
+        norms = _frobenius_norms(self.split())
+        if not all(NORM_FLOOR <= f and _det_fits(f, n) for f in norms):
+            return inverse, False
+        log_tol = math.log(tol) if tol > 0 else -math.inf
+        upper = [n * math.log(f / math.sqrt(n)) for f in norms]
+        if min(upper) < log_tol:
+            return inverse, False
+        if inverse is None:
+            try:
+                inverse = np.linalg.inv(self.split())
+            except np.linalg.LinAlgError:
+                return None, False
+        inverse_norms = _frobenius_norms(inverse)
+        if not all(NORM_FLOOR <= g and f * g <= CONDITION_LIMIT / 2 for f, g in zip(norms, inverse_norms)):
+            return inverse, False
+        margin = _det_margin(n, max(f * g for f, g in zip(norms, inverse_norms)))
+        lower = min(n * math.log(math.sqrt(n) / g) for g in inverse_norms)
+        hi, lo = max(upper), min(upper)
+        log_hypot = hi + 0.5 * math.log1p(math.exp(2.0 * (lo - hi)))
+        if lower - margin > max(log_tol + max(0.0, log_hypot + margin), _LOG_TINY):
+            return inverse, True
+        return inverse, not _vanishing(self._component_dets(), tol)
 
     def _inverse_split(self, tol: float) -> np.ndarray:
         """The read-only inverse hat stack (2, n, n), which unpacks as M1^-1,
@@ -317,10 +360,13 @@ class TMatrix(_arrays.FrozenArrays):
         first call with a tol decides, and the decision is kept: _certify
         accepts most operators; refusal, on the singular values and
         _guard_det, decides the rest and gives every refusal its arguments.
-        The inverse is kept once a decision accepts, never for a refusal."""
+        The inverse is kept once a decision accepts, never for a refusal.
+        A negative or NaN tol raises ValueError and keeps no decision."""
         if self.m != self.n:
             raise NotSquare(f"inversion needs a square matrix, got {self.m}x{self.n}")
         if tol not in self._refusals:
+            if not tol >= 0:
+                raise ValueError("tol must be nonnegative")
             inverse, accepted = self._certify(tol)
             self._refusals[tol] = None if accepted else refusal(self.component_singular_values(), self._guard_det(), tol)
             if self._refusals[tol] is None:

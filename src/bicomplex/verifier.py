@@ -717,7 +717,7 @@ def _open_mapping_group(C, Y):
     H = hat_split(C)
     sv, det = _arrays.pair_singular_values(H), np.linalg.det(H)
     for t in range(len(C)):
-        why = refusal(sv[:, t], Bicomplex.from_idempotent(*det[:, t]), DEFAULT_SINGULAR_TOL)
+        why = refusal(sv[:, t], det[:, t], DEFAULT_SINGULAR_TOL)
         if why is not None:
             raise SingularOperator(*why)
     X = hat_merge(*_arrays.solve_pair(H[:, :, None], np.linalg.inv(H)[:, :, None], hat_split(Y)))
@@ -791,9 +791,10 @@ def _hahn_banach_values(B1, B2, F, W, X):
     miss of the extension on Y, of its component norms, of the round trip
     through its real part, and of T-linearity at w and x."""
     C = hat_split(F)
-    E = _arrays.riesz_extension(B1, B2, C)
+    R = _arrays.restrict_pair(B1, B2, C)
+    E = _arrays.riesz_extension(B1, B2, R)
     ext = hat_merge(*E)
-    y1, y2 = _arrays.pair_norms(*_arrays.restrict_pair(B1, B2, C))
+    y1, y2 = _arrays.pair_norms(*R)
     x1, x2 = _arrays.pair_norms(*E)
     err = np.maximum(*_arrays.pair_norms(*_arrays.restrict_pair(B1, B2, E - C)))
     lifted = _arrays.lift_rows(np.stack([ext, *_arrays.unit_multiples(ext)], axis=-1)[..., 0, :])

@@ -3,11 +3,12 @@ stacked LAPACK and BLAS calls that TMatrix and the verifier make over both
 hat components at once."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from bicomplex import TMatrix, TVector, _arrays
+from bicomplex import NormReport, TMatrix, TVector, _arrays
 from bicomplex._arrays import hat_merge, hat_split, mul4, norm4, planes, vec_norm4
 from bicomplex._floats import merge_parts
 
@@ -160,6 +161,26 @@ def test_pair_norms_do_not_overflow_or_vanish():
         assert _arrays.pair_norms(u[0], u[0])[0] == norms[0]
 
 
+def test_norm_report_has_the_bits_of_the_stacked_operator_norms():
+    values = [0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf]
+    for s1, s2 in itertools.product(values, repeat=2):
+        sup, idem = _arrays.operator_norms(np.array([s1]), np.array([s2]))
+        for report in (NormReport.of(s1, s2), NormReport.of(np.float64(s1), np.float64(s2))):
+            got = np.array([report.sup_norm, report.idem_norm])
+            assert np.array_equal(_bits(got), _bits(np.concatenate([sup, idem]))), (s1, s2)
+            assert type(report.sup_norm) is float and type(report.idem_norm) is float
+
+
+def test_frozen_coeffs_accepts_entries_whose_squares_overflow_and_rejects_the_rest():
+    for huge in (1e200, -1e200, 1.7e308):
+        arr = _arrays.frozen_coeffs([[huge, 0.0, 0.0, 1.0], [huge, huge, huge, huge]], 2, "vector")
+        assert arr[0, 0] == huge and not arr.flags.writeable
+    for bad in (math.nan, math.inf, -math.inf):
+        for row in ([bad, 0.0, 0.0, 1.0], [bad, 1e200, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="finite"):
+                _arrays.frozen_coeffs([row], 2, "vector")
+
+
 def test_orthonormal_columns_cuts_each_matrix_of_a_stack_to_its_rank():
     rng = np.random.default_rng(13)
     M = _complex(rng, (3, 5, 3))
@@ -180,7 +201,8 @@ def test_orthonormal_columns_cuts_each_matrix_of_a_stack_to_its_rank():
 # Each plane kernel must give the bits of the coefficient kernel it stands
 # for.  rowsum and plane_vec_norm4 add in the order numpy's pairwise
 # summation takes along a contiguous row, which numpy does not document:
-# these tests guard that order for the numpy the CI installs (2.4.6).
+# these tests guard that order for the numpy the CI installs (2.4.6, and 2.2.6
+# on Python 3.10).
 
 PLANE_ROWS = (1, 7, 4097)
 

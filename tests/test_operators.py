@@ -20,6 +20,7 @@ from bicomplex import (
     TMatrix,
     TVector,
 )
+from bicomplex import operators
 from bicomplex.operators import refusal
 from oracles import sampled_sup_norm
 
@@ -491,8 +492,9 @@ def _count_linalg(monkeypatch, names):
     return calls
 
 
-def test_repeated_solves_run_the_determinant_and_inverse_once_and_no_svd(monkeypatch):
-    # The inverse certifies the condition number, so accepting takes no SVD;
+def test_repeated_solves_run_the_inverse_once_and_no_determinant_or_svd(monkeypatch):
+    # The inverse certifies the condition number and, with the Frobenius
+    # norms, the determinant, so accepting takes no SVD and no determinant;
     # solves and invert share the cached inverse and factor nothing more.
     calls = _count_linalg(monkeypatch, ("svd", "det", "inv", "solve"))
     rng = np.random.default_rng(43)
@@ -500,10 +502,36 @@ def test_repeated_solves_run_the_determinant_and_inverse_once_and_no_svd(monkeyp
     for _ in range(10):
         T.solve(TVector(rng.uniform(-1, 1, (5, 4))))
     T.invert()
-    assert calls == {"svd": 0, "det": 1, "inv": 1, "solve": 0}
+    assert calls == {"svd": 0, "det": 0, "inv": 1, "solve": 0}
     T.norms()
     T.condition()
-    assert calls == {"svd": 1, "det": 1, "inv": 1, "solve": 0}
+    assert calls == {"svd": 1, "det": 0, "inv": 1, "solve": 0}
+
+
+def test_a_small_operator_is_refused_before_any_inverse_is_built(monkeypatch):
+    # At scale 0.02, a component's determinant is at most (0.04)^8 and its
+    # AM-GM bound (||M||_F / sqrt(n))^n is below tol = 1e-12: the guard
+    # refuses it on its determinant, with one SVD for the arguments.
+    calls = _count_linalg(monkeypatch, ("svd", "det", "inv", "solve"))
+    M1, M2 = random_conditioned(np.random.default_rng(49), 8).split()
+    T = TMatrix.from_hat(0.02 * M1, 0.02 * M2)
+    for attempt in (lambda: T.solve(TVector.basis(8, 0)), T.invert):
+        with pytest.raises(SingularOperator) as exc:
+            attempt()
+        assert exc.value.components == (1, 2) and max(exc.value.condition) <= 5.0
+    assert calls == {"svd": 1, "det": 1, "inv": 0, "solve": 0}
+
+
+def test_the_exact_test_decides_on_the_determinant_pair():
+    # Merged into one bicomplex scalar, the determinants (2^60, 1) would lose
+    # the second component: the exact test (tol = 0) accepts the operator,
+    # and the relative floor at tol = 1e-12 (2^60 * 1e-12 > 1) refuses it.
+    b = TVector([[1.0, 0.0, 0.0, 0.0]])
+    x = TMatrix.from_hat([[2.0**60]], [[1.0]]).solve(b, tol=0.0)
+    assert x.split().tolist() == [[2.0**-60], [1.0]]
+    with pytest.raises(SingularOperator) as exc:
+        TMatrix.from_hat([[2.0**60]], [[1.0]]).solve(b, tol=1e-12)
+    assert exc.value.components == (2,) and exc.value.condition == (1.0, 1.0)
 
 
 def test_an_operator_refused_for_its_condition_alone_keeps_no_inverse(monkeypatch):
@@ -559,13 +587,21 @@ def _spectrum(rng, n, log_kappa):
 def _square_operators(draw):
     """Hat components (M1, M2) of one square operator, a right-hand side and
     a tol.  Each component has a prescribed spectrum (_spectrum) and its own
-    scale, whose determinant ratio 2^(j1 - j2) crosses the null-cone test;
-    M2 may instead be rank deficient or have a zero row, and M1 may be the
-    Wilkinson matrix times a spectrum (a column scaling, which keeps its
-    pivots).  Both are then scaled by 2^k."""
-    n = draw(st.integers(0, 19).map(lambda i: 64 if i == 0 else 1 + i % 8))
+    scale, whose determinant ratio 2^(j1 - j2), up to 2^600, crosses the
+    null-cone test; M2 may instead be rank deficient or have a zero row, M1
+    may be the Wilkinson matrix times a spectrum (a column scaling, which
+    keeps its pivots), or both may have equal singular values with |det M2|
+    at the guard's threshold, to rounding, where the AM-GM bounds on the
+    determinants are tight.  All but the last are then scaled by 2^k."""
+    n = draw(st.integers(0, 39).map(lambda i: 64 if i < 2 else 128 if i == 2 else 1 + i % 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["spectra"] * 5 + ["rank-deficient", "zero-row", "wilkinson"]))
+    kind = draw(st.sampled_from(["spectra"] * 5 + ["rank-deficient", "zero-row", "wilkinson"] + ["threshold"] * 2))
+    if kind == "threshold":
+        tol = draw(st.sampled_from([1e-12, 1e-4]))
+        d1 = 2.0 ** draw(st.integers(-8, 60))
+        d2 = tol * max(1.0, d1 / math.sqrt(1.0 - tol * tol)) * (1.0 + draw(st.integers(-2, 2)) * n * 2.0**-52)
+        M1, M2 = _hats_with_spectra(rng, n, np.full(n, d1 ** (1 / n)), np.full(n, d2 ** (1 / n)))
+        return M1, M2, TVector(rng.uniform(-1.0, 1.0, (n, 4))), tol
     spectra = [_spectrum(rng, n, draw(_LOG_KAPPA)) for _ in range(2)]
     if kind == "rank-deficient":
         spectra[1][n - draw(st.integers(1, n)):] = 0.0
@@ -575,7 +611,8 @@ def _square_operators(draw):
     if kind == "wilkinson":
         M1 = _wilkinson(n) * spectra[0] / 2.0 ** ((n - 1) / n)
     k = draw(st.one_of(st.integers(-498, 498), st.integers(-8, 8)))
-    M1, M2 = (M * 2.0 ** (k + draw(st.integers(-48, 48)) / n) for M in (M1, M2))
+    shift = st.one_of(st.integers(-48, 48), st.integers(-300, 300))
+    M1, M2 = (M * 2.0 ** (k + draw(shift) / n) for M in (M1, M2))
     b = TVector(rng.uniform(-1.0, 1.0, (n, 4)) * 2.0**k)
     return M1, M2, b, draw(st.sampled_from([1e-12, 0.0, 1e-4]))
 
@@ -583,8 +620,9 @@ def _square_operators(draw):
 @settings(max_examples=400, deadline=None)
 @given(_square_operators())
 def test_solve_decides_as_the_svd_guard_does_and_gives_the_same_bits(case):
-    # The certificate accepts without an SVD; it must accept exactly what the
-    # guard on the singular values accepts, and build the same inverse.
+    # The certificate accepts without an SVD or, mostly, a determinant; it
+    # must accept exactly what the guard on the singular values and the
+    # determinant pair accepts, and build the same inverse.
     M1, M2, b, tol = case
     twin = TMatrix.from_hat(M1, M2)
     expected = refusal(twin.component_singular_values(), twin._guard_det(), tol)
@@ -627,23 +665,28 @@ def test_solve_has_the_backward_error_of_an_lu_solve(n, kappa):
 
 
 def test_repeated_solves_classify_the_determinant_once_per_tolerance(monkeypatch):
+    # Singular values from 10^3 down to 10^-3 in pairs: |det M_k| = 1, but its
+    # AM-GM lower bound is about 1e-21, so the certificate falls back to the
+    # determinant pair, once per tol.
     calls = []
-    classify = Bicomplex.classify
+    vanishing = operators._vanishing
 
-    def counted(self, tol=1e-12):
+    def counted(dets, tol):
         calls.append(tol)
-        return classify(self, tol)
+        return vanishing(dets, tol)
 
-    monkeypatch.setattr(Bicomplex, "classify", counted)
+    monkeypatch.setattr(operators, "_vanishing", counted)
+    s = np.logspace(3, -3, 8)
+    T = TMatrix.from_hat(*_hats_with_spectra(np.random.default_rng(44), 8, s, s))
     rng = np.random.default_rng(44)
-    T = random_conditioned(rng, 8)
     for _ in range(10):
         T.solve(TVector(rng.uniform(-1, 1, (8, 4))))
     T.invert()
-    assert len(calls) == 1
+    assert calls == [1e-12]
     T.solve(TVector.basis(8, 0), tol=1e-6)
     T.solve(TVector.basis(8, 1), tol=1e-6)
-    assert calls == [calls[0], 1e-6]
+    assert calls == [1e-12, 1e-6]
+    assert T._singular_values is None
 
 
 def test_a_refused_operator_raises_the_same_refusal_every_time():
