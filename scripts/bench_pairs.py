@@ -12,8 +12,12 @@ directory, by default this repository's working tree.  Pair i runs the
 command BENCHMARK.json gives, with `--workload W --seed 101+i --seconds T`,
 once on each tree; even pairs run the parent first, odd pairs the change.
 The seeds differ from bench/run.py's default, so a claim is not tested on
-the inputs a change was tuned on.  Each side compiles into its own bytecode
-cache, so neither reads the other's or a stale one.
+the inputs a change was tuned on.  When bytecode is written, each side
+compiles into its own cache (PYTHONPYCACHEPREFIX), so neither reads the
+other's or a stale one.  When PYTHONDONTWRITEBYTECODE is set no cache would
+be written, and a prefix would only hide the caches of numpy and the
+standard library from every fresh process, so the environment is left as
+it is.
 
 For each end-to-end metric the file holds each side's median and quartiles,
 the parent's quartile spread, the change's wins (ties count for neither) and
@@ -23,10 +27,15 @@ of operations no larger than the parent's.  `within_bound`: false when the
 median is worse than the parent's by more than the metric's bound in
 BENCHMARK.json; "unresolved" when the parent's quartile spread is wider than
 that bound and not every change run beats every parent run; true otherwise.
-It also holds every run's attempted and failed counts and metric values.
+It also holds every run's attempted and failed counts and metric values,
+and in `machine` what sets the cost of a cold process here: whether
+PYTHONDONTWRITEBYTECODE is set (then every fresh process compiles the
+package's modules) and the kernel that numpy's bundled OpenBLAS picked for
+this CPU (null where it cannot be read).
 """
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -42,9 +51,24 @@ FIRST_SEED = 101
 
 NOTE = (
     "setup_s times fresh imports of the package, so it includes compiling every module a "
-    "workload loads whenever no bytecode is cached; each side keeps its own cache here, and "
-    "the first pair compiles.  Only figures taken in one run of this script compare."
+    "workload loads whenever no bytecode is cached; when bytecode is written each side keeps "
+    "its own cache here, and the first pair compiles.  Only figures taken in one run of this "
+    "script compare."
 )
+
+
+def dont_write_bytecode() -> bool:
+    return bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+
+
+def openblas_core():
+    """The core name that numpy's bundled OpenBLAS loaded (DYNAMIC_ARCH), or None."""
+    for lib in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def export(revision: str, dest: Path) -> str:
@@ -62,7 +86,7 @@ def run_once(tree: Path, cache: Path, workload: str, seed: int, seconds: float) 
     """One benchmark run on `tree`: its last stdout line, parsed."""
     command = json.loads((tree / "BENCHMARK.json").read_text())["command"]
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+    env = dict(os.environ) if dont_write_bytecode() else dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
     done = subprocess.run(command + args, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"benchmark run failed in {tree.name}:\n{done.stderr}")
@@ -163,7 +187,9 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "parent": parent_id,
         "change": "working tree" if args.change.resolve() == ROOT else "directory",
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__},
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__,
+                    "dont_write_bytecode": dont_write_bytecode(),
+                    "openblas_core": openblas_core()},
         "note": NOTE,
         "correct": all(r[side]["correct"] for r in runs for side in trees),
         "failed": {side: [r[side]["failed"] for r in runs] for side in trees},

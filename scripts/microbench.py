@@ -17,9 +17,12 @@ complex work of one call: the two matvecs (M1 v1, M2 v2) of `apply`, and the
 refined inverse-apply of both components that `solve` makes on the cached
 inverses (`_arrays.solve_pair`, five stacked matvecs).
 
-A second table gives the median wall time, in milliseconds, of 5 fresh
-processes each: `import bicomplex`, a `calc` command and a `solve` command at
-n = 8.  Only `solve` imports numpy.
+A second table gives, for 5 fresh processes each, the median wall time and
+the median CPU time of the child (user + system, from `getrusage`) in
+milliseconds: `import bicomplex`, then each of the six commands through
+`python -m bicomplex` at n = 8, `verify` at `--trials 3`.  `calc` and
+`decompose` do not import numpy.  Wall time of a short process moves with
+the machine's load; its CPU time moves far less.
 
     python scripts/microbench.py
     python scripts/microbench.py --number 100
@@ -33,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -112,31 +116,50 @@ ROWS = (
 )
 
 
-def _cold_ms(args: list, env: dict) -> float:
-    """Median wall time in milliseconds of REPEAT fresh `python args` processes."""
-    times = []
+def _child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _cold_ms(args: list, env: dict) -> tuple:
+    """Median wall and child CPU milliseconds of REPEAT fresh `python args` processes."""
+    walls, cpus = [], []
     for _ in range(REPEAT):
-        start = time.perf_counter()
+        cpu, start = _child_cpu_s(), time.perf_counter()
         subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
+        walls.append(time.perf_counter() - start)
+        cpus.append(_child_cpu_s() - cpu)
+    return statistics.median(walls) * 1e3, statistics.median(cpus) * 1e3
 
 
 def cold_start() -> dict:
     """Milliseconds to start a fresh process on the imported package: the bare
-    import, and one `calc` and one n = 8 `solve` through `python -m bicomplex`."""
+    import, and each command through `python -m bicomplex` at n = 8."""
     src = str(Path(bicomplex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     rng = np.random.default_rng(8)
     with tempfile.TemporaryDirectory() as work:
-        matrix, vector = Path(work) / "matrix.json", Path(work) / "vector.json"
-        matrix.write_text(json.dumps(TMatrix(_conditioned(rng, 8)).to_json()))
-        vector.write_text(json.dumps(TVector(rng.uniform(-1.0, 1.0, (8, 4))).to_json()))
-        return {
-            "`import bicomplex`": _cold_ms(["-c", "import bicomplex"], env),
-            "`python -m bicomplex calc`": _cold_ms(["-m", "bicomplex", "calc", "1 2 3 4", "mul", "0.5 0 0 -0.5"], env),
-            "`python -m bicomplex solve`": _cold_ms(["-m", "bicomplex", "solve", str(matrix), str(vector)], env),
+        objects = {
+            "matrix": TMatrix(_conditioned(rng, 8)),
+            "vector": TVector(rng.uniform(-1.0, 1.0, (8, 4))),
+            "submodule": Submodule(8, [TVector(rng.uniform(-1.0, 1.0, (8, 4))) for _ in range(3)]),
+            "functional": TFunctional(rng.uniform(-1.0, 1.0, (8, 4))),
         }
+        files = {name: str(Path(work) / f"{name}.json") for name in objects}
+        for name, obj in objects.items():
+            Path(files[name]).write_text(json.dumps(obj.to_json()))
+        commands = {
+            "calc": ["calc", "1 2 3 4", "mul", "0.5 0 0 -0.5"],
+            "decompose": ["decompose", "1 2 3 4"],
+            "solve": ["solve", files["matrix"], files["vector"]],
+            "norm": ["norm", files["matrix"]],
+            "extend": ["extend", files["submodule"], files["functional"]],
+            "verify": ["verify", "--all", "--trials", "3"],
+        }
+        times = {"`import bicomplex`": _cold_ms(["-c", "import bicomplex"], env)}
+        for name, argv in commands.items():
+            times[f"`python -m bicomplex {name}`"] = _cold_ms(["-m", "bicomplex", *argv], env)
+        return times
 
 
 def table(results: dict) -> str:
@@ -152,9 +175,9 @@ def main() -> int:
     parser.add_argument("--number", type=int, default=None, help="calls per timing (default: as many as take 0.2 s)")
     args = parser.parse_args()
     print(table({n: measure(n, args.number) for n in SIZES}))
-    print("\n| cold process | median ms |\n|---|---|")
-    for label, ms in cold_start().items():
-        print(f"| {label} | {ms:.1f} |")
+    print("\n| cold process | median ms | child CPU ms |\n|---|---|---|")
+    for label, (wall, cpu) in cold_start().items():
+        print(f"| {label} | {wall:.1f} | {cpu:.1f} |")
     return 0
 
 

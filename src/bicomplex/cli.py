@@ -8,11 +8,15 @@ JSON object on stderr, 2 on usage errors, 3 on an internal error.
 
 Each command imports only the modules it runs on: `calc` and `decompose`
 start without numpy.
+
+`main(argv)` is the command line as a function; `run()` is the process
+entry of `python -m bicomplex` and the `bicomplex` script.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -224,5 +228,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """Run `main()` as a whole short-lived process, which makes no reference
+    cycles it needs collected (tests/test_process_entry.py keeps that true).
+    The cyclic collector is off from before any command imports its layers
+    or numpy, and every object is frozen before the interpreter tears down,
+    so neither the import passes nor the full collections at exit walk the
+    heap.  Call it only at process entry: a host process that calls `main()`
+    keeps its collector."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

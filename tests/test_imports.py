@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bicomplex
-from bicomplex import Bicomplex, TMatrix, TVector
+from bicomplex import Bicomplex, Submodule, TFunctional, TMatrix, TVector
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ["bicomplex.verifier", "bicomplex.functionals", "bicomplex.operators", "bicomplex.tmodule", "numpy"]
@@ -51,6 +51,19 @@ def test_solve_and_norm_load_neither_the_verifier_nor_functionals(tmp_path):
     vector.write_text(json.dumps(TVector.from_scalars([Bicomplex(1.0), Bicomplex(2.0)]).to_json()))
     code = f"from bicomplex.cli import main\nmain(['solve', {str(matrix)!r}, {str(vector)!r}])\nmain(['norm', {str(matrix)!r}])"
     assert heavy_loaded_after(code) == {"bicomplex.operators", "bicomplex.tmodule", "numpy"}
+
+
+def test_extend_loads_the_extension_layers_and_not_the_verifier(tmp_path):
+    submodule, functional = tmp_path / "sub.json", tmp_path / "fun.json"
+    submodule.write_text(json.dumps(Submodule.span(TVector.basis(2, 0)).to_json()))
+    functional.write_text(json.dumps(TFunctional.coordinate(2, 0).to_json()))
+    code = f"from bicomplex.cli import main\nmain(['extend', {str(submodule)!r}, {str(functional)!r}])"
+    assert heavy_loaded_after(code) == {"bicomplex.functionals", "bicomplex.operators", "bicomplex.tmodule", "numpy"}
+
+
+def test_verify_loads_every_layer_it_checks():
+    code = "from bicomplex.cli import main\nmain(['verify', '--check', 'ring-axioms', '--trials', '2'])"
+    assert heavy_loaded_after(code) == set(HEAVY)
 
 
 def test_every_public_name_is_its_defining_module_object_and_is_kept():

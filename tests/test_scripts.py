@@ -51,13 +51,13 @@ def test_microbench_prints_the_table_at_tiny_repetitions():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "| operation | n=2 | n=8 | n=64 |"
-    assert len(lines) == 17 and all(line.count("|") == 5 for line in lines[:11])
+    assert len(lines) == 21 and all(line.count("|") == 5 for line in lines[:11])
     assert lines[9].startswith("| `hahn_banach_extend` (cold submodule) | ")
-    assert lines[11:14] == ["", "| cold process | median ms |", "|---|---|"]
-    assert [line.split(" | ")[0] for line in lines[14:]] == [
-        "| `import bicomplex`", "| `python -m bicomplex calc`", "| `python -m bicomplex solve`"
+    assert lines[11:14] == ["", "| cold process | median ms | child CPU ms |", "|---|---|---|"]
+    assert [line.split(" | ")[0] for line in lines[14:]] == ["| `import bicomplex`"] + [
+        f"| `python -m bicomplex {command}`" for command in ("calc", "decompose", "solve", "norm", "extend", "verify")
     ]
-    assert all(float(line.split(" | ")[1].rstrip(" |")) > 0.0 for line in lines[14:])
+    assert all(float(cell) > 0.0 for line in lines[14:] for cell in line.rstrip(" |").split(" | ")[1:])
 
 
 def test_bench_pairs_compares_one_pair_of_identical_trees(tmp_path):
@@ -74,6 +74,9 @@ def test_bench_pairs_compares_one_pair_of_identical_trees(tmp_path):
     report = json.loads((tmp_path / "BENCH_tiny.json").read_text())
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert report["workload"] == "reuse" and report["pairs"] == 1 and report["correct"]
+    assert report["machine"]["dont_write_bytecode"] is bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    core = report["machine"]["openblas_core"]
+    assert core is None or (isinstance(core, str) and core)
     assert report["failed"] == {"parent": [0], "change": [0]}
     assert report["failed_share"] == {"parent": 0.0, "change": 0.0}
     assert list(report["metrics"]) == [m["name"] for m in spec["end_to_end"]]
