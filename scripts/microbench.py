@@ -3,9 +3,10 @@
 
 Each figure is the best of 5 timings, in microseconds per call; a timing
 runs --number calls, or by default as many as take 0.2 s.  *Warm* reuses
-one operator that has solved once, so its hat split, determinant and
-inverse are cached; accepting it took no SVD, so its singular values are
-not.  *Cold* builds the operator from its raw coefficient array inside the
+one operator that has solved once, so its hat split and inverse are
+cached; accepting it took no SVD, so its singular values are not, and it
+took a determinant only where the AM-GM bounds on it fall short of the
+null-cone floor (here at n = 64, not at n = 2 or 8).  *Cold* builds the operator from its raw coefficient array inside the
 call.  Every call builds its argument vector from a raw array, as
 a request would.  The chained rows feed one warm operator's result to the
 next call, and `separating_functional` runs against a warm submodule of n/2

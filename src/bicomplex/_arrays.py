@@ -16,10 +16,18 @@ identically.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from ._floats import EPS, NORM_FLOOR, SQRT2, checked_norm, merge_parts, mul_parts, qmean
+
+
+def dimension(value) -> int:
+    """`value` as a dimension: an integer, never a bool or a float truncated."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"a dimension must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:

@@ -58,6 +58,22 @@ def qmean(x: float, y: float) -> float:
     return checked_norm(math.sqrt((x * x + y * y) / 2.0), (x / SQRT2, y / SQRT2))
 
 
+def null_floor(m1: float, m2: float, tol: float) -> float:
+    """The null-cone floor of the hat magnitudes m1, m2 of a scalar, or of an
+    operator's determinant: a component at or below it vanishes at `tol`."""
+    return tol * max(1.0, math.hypot(m1, m2))
+
+
+def vanishing(m1: float, m2: float, threshold: float) -> tuple:
+    """The components k with m_k <= threshold."""
+    return tuple(k for k, m in ((1, m1), (2, m2)) if m <= threshold)
+
+
+def spread(hi: float, lo: float) -> float:
+    """The condition number hi / lo: inf when lo is zero."""
+    return math.inf if lo == 0.0 else hi / lo
+
+
 def fmt17(v: float) -> str:
     """Format a float at up to 17 significant digits (lossless round trip).
     Negative zero is normalized so output is canonical."""

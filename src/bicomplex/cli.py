@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from ._floats import fmt17
-from .errors import BicomplexError, CheckCrashed, UnknownCheckId
+from .errors import MALFORMED, BicomplexError, CheckCrashed, UnknownCheckId
 from .scalar import DEFAULT_SINGULAR_TOL, Bicomplex
 
 
@@ -80,9 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _load(path: Path, parse):
+    """parse(data) of the JSON in file `path`.  An error of the data's
+    structure, raised while parsing it, is raised as one ValueError that
+    names the file."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return parse(data)
+    except MALFORMED as exc:
+        raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _read_vector(path: Path):
@@ -90,7 +96,7 @@ def _read_vector(path: Path):
 
     if path.suffix.lower() == ".csv":
         return TVector.from_csv(path.read_text(encoding="utf-8"))
-    return TVector.from_json(_read_json(path))
+    return _load(path, TVector.from_json)
 
 
 def _emit(text: str, out: Path | None):
@@ -135,7 +141,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_solve(args) -> int:
     from .operators import TMatrix
 
-    T = TMatrix.from_json(_read_json(args.matrix))
+    T = _load(args.matrix, TMatrix.from_json)
     b = _read_vector(args.vector)
     x = T.solve(b, args.tol)
     residual = (T.apply(x) - b).norm()
@@ -153,7 +159,7 @@ def _cmd_solve(args) -> int:
 def _cmd_norm(args) -> int:
     from .operators import TMatrix
 
-    T = TMatrix.from_json(_read_json(args.matrix))
+    T = _load(args.matrix, TMatrix.from_json)
     _emit(json.dumps(T.norms().to_json()), args.out)
     return 0
 
@@ -162,8 +168,8 @@ def _cmd_extend(args) -> int:
     from .functionals import TFunctional, hahn_banach_extend
     from .tmodule import Submodule
 
-    Y = Submodule.from_json(_read_json(args.submodule))
-    ystar = TFunctional.from_json(_read_json(args.functional))
+    Y = _load(args.submodule, Submodule.from_json)
+    ystar = _load(args.functional, TFunctional.from_json)
     report = hahn_banach_extend(ystar, Y)
     _emit(json.dumps(report.to_json()), args.out)
     return 0

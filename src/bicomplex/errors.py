@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 
+#: What decoding data of the wrong structure raises.
+MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
 class BicomplexError(Exception):
     """Base class for all domain errors."""
 

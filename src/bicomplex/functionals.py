@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _arrays
 from ._arrays import hat_split, pair_norms, unit_multiples
+from ._floats import vanishing
 from .errors import (
     ComponentInNullDistance,
     DimensionMismatch,
@@ -157,7 +158,7 @@ class TFunctional:
     @classmethod
     def from_json(cls, data) -> "TFunctional":
         f = cls(TVector.from_json(data["coeffs"]))
-        if "n" in data and int(data["n"]) != f.n:
+        if "n" in data and _arrays.dimension(data["n"]) != f.n:
             raise ValueError(f"declared dimension {data['n']} != coefficient length {f.n}")
         return f
 
@@ -285,8 +286,7 @@ def separating_functional(x: TVector, Y: Submodule) -> SeparationResult:
     raised (a strictly stronger hypothesis than d > 0 alone).
     """
     result = Y.distance_to(x)
-    threshold = NULL_CONE_TOL * x.norm()
-    bad = [k for k, dk in ((1, result.d1), (2, result.d2)) if dk <= threshold]
+    bad = vanishing(result.d1, result.d2, NULL_CONE_TOL * x.norm())
     if bad:
         raise ComponentInNullDistance(bad, (result.d1, result.d2))
     v1, v2 = x.split()
@@ -326,8 +326,7 @@ def norming_functional(x: TVector) -> NormingResult:
     """
     v1, v2 = x.split()
     n1, n2 = pair_norms(v1, v2)
-    threshold = NULL_CONE_TOL * x.norm()
-    bad = [k for k, nk in ((1, n1), (2, n2)) if nk <= threshold]
+    bad = vanishing(n1, n2, NULL_CONE_TOL * x.norm())
     if bad:
         raise NullConeVector(bad)
     target = x.norm()

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _arrays
 from ._arrays import hat_split
-from ._floats import EPS, NORM_FLOOR, SQRT2, qmean
+from ._floats import EPS, NORM_FLOOR, SQRT2, null_floor, qmean, spread, vanishing
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
 from .tmodule import TVector
@@ -40,10 +40,6 @@ from .tmodule import TVector
 #: ~1e-6 near this limit, and two refinement steps bring it back to an LU
 #: solve's O(eps) for every operator below it.
 CONDITION_LIMIT = 1e12
-
-#: Natural log of the smallest normal float64: a determinant below it is
-#: held with less than full precision, or as zero.
-_LOG_TINY = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ class NormReport:
 
 def _condition(sv) -> tuple[float, float]:
     """Condition numbers (k1, k2) from descending component singular values (2, n)."""
-    return tuple(float("inf") if s[-1] == 0.0 else float(s[0] / s[-1]) for s in sv)
+    return tuple(spread(float(s[0]), float(s[-1])) for s in sv)
 
 
 def _det_fits(s: float, n: int) -> bool:
@@ -100,23 +96,16 @@ def _det_margin(n: int, kappa: float) -> float:
     return 8.0 * EPS * n * (n * kappa + 1000.0)
 
 
-def _vanishing(dets, tol: float) -> list:
-    """The components k whose determinant d_k, of the pair dets = (d1, d2),
-    vanishes at `tol`: |d_k| <= tol * max(1, hypot(|d1|, |d2|)).  Merged into
-    one Bicomplex, a component 2^53 times smaller than the other is lost."""
-    m1, m2 = abs(dets[0]), abs(dets[1])
-    threshold = tol * max(1.0, math.hypot(m1, m2))
-    return [k for k, m in ((1, m1), (2, m2)) if m <= threshold]
-
-
 def refusal(sv, dets, tol: float):
     """The SingularOperator arguments with which solve and invert refuse a
     square operator of component singular values sv (2, n) and component
     determinants dets = (d1, d2) at `tol`, or None: a component is refused
-    when its determinant vanishes at `tol` (_vanishing) or its condition
-    number exceeds CONDITION_LIMIT."""
+    when |d_k| is at most null_floor (on the pair: merged into one Bicomplex,
+    a component 2^53 times smaller is lost) or its condition number exceeds
+    CONDITION_LIMIT."""
     condition = _condition(sv)
-    bad = set(_vanishing(dets, tol))
+    m1, m2 = abs(dets[0]), abs(dets[1])
+    bad = set(vanishing(m1, m2, null_floor(m1, m2, tol)))
     bad.update(k for k, cond in enumerate(condition, start=1) if cond > CONDITION_LIMIT)
     return (sorted(bad), (float(sv[0, -1]), float(sv[1, -1])), condition) if bad else None
 
@@ -323,20 +312,20 @@ class TMatrix(_arrays.FrozenArrays):
         NORM_FLOOR, and F_k ||M_k^-1||_F, which bounds the condition number
         from above, at most CONDITION_LIMIT / 2 (the computed inverse and the
         SVD's condition number each err by about n eps kappa, 4e-3 at n = 64).
-        Then each lower bound must clear, in logs and by _det_margin, the
-        smallest normal float and the guard's threshold tol * max(1,
-        hypot(|d1|, |d2|)) taken at the upper bounds; where one does not,
-        det() decides on the pair the guard tests.  So the test never accepts
-        what the guard refuses.  `inverse` is the kept inverse or the one
-        built on the way, else None; a NaN or inf norm fails its comparison."""
+        Then each lower bound, shrunk by exp(-2 _det_margin), must exceed the
+        smallest normal float and the guard's threshold null_floor taken at
+        the upper bounds, which the norms' range keeps below 2^1000; where one
+        does not, det() decides on the pair the guard tests.  So the test
+        never accepts what the guard refuses.  `inverse` is the kept inverse
+        or the one built on the way, else None; a NaN or inf norm fails its
+        comparison."""
         inverse = self._inverse
         n = self.n
         norms = _frobenius_norms(self.split())
         if not all(NORM_FLOOR <= f and _det_fits(f, n) for f in norms):
             return inverse, False
-        log_tol = math.log(tol) if tol > 0 else -math.inf
-        upper = [n * math.log(f / math.sqrt(n)) for f in norms]
-        if min(upper) < log_tol:
+        upper = [(f / math.sqrt(n)) ** n for f in norms]
+        if min(upper) < tol:
             return inverse, False
         if inverse is None:
             try:
@@ -347,12 +336,11 @@ class TMatrix(_arrays.FrozenArrays):
         if not all(NORM_FLOOR <= g and f * g <= CONDITION_LIMIT / 2 for f, g in zip(norms, inverse_norms)):
             return inverse, False
         margin = _det_margin(n, max(f * g for f, g in zip(norms, inverse_norms)))
-        lower = min(n * math.log(math.sqrt(n) / g) for g in inverse_norms)
-        hi, lo = max(upper), min(upper)
-        log_hypot = hi + 0.5 * math.log1p(math.exp(2.0 * (lo - hi)))
-        if lower - margin > max(log_tol + max(0.0, log_hypot + margin), _LOG_TINY):
+        lower = min((math.sqrt(n) / g) ** n for g in inverse_norms)
+        if lower * math.exp(-2.0 * margin) > max(null_floor(*upper, tol), sys.float_info.min):
             return inverse, True
-        return inverse, not _vanishing(self._component_dets(), tol)
+        d1, d2 = map(abs, self._component_dets())
+        return inverse, not vanishing(d1, d2, null_floor(d1, d2, tol))
 
     def _inverse_split(self, tol: float) -> np.ndarray:
         """The read-only inverse hat stack (2, n, n), which unpacks as M1^-1,
@@ -400,7 +388,7 @@ class TMatrix(_arrays.FrozenArrays):
 
     @classmethod
     def from_json(cls, data) -> "TMatrix":
-        m, n = int(data["m"]), int(data["n"])
+        m, n = _arrays.dimension(data["m"]), _arrays.dimension(data["n"])
         entries = np.array(data["entries"], dtype=np.float64)
         if entries.shape != (m * n, 4):
             raise ValueError(f"expected {m * n} entries of 4 reals, got shape {entries.shape}")

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 
-from ._floats import SQRT2, checked_norm, fmt17, merge_parts, mul_parts, qmean
+from ._floats import checked_norm, fmt17, merge_parts, mul_parts, null_floor, qmean, spread, vanishing
 from .errors import SingularElement
 
-#: Default tolerance of the null-cone test, which scales it by max(1, sqrt(2)|w|):
-#: relative for sqrt(2)|w| >= 1, absolute below.  Zero selects the exact test.
+#: Default tolerance of the null-cone test (_floats.null_floor); zero is exact.
 DEFAULT_SINGULAR_TOL = 1e-12
 
 
@@ -195,17 +194,14 @@ class Bicomplex(_Frozen):
     __abs__ = norm
 
     def classify(self, tol: float = DEFAULT_SINGULAR_TOL) -> SingularityReport:
-        """Null-cone test: component k vanishes when |h_k| <= tol * max(1, sqrt(2)|w|).
-
-        tol = 0 selects the exact comparison.
-        """
+        """Null-cone test: component k vanishes when |h_k| is at most
+        null_floor(|h1|, |h2|, tol); tol = 0 selects the exact comparison."""
         if not tol >= 0:
             raise ValueError("tol must be nonnegative")
         form = self.to_idempotent()
         m1, m2 = abs(form.h1), abs(form.h2)
-        threshold = tol * max(1.0, SQRT2 * self.norm())
-        vanishing = tuple(k for k, m in ((1, m1), (2, m2)) if m <= threshold)
-        return SingularityReport(bool(vanishing), vanishing, (m1, m2))
+        components = vanishing(m1, m2, null_floor(m1, m2, tol))
+        return SingularityReport(bool(components), components, (m1, m2))
 
     def inverse(self, tol: float = DEFAULT_SINGULAR_TOL) -> "Bicomplex":
         """Multiplicative inverse via componentwise reciprocals of the hat form.
@@ -223,8 +219,7 @@ class Bicomplex(_Frozen):
         """Hat-component magnitude spread max|h_k| / min|h_k| (inf on the cone)."""
         form = self.to_idempotent()
         m1, m2 = abs(form.h1), abs(form.h2)
-        lo, hi = min(m1, m2), max(m1, m2)
-        return math.inf if lo == 0.0 else hi / lo
+        return spread(max(m1, m2), min(m1, m2))
 
     # text and JSON forms ----------------------------------------------------
 

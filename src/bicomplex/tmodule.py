@@ -175,7 +175,7 @@ class Submodule:
     """
 
     def __init__(self, n: int, generators):
-        self._n = int(n)
+        self._n = _arrays.dimension(n)
         if self._n < 1:
             raise ValueError("ambient dimension must be at least 1")
         gens = list(generators)

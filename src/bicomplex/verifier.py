@@ -31,7 +31,7 @@ from . import _arrays
 from ._arrays import frozen_coeffs, hat_merge, hat_split, mul4, planes, rowsum
 from ._arrays import plane_hat_merge, plane_hat_split, plane_mul4, plane_norm4, plane_vec_norm4
 from ._floats import SQRT2
-from .errors import CheckCrashed, SingularOperator, UnknownCheckId
+from .errors import MALFORMED, CheckCrashed, SingularOperator, UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
 from .operators import TMatrix, refusal
 from .scalar import DEFAULT_SINGULAR_TOL, Bicomplex
@@ -233,10 +233,11 @@ def _nonsingular_scalars(rng, count: int):
 # dimension of _dim_schedule for the vector checks, the whole run otherwise.
 # A block holds the check's columns in order, None for one it leaves out.  The
 # value function maps a block to values, or to a dict of them by part: one
-# constant, one value per trial or one per point of each trial.  Each part
-# keeps its worst value over a group, and the parts are folded in order at its
-# end, so ties and NaNs pick the witness that one pass per part would.  A
-# witness holds the part, if any, then the columns its values are indexed by.
+# constant, one value per trial or a matrix (trials, points) of one per point
+# of each trial.  Each part keeps its worst value over a group, and the parts
+# are folded in order at its end, so ties and NaNs pick the witness that one
+# pass per part would.  A witness holds the part, if any, then the columns its
+# values are indexed by.
 
 
 @dataclass(frozen=True)
@@ -265,15 +266,13 @@ _FAMILY = _Codec(
     lambda A, t, j: [TMatrix(C).to_json() for C in A[t]],
     lambda data: np.stack([TMatrix.from_json(m).coeffs for m in data])[None],
 )
-_MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)  # what a bad or absent entry raises
 
 
 def _indexed(values):
     """A part's values flat, their index axes and the (trial, point) of a flat
-    index; values per point come as a matrix or as rows of any lengths."""
-    if isinstance(values, list) or np.ndim(values) == 2:
-        trial = np.repeat(np.arange(len(values)), [len(row) for row in values])
-        return np.concatenate(values), 2, lambda k: (trial[k], k - np.searchsorted(trial, trial[k]))
+    index; values per point come as a matrix (trials, points)."""
+    if np.ndim(values) == 2:
+        return np.ravel(values), 2, lambda k: divmod(k, np.shape(values)[1])
     return values, np.ndim(values), lambda k: (k, None)
 
 
@@ -314,13 +313,13 @@ def _replay(check: "Check", witness: dict) -> float:
     for name, codec in check.columns.items():
         try:
             columns.append(codec.decode(witness[name]) if name in witness else None)
-        except _MALFORMED as exc:
+        except MALFORMED as exc:
             raise _malformed(check, name) from exc
     absent = [name for name, column in zip(check.columns, columns) if column is None]
     absent.sort(key=lambda name: check.columns[name].axes == 0)  # constants last
     try:
         values = (check.replay or check.values)(*columns)
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise _malformed(check, absent[0] if absent else None) from exc
     if isinstance(values, dict):
         if witness.get("part") not in values:
@@ -550,6 +549,11 @@ def _by_shape(kernel):
     return lambda *columns: np.array(_grouped(kernel, *columns))
 
 
+def _by_part(kernel, parts):
+    """The values of _by_shape(kernel) by part: part i takes index i of the last axis."""
+    return lambda *columns: dict(zip(parts, np.moveaxis(_by_shape(kernel)(*columns), -1, 0)))
+
+
 def _split_norms(H):
     """(sup_norm, idem_norm) of operators given by their hat stack
     (2, ..., m, n), as TMatrix.norms computes them."""
@@ -685,11 +689,9 @@ def _open_mapping_trial(rng):
     S, A = _conditioned_draws(rng, n)
     ys, us = [], []
     for _ in range(_OPEN_MAPPING_POINTS):
-        y = rng.uniform(-1.0, 1.0, (n, 4))
-        if y.any():  # a zero y has no direction to rescale
-            ys.append(y)
-            us.append(rng.uniform(0.0, 1.0))
-    return S, A, np.reshape(ys, (len(ys), n, 4)), np.array(us)
+        ys.append(rng.uniform(-1.0, 1.0, (n, 4)))
+        us.append(rng.uniform(0.0, 1.0))
+    return S, A, np.array(ys), np.array(us)
 
 
 def _scaled_rhs_group(S, A, Y, u):
@@ -728,11 +730,6 @@ def _open_mapping_group(C, Y):
     real = np.linalg.solve(R, Y.reshape(G, k, 4 * n, 1)).reshape(Y.shape)
     real_solve = _arrays.vector_norms(X - real) / (1.0 + _arrays.vector_norms(real))
     return np.stack([unit_ball, residual, real_solve], axis=-1)
-
-
-def _open_mapping_values(C, Y) -> dict:
-    rows = _grouped(_open_mapping_group, C, Y)
-    return {part: [row[:, i] for row in rows] for i, part in enumerate(_OPEN_MAPPING_PARTS)}
 
 
 # --- closed-graph ----------------------------------------------------------------
@@ -866,10 +863,6 @@ def _norm_sandwich_group(C):
     return np.stack([sandwich, left, right], axis=-1)
 
 
-def _norm_sandwich_values(C) -> dict:
-    return dict(zip(_SANDWICH_PARTS, np.array(_grouped(_norm_sandwich_group, C)).T))
-
-
 # --- compose-norm -----------------------------------------------------------------
 
 
@@ -919,6 +912,8 @@ _closed_graph_draw = _chunked(_uniform_trial(1, lambda n: [(n, n, 4), (n, 4), (n
 _two_metric_draw = _chunked(_two_metric_trial, lambda S, A, X, Y: (_grouped(_conditioned_matrices, S, A), X, Y))
 _hahn_banach_draw = _chunked(_hahn_banach_trial)
 _sandwich_draw = _chunked(_uniform_trial(2, lambda m, n: [(m, n, 4)]))
+_open_mapping_values = _by_part(_open_mapping_group, _OPEN_MAPPING_PARTS)
+_sandwich_values = _by_part(_norm_sandwich_group, _SANDWICH_PARTS)
 _compose_draw = _chunked(_uniform_trial(3, lambda m, k, n: [(m, k, 4), (k, n, 4)]))
 _HOMOGENEITY_COLUMNS = {"part": _CONSTANT, "alpha": _SCALAR, "x": _VECTOR}
 _MLAMBDA_COLUMNS = {"part": _CONSTANT, "component": _CONSTANT, "lam": _SCALAR, "x": _VECTOR}
@@ -950,7 +945,7 @@ CHECKS = (
     Check(
         "hahn-banach", 15, 150, 1e-10, _hahn_banach_draw, _hahn_banach_batch, _HAHN_BANACH_COLUMNS, _hahn_banach_replay
     ),
-    Check("norm-sandwich", 16, 400, 1e-10, _sandwich_draw, _norm_sandwich_values, {"matrix": _MATRIX}),
+    Check("norm-sandwich", 16, 400, 1e-10, _sandwich_draw, _sandwich_values, {"matrix": _MATRIX}),
     Check("compose-norm", 17, 400, 1e-10, _compose_draw, _compose_norm_values, dict.fromkeys("ab", _MATRIX)),
 )
 

@@ -187,6 +187,29 @@ def test_solve_singular_matrix_exits_1(capsys, tmp_path):
     assert payload["components"] == [2]
 
 
+_ONE = [[1.0, 0.0, 0.0, 0.0]]
+_FUNCTIONAL = {"n": 1, "coeffs": _ONE}
+
+
+@pytest.mark.parametrize("command, files", [
+    ("solve", [{"m": None, "n": 1, "entries": _ONE}, _ONE]),
+    ("solve", [_ONE, _ONE]),
+    ("norm", [{"m": 1.9, "n": 1, "entries": _ONE}]),
+    ("norm", [{"m": True, "n": 1, "entries": _ONE}]),
+    ("extend", [{"n": 1, "generators": 5}, _FUNCTIONAL]),
+    ("extend", [_FUNCTIONAL, _FUNCTIONAL]),
+    ("extend", [{"n": 2.7, "generators": [[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]}, _FUNCTIONAL]),
+])
+def test_a_json_file_of_the_wrong_structure_exits_2_naming_it(capsys, tmp_path, command, files):
+    paths = [tmp_path / f"in{k}.json" for k in range(len(files))]
+    for path, data in zip(paths, files):
+        path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command, *map(str, paths))
+    payload = json.loads(err)
+    assert (code, out, sorted(payload)) == (2, "", ["error", "message"])
+    assert payload["error"] == "ValueError" and str(paths[0]) in payload["message"]
+
+
 def test_norm_report(capsys, problem_files):
     matrix, _, T, _ = problem_files
     code, out, _ = run_cli(capsys, "norm", str(matrix))

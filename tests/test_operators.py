@@ -21,6 +21,7 @@ from bicomplex import (
     TVector,
 )
 from bicomplex import operators
+from bicomplex._floats import null_floor
 from bicomplex.operators import refusal
 from oracles import sampled_sup_norm
 
@@ -336,6 +337,10 @@ def test_matrix_json_round_trip():
     assert back == T
     with pytest.raises(ValueError):
         TMatrix.from_json({"m": 2, "n": 2, "entries": [[1, 0, 0, 0]]})
+    for m in (1.9, True, None):  # int() read 1.9 and True as 1
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            TMatrix.from_json({"m": m, "n": 1, "entries": [[1, 0, 0, 0]]})
+    assert TMatrix.from_json({"m": np.int64(1), "n": 1, "entries": [[1, 0, 0, 0]]}).shape == (1, 1)
 
 
 def test_from_hat_requires_matching_shapes():
@@ -534,6 +539,22 @@ def test_the_exact_test_decides_on_the_determinant_pair():
     assert exc.value.components == (2,) and exc.value.condition == (1.0, 1.0)
 
 
+def test_scalars_and_operators_decide_the_null_cone_on_one_floor():
+    # tol puts the floor on a hat magnitude m_k through either size the floor
+    # was once taken from, sqrt(2)|w| or hypot(|h1|, |h2|), so the decision
+    # turns on rounding: a scalar and the 1 x 1 operator with hat components
+    # (h1, h2) must round it alike.
+    rng = np.random.default_rng(2)
+    for coeffs, scale in zip(rng.uniform(-1.0, 1.0, (2000, 4)), 2.0 ** rng.integers(-8, 9, 2000)):
+        w = Bicomplex(*(coeffs * scale))
+        form = w.to_idempotent()
+        m = abs(form.h1), abs(form.h2)
+        for size in (SQRT2 * w.norm(), math.hypot(*m)):
+            for tol in (mk / max(1.0, size) for mk in m):
+                why = refusal(np.array([[m[0]], [m[1]]]), (form.h1, form.h2), tol)
+                assert w.classify(tol).vanishing_components == (() if why is None else tuple(why[0]))
+
+
 def test_an_operator_refused_for_its_condition_alone_keeps_no_inverse(monkeypatch):
     # Singular values from 10^6.5 down to 10^-6.5: condition number 1e13 and
     # determinant modulus 1, far from the determinant floor.  The certificate
@@ -669,23 +690,24 @@ def test_repeated_solves_classify_the_determinant_once_per_tolerance(monkeypatch
     # AM-GM lower bound is about 1e-21, so the certificate falls back to the
     # determinant pair, once per tol.
     calls = []
-    vanishing = operators._vanishing
+    vanishing = operators.vanishing
 
-    def counted(dets, tol):
-        calls.append(tol)
-        return vanishing(dets, tol)
+    def counted(m1, m2, threshold):
+        calls.append(threshold)
+        return vanishing(m1, m2, threshold)
 
-    monkeypatch.setattr(operators, "_vanishing", counted)
+    monkeypatch.setattr(operators, "vanishing", counted)
     s = np.logspace(3, -3, 8)
     T = TMatrix.from_hat(*_hats_with_spectra(np.random.default_rng(44), 8, s, s))
     rng = np.random.default_rng(44)
     for _ in range(10):
         T.solve(TVector(rng.uniform(-1, 1, (8, 4))))
     T.invert()
-    assert calls == [1e-12]
+    floors = [null_floor(*map(abs, T._component_dets()), tol) for tol in (1e-12, 1e-6)]
+    assert calls == floors[:1]
     T.solve(TVector.basis(8, 0), tol=1e-6)
     T.solve(TVector.basis(8, 1), tol=1e-6)
-    assert calls == [1e-12, 1e-6]
+    assert calls == floors
     assert T._singular_values is None
 
 

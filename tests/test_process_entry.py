@@ -81,8 +81,9 @@ def test_every_command_leaves_only_the_parser_graph_whatever_its_input(command_f
         "decompose": [["decompose", "0 0 0 1"], ["decompose", "0.5 0 0 0.5"]],
         "solve": [["solve", f["mat.json"], f["vec.json"]], ["solve", f["mat.json"], f["vec.csv"], "--format", "csv"],
                   ["solve", f["sing.json"], f["vec.json"]]],
-        "norm": [["norm", f["mat.json"]], ["norm", f["sing.json"]]],
-        "extend": [["extend", f["sub.json"], f["fun.json"]], ["extend", f["sub2.json"], f["fun.json"]]],
+        "norm": [["norm", f["mat.json"]], ["norm", f["sing.json"]], ["norm", f["fun.json"]]],
+        "extend": [["extend", f["sub.json"], f["fun.json"]], ["extend", f["sub2.json"], f["fun.json"]],
+                   ["extend", f["fun.json"], f["fun.json"]]],
         "verify": [["verify", "--check", "hahn-banach", "--trials", "3"], ["verify", "--all", "--trials", "3"]],
     }
     parser_graph = cyclic_garbage(cli._build_parser)

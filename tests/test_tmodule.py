@@ -297,6 +297,9 @@ def test_submodule_json_round_trip():
     back = Submodule.from_json(Y.to_json())
     assert back.n == 2
     assert np.allclose(np.abs(back.basis1.conj().T @ Y.basis1), 1.0)
+    for n in (2.7, 2.0, True):
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            Submodule(n, [])
 
 
 def test_from_split_requires_matching_shapes():
