@@ -48,42 +48,6 @@ def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
     return arr
 
 
-def frozen_hat(H: np.ndarray, ndim: int, what: str) -> tuple:
-    """(C, H): the fresh hat stack H (2, ...) of `ndim` axes, made read-only,
-    and None for coefficients merged on first read; or, when the squares of
-    its parts sum to inf or NaN in one BLAS dot (a part above about 2^511 or
-    not finite), the coefficients merged now, which frozen_coeffs checks
-    finite.  Parts below 2^1023 merge finite: each is half a sum of two."""
-    if H.ndim != ndim or H.shape[0] != 2 or H.size == 0:
-        raise ValueError(f"{what}: expected a nonempty hat stack of {ndim} axes (2, ...), got {H.shape}")
-    H.setflags(write=False)
-    if np.vdot(H, H).real < math.inf:
-        return None, H
-    with np.errstate(over="ignore", invalid="ignore"):
-        return frozen_coeffs(hat_merge(*H), ndim, what, copy=False), H
-
-
-class FrozenArrays:
-    """Base of the classes held as read-only coefficients `_coeffs` (..., 4) or
-    as the read-only hat stack `_split` (2, ...) they merge from on first read.
-    A pickled or copied object gets its arrays back read-only."""
-
-    __slots__ = ()
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = hat_merge(*self._split)
-            self._coeffs.setflags(write=False)
-        return self._coeffs
-
-    def __setstate__(self, state):
-        for name, value in state[1].items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            setattr(self, name, value)
-
-
 def hat_split(C: np.ndarray) -> np.ndarray:
     """Coefficients (..., 4) -> the C-contiguous stack (2, ...) of complex hat
     components; it unpacks as h1, h2."""

@@ -80,13 +80,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: Path, parse):
-    """parse(data) of the JSON in file `path`.  An error of the data's
-    structure, raised while parsing it, is raised as one ValueError that
-    names the file."""
-    data = json.loads(path.read_text(encoding="utf-8"))
+def _load(path: Path, parse, decode=json.loads):
+    """parse(decode(text)) of the UTF-8 text of file `path`.  An error of
+    the text's encoding, syntax or structure is raised as one ValueError that
+    names the file; an OSError, which names it already, passes through."""
     try:
-        return parse(data)
+        return parse(decode(path.read_text(encoding="utf-8")))
     except MALFORMED as exc:
         raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -95,7 +94,7 @@ def _read_vector(path: Path):
     from .tmodule import TVector
 
     if path.suffix.lower() == ".csv":
-        return TVector.from_csv(path.read_text(encoding="utf-8"))
+        return _load(path, TVector.from_csv, decode=str)
     return _load(path, TVector.from_json)
 
 

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _arrays
-from ._arrays import hat_split
 from ._floats import EPS, NORM_FLOOR, SQRT2, null_floor, qmean, spread, vanishing
 from .errors import DimensionMismatch, NotSquare, SingularOperator
 from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
-from .tmodule import TVector
+from .tmodule import FrozenArrays, TVector
 
 #: Hat components whose condition number exceeds this are rejected by
 #: solve/invert; proximity to the null cone is the dominant numerical hazard.
@@ -110,24 +109,20 @@ def refusal(sv, dets, tol: float):
     return (sorted(bad), (float(sv[0, -1]), float(sv[1, -1])), condition) if bad else None
 
 
-class TMatrix(_arrays.FrozenArrays):
-    """An m-by-n matrix of bicomplex entries, held as its read-only (m, n, 4)
-    real coefficients or its read-only hat stack (2, m, n), whichever it was
-    built from (from_hat, compose and invert build from a hat stack); the
-    other form is computed on first use and kept, as are the component
-    singular values, the determinant, the decision of solve and invert for
-    each tol and, once that decision accepts the operator, the inverse hat
-    stack.  Accepting takes no SVD, and mostly no determinant, when the
-    inverse certifies the operator (_certify); a refused operator keeps no
-    inverse.  split() unpacks
-    as the component matrices M1, M2, so each method below is one numpy call
-    over both.
+class TMatrix(FrozenArrays):
+    """An m-by-n matrix of bicomplex entries, held as its (m, n, 4) real
+    coefficients or its hat stack (2, m, n) (from_hat, compose and invert
+    build from a hat stack).  It keeps the component singular values, the
+    determinant, the decision of solve and invert for each tol and, once that
+    decision accepts the operator, the inverse hat stack.  Accepting takes no
+    SVD, and mostly no determinant, when the inverse certifies the operator
+    (_certify); a refused operator keeps no inverse.  split() unpacks as the
+    component matrices M1, M2, so each method below is one numpy call over
+    both.
     """
 
-    __slots__ = ("_coeffs", "_split", "_singular_values", "_dets", "_det", "_refusals", "_inverse")
-
-    def __init__(self, coeffs):
-        self._start(_arrays.frozen_coeffs(coeffs, 3, "matrix"), None)
+    __slots__ = ("_singular_values", "_dets", "_det", "_refusals", "_inverse")
+    _NDIM, _WHAT = 3, "matrix"
 
     def _start(self, coeffs, split):
         """Hold the frozen `coeffs` or hat stack `split`, every cache empty."""
@@ -147,13 +142,6 @@ class TMatrix(_arrays.FrozenArrays):
         if M1.shape != M2.shape or M1.ndim != 2:
             raise DimensionMismatch("component matrices must be 2-d with equal shapes")
         return cls._of_hat(np.array((M1, M2), dtype=np.complex128))
-
-    @classmethod
-    def _of_hat(cls, H: np.ndarray) -> "TMatrix":
-        """The matrix of the fresh hat stack H (2, m, n), kept without a copy."""
-        T = cls.__new__(cls)
-        T._start(*_arrays.frozen_hat(H, 3, "matrix"))
-        return T
 
     @classmethod
     def identity(cls, n: int) -> "TMatrix":
@@ -183,52 +171,14 @@ class TMatrix(_arrays.FrozenArrays):
     def n(self) -> int:
         return self.shape[1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._coeffs.shape[:2] if self._split is None else self._split.shape[1:]
-
     def __getitem__(self, key: tuple[int, int]) -> Bicomplex:
         i, k = key
         return Bicomplex(*self.coeffs[i, k])
-
-    def split(self) -> np.ndarray:
-        if self._split is None:
-            self._split = hat_split(self._coeffs)
-            self._split.setflags(write=False)
-        return self._split
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TMatrix) and np.array_equal(self.coeffs, other.coeffs)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"TMatrix(m={self.m}, n={self.n})"
 
     # algebra ----------------------------------------------------------------
-
-    def __add__(self, other: "TMatrix") -> "TMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"matrix shapes differ: {self.shape} vs {other.shape}")
-        return TMatrix(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TMatrix") -> "TMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"matrix shapes differ: {self.shape} vs {other.shape}")
-        return TMatrix(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "TMatrix":
-        return TMatrix(-self.coeffs)
-
-    def scale(self, w) -> "TMatrix":
-        w = Bicomplex.coerce(w)
-        wrow = np.array(w.coeffs, dtype=np.float64)
-        return TMatrix(_arrays.mul4(wrow, self.coeffs))
-
-    def __rmul__(self, w) -> "TMatrix":
-        if isinstance(w, (Bicomplex, int, float, complex)):
-            return self.scale(w)
-        return NotImplemented
 
     def apply(self, x: TVector) -> TVector:
         """Matrix-vector product over the ring; acts componentwise on the

@@ -25,27 +25,109 @@ from .scalar import Bicomplex
 SPAN_TOL = 1e-10
 
 
-class TVector(_arrays.FrozenArrays):
-    """An element of T^n, held as its read-only (n, 4) real coefficients or
-    its read-only hat stack (2, n), whichever it was built from; the other
-    form is computed on first use and kept.  A vector built from a hat stack
-    (from_split, and the results of apply, solve, distance_to and the
-    functionals) merges its coefficients only when they are read, so chained
-    operations never merge.  split() unpacks as the component vectors v1, v2.
-    """
+class FrozenArrays:
+    """Base of TVector and TMatrix: an array of bicomplex entries held as its
+    read-only (..., 4) real coefficients `_coeffs` or its read-only hat stack
+    `_split` (2, ...), whichever it was built from; the other form is computed
+    on first use and kept.  _NDIM is the number of axes of both forms and
+    _WHAT the name in their errors.  The module operations act entrywise and
+    return the subclass.  A pickled or copied object gets its arrays back
+    read-only."""
 
     __slots__ = ("_coeffs", "_split")
 
     def __init__(self, coeffs):
-        self._coeffs = _arrays.frozen_coeffs(coeffs, 2, "vector")
-        self._split = None
+        self._start(_arrays.frozen_coeffs(coeffs, self._NDIM, self._WHAT), None)
+
+    def _start(self, coeffs, split):
+        """Hold the frozen `coeffs` or hat stack `split`."""
+        self._coeffs = coeffs
+        self._split = split
 
     @classmethod
-    def _of_hat(cls, H: np.ndarray) -> "TVector":
-        """The vector of the fresh hat stack H (2, n), kept without a copy."""
+    def _of_hat(cls, H: np.ndarray):
+        """The object of the fresh hat stack H, kept without a copy and made
+        read-only.  When the squares of its parts sum to inf or NaN in one
+        BLAS dot (a part above about 2^511 or not finite), the coefficients
+        are merged now, which frozen_coeffs checks finite; else on first read.
+        Parts below 2^1023 merge finite: each is half a sum of two."""
+        if H.ndim != cls._NDIM or H.shape[0] != 2 or H.size == 0:
+            raise ValueError(f"{cls._WHAT}: expected a nonempty hat stack of {cls._NDIM} axes (2, ...), got {H.shape}")
+        H.setflags(write=False)
         x = cls.__new__(cls)
-        x._coeffs, x._split = _arrays.frozen_hat(H, 2, "vector")
+        if np.vdot(H, H).real < np.inf:
+            x._start(None, H)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x._start(_arrays.frozen_coeffs(_arrays.hat_merge(*H), cls._NDIM, cls._WHAT, copy=False), H)
         return x
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            self._coeffs = _arrays.hat_merge(*self._split)
+            self._coeffs.setflags(write=False)
+        return self._coeffs
+
+    def split(self) -> np.ndarray:
+        if self._split is None:
+            self._split = hat_split(self._coeffs)
+            self._split.setflags(write=False)
+        return self._split
+
+    @property
+    def shape(self) -> tuple:
+        return self._coeffs.shape[:-1] if self._split is None else self._split.shape[1:]
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            setattr(self, name, value)
+
+    # module operations ------------------------------------------------------
+
+    def _check_shape(self, other: "FrozenArrays"):
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"{self._WHAT} shapes differ: {self.shape} vs {other.shape}")
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return type(self)(self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        self._check_shape(other)
+        return type(self)(self.coeffs - other.coeffs)
+
+    def __neg__(self):
+        return type(self)(-self.coeffs)
+
+    def scale(self, w):
+        """Entrywise product with a scalar from the ring (or a subring)."""
+        wrow = np.array(Bicomplex.coerce(w).coeffs, dtype=np.float64)
+        return type(self)(_arrays.mul4(wrow, self.coeffs))
+
+    def __rmul__(self, w):
+        if isinstance(w, (Bicomplex, int, float, complex)):
+            return self.scale(w)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and np.array_equal(self.coeffs, other.coeffs)
+
+    __hash__ = None
+
+
+class TVector(FrozenArrays):
+    """An element of T^n, held as its (n, 4) real coefficients or its hat
+    stack (2, n).  A vector built from a hat stack (from_split, and the
+    results of apply, solve, distance_to and the functionals) merges its
+    coefficients only when they are read, so chained operations never merge.
+    split() unpacks as the component vectors v1, v2.
+    """
+
+    __slots__ = ()
+    _NDIM, _WHAT = 2, "vector"
 
     # construction ---------------------------------------------------------
 
@@ -83,39 +165,9 @@ class TVector(_arrays.FrozenArrays):
     def __getitem__(self, k: int) -> Bicomplex:
         return Bicomplex(*self.coeffs[k])
 
-    def split(self) -> np.ndarray:
-        if self._split is None:
-            self._split = hat_split(self._coeffs)
-            self._split.setflags(write=False)
-        return self._split
-
-    # module operations ------------------------------------------------------
-
-    def _check_dim(self, other: "TVector"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"vector dimensions differ: {self.n} vs {other.n}")
-
-    def __add__(self, other: "TVector") -> "TVector":
-        self._check_dim(other)
-        return TVector(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "TVector") -> "TVector":
-        self._check_dim(other)
-        return TVector(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "TVector":
-        return TVector(-self.coeffs)
-
-    def scale(self, w) -> "TVector":
-        """Entrywise product with a scalar from the ring (or a subring)."""
-        w = Bicomplex.coerce(w)
-        wrow = np.array(w.coeffs, dtype=np.float64)
-        return TVector(_arrays.mul4(wrow, self.coeffs))
-
-    def __rmul__(self, w) -> "TVector":
-        if isinstance(w, (Bicomplex, int, float, complex)):
-            return self.scale(w)
-        return NotImplemented
+    # bench/spans.py traces these two through TVector's own namespace.
+    split = FrozenArrays.split
+    scale = FrozenArrays.scale
 
     def norm(self) -> float:
         """Euclidean norm over the 4n real coefficients; equals
@@ -123,11 +175,6 @@ class TVector(_arrays.FrozenArrays):
         C = self.coeffs
         with np.errstate(over="ignore"):
             return checked_norm(float(vec_norm4(C)), C.flat)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TVector) and np.array_equal(self.coeffs, other.coeffs)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"TVector({self.coeffs.tolist()!r})"
@@ -263,7 +310,12 @@ class Submodule:
 
     @classmethod
     def from_json(cls, data) -> "Submodule":
-        return cls(data["n"], [TVector.from_json(g) for g in data["generators"]])
+        n = _arrays.dimension(data["n"])
+        gens = [TVector.from_json(g) for g in data["generators"]]
+        for g in gens:
+            if g.n != n:
+                raise ValueError(f"declared dimension {n} != generator length {g.n}")
+        return cls(n, gens)
 
     def __repr__(self) -> str:
         return f"Submodule(n={self._n}, dims=({self.dim1}, {self.dim2}), generators={len(self._generators)})"

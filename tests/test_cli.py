@@ -189,25 +189,42 @@ def test_solve_singular_matrix_exits_1(capsys, tmp_path):
 
 _ONE = [[1.0, 0.0, 0.0, 0.0]]
 _FUNCTIONAL = {"n": 1, "coeffs": _ONE}
+_MATRIX = {"m": 1, "n": 1, "entries": _ONE}
 
 
-@pytest.mark.parametrize("command, files", [
-    ("solve", [{"m": None, "n": 1, "entries": _ONE}, _ONE]),
-    ("solve", [_ONE, _ONE]),
-    ("norm", [{"m": 1.9, "n": 1, "entries": _ONE}]),
-    ("norm", [{"m": True, "n": 1, "entries": _ONE}]),
-    ("extend", [{"n": 1, "generators": 5}, _FUNCTIONAL]),
-    ("extend", [_FUNCTIONAL, _FUNCTIONAL]),
-    ("extend", [{"n": 2.7, "generators": [[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]}, _FUNCTIONAL]),
-])
-def test_a_json_file_of_the_wrong_structure_exits_2_naming_it(capsys, tmp_path, command, files):
-    paths = [tmp_path / f"in{k}.json" for k in range(len(files))]
-    for path, data in zip(paths, files):
-        path.write_text(json.dumps(data))
+def _json(data):
+    return ".json", json.dumps(data)
+
+
+#: (command, input files as (suffix, text), index of the malformed file).
+_MALFORMED_INPUTS = [
+    ("solve", [_json({"m": None, "n": 1, "entries": _ONE}), _json(_ONE)], 0),
+    ("solve", [_json(_ONE), _json(_ONE)], 0),
+    ("norm", [_json({"m": 1.9, "n": 1, "entries": _ONE})], 0),
+    ("norm", [_json({"m": True, "n": 1, "entries": _ONE})], 0),
+    ("extend", [_json({"n": 1, "generators": 5}), _json(_FUNCTIONAL)], 0),
+    ("extend", [_json(_FUNCTIONAL), _json(_FUNCTIONAL)], 0),
+    ("extend", [_json({"n": 2.7, "generators": [[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]}), _json(_FUNCTIONAL)], 0),
+    ("extend", [_json({"n": 2, "generators": [_ONE]}), _json(_FUNCTIONAL)], 0),
+    ("solve", [(".json", '{"m": 1,'), _json(_ONE)], 0),
+    ("solve", [_json(_MATRIX), (".csv", "1,0,0,x\n")], 1),
+    ("solve", [_json(_MATRIX), (".csv", "")], 1),
+]
+
+
+@pytest.mark.parametrize("command, files, bad", _MALFORMED_INPUTS,
+                         ids=[f"{case[0]}-files{k}" for k, case in enumerate(_MALFORMED_INPUTS)])
+def test_a_json_file_of_the_wrong_structure_exits_2_naming_it(capsys, tmp_path, command, files, bad):
+    """A file whose text does not decode or parse, JSON or CSV, exits 2 with
+    a ValueError that names that file and no other."""
+    paths = [tmp_path / f"in{k}{suffix}" for k, (suffix, _) in enumerate(files)]
+    for path, (_, text) in zip(paths, files):
+        path.write_text(text)
     code, out, err = run_cli(capsys, command, *map(str, paths))
     payload = json.loads(err)
     assert (code, out, sorted(payload)) == (2, "", ["error", "message"])
-    assert payload["error"] == "ValueError" and str(paths[0]) in payload["message"]
+    assert payload["error"] == "ValueError"
+    assert [str(path) in payload["message"] for path in paths] == [k == bad for k in range(len(paths))]
 
 
 def test_norm_report(capsys, problem_files):

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bicomplex import (
+    Bicomplex,
+    DimensionMismatch,
     Submodule,
     TFunctional,
     TMatrix,
@@ -130,6 +132,31 @@ def test_sizes_and_split_do_not_merge(pair, merges):
     assert len(merges) == 1
     for arr in (hat_built.split(), hat_built.coeffs):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("built", [0, 1], ids=["hat", "coefficients"])
+@pytest.mark.parametrize("pair", PAIRS)
+def test_vectors_and_matrices_share_one_elementwise_algebra(pair, built):
+    x = pair()[built]
+    kind = type(x)
+    y = kind(x.coeffs[::-1] + 1.0)
+    assert (-x).coeffs.tobytes() == (-x.coeffs).tobytes()
+    assert -x == x.scale(-1) and type(-x) is kind
+    assert x - y == x + (-y)
+    w = Bicomplex(0.5, -1.5, 2.0, 0.75)
+    assert w * x == x.scale(w) and type(w * x) is kind
+    other_kind = TMatrix(x.coeffs[None]) if kind is TVector else TVector(x.coeffs[0])
+    for other in (x.coeffs, 3, other_kind):
+        assert (x == other) is False and (x != other) is True
+    assert (other_kind == x) is False
+    with pytest.raises(TypeError):
+        hash(x)
+    longer = kind(np.zeros(x.coeffs.shape[:-2] + (x.coeffs.shape[-2] + 1, 4)))
+    for op in (kind.__add__, kind.__sub__):
+        with pytest.raises(DimensionMismatch):
+            op(x, longer)
+        with pytest.raises(DimensionMismatch):
+            op(longer, x)
 
 
 def _operators(n=6, seed=3):

@@ -300,6 +300,8 @@ def test_submodule_json_round_trip():
     for n in (2.7, 2.0, True):
         with pytest.raises(TypeError, match="dimension must be an integer"):
             Submodule(n, [])
+    with pytest.raises(ValueError, match="declared dimension 3 != generator length 2"):
+        Submodule.from_json({"n": 3, "generators": Y.to_json()["generators"]})
 
 
 def test_from_split_requires_matching_shapes():
