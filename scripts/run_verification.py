@@ -20,12 +20,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--trials", type=int, default=None, help="override per-check defaults")
-    parser.add_argument("--tol", type=float, default=None, help="override per-check tolerances")
     parser.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     args = parser.parse_args()
 
     try:
-        reports = run_all(seed=args.seed, trials=args.trials, tol=args.tol)
+        reports = run_all(seed=args.seed, trials=args.trials)
     except ValueError as exc:  # CheckConfig's own validation: a usage error
         parser.error(str(exc))
     lines = "\n".join(json.dumps({**r.to_json(), "elapsed": r.elapsed}) for r in reports)

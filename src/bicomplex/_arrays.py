@@ -23,10 +23,11 @@ import numpy as np
 from ._floats import EPS, NORM_FLOOR, SQRT2, checked_norm, merge_parts, mul_parts, qmean
 
 
-def dimension(value) -> int:
-    """`value` as a dimension: an integer, never a bool or a float truncated."""
+def integer(value, what: str = "a dimension") -> int:
+    """`value` as an integer, never a bool or a float truncated; `what`
+    names it in the error."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"a dimension must be an integer, got {value!r}")
+        raise TypeError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)
 
 

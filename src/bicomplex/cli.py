@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--check", metavar="ID", help="run a single check")
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--trials", type=int, default=None)
-    ver.add_argument("--tol", type=_positive_float, default=None)
     ver.add_argument("--out", type=Path, default=None)
 
     return parser
@@ -178,10 +177,10 @@ def _cmd_verify(args) -> int:
     from .verifier import CHECK_IDS, all_passed, default_config, run_all, run_check
 
     if args.all:
-        reports = run_all(seed=args.seed, trials=args.trials, tol=args.tol)
+        reports = run_all(seed=args.seed, trials=args.trials)
     else:
         try:
-            config = default_config(args.check, seed=args.seed, trials=args.trials, tol=args.tol)
+            config = default_config(args.check, seed=args.seed, trials=args.trials)
         except UnknownCheckId:
             ids = ", ".join(CHECK_IDS)
             raise UsageError(f"argument --check: unknown check id {args.check!r} (choose from {ids})") from None

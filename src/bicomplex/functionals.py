@@ -109,9 +109,13 @@ class TFunctional:
     # algebra ----------------------------------------------------------------
 
     def __add__(self, other: "TFunctional") -> "TFunctional":
+        if not isinstance(other, TFunctional):
+            return NotImplemented
         return TFunctional(self._coeffs + other._coeffs)
 
     def __sub__(self, other: "TFunctional") -> "TFunctional":
+        if not isinstance(other, TFunctional):
+            return NotImplemented
         return TFunctional(self._coeffs - other._coeffs)
 
     def scale(self, w) -> "TFunctional":
@@ -158,7 +162,7 @@ class TFunctional:
     @classmethod
     def from_json(cls, data) -> "TFunctional":
         f = cls(TVector.from_json(data["coeffs"]))
-        if "n" in data and _arrays.dimension(data["n"]) != f.n:
+        if "n" in data and _arrays.integer(data["n"]) != f.n:
             raise ValueError(f"declared dimension {data['n']} != coefficient length {f.n}")
         return f
 

@@ -338,7 +338,7 @@ class TMatrix(FrozenArrays):
 
     @classmethod
     def from_json(cls, data) -> "TMatrix":
-        m, n = _arrays.dimension(data["m"]), _arrays.dimension(data["n"])
+        m, n = _arrays.integer(data["m"]), _arrays.integer(data["n"])
         entries = np.array(data["entries"], dtype=np.float64)
         if entries.shape != (m * n, 4):
             raise ValueError(f"expected {m * n} entries of 4 reals, got shape {entries.shape}")

@@ -31,10 +31,12 @@ class FrozenArrays:
     `_split` (2, ...), whichever it was built from; the other form is computed
     on first use and kept.  _NDIM is the number of axes of both forms and
     _WHAT the name in their errors.  The module operations act entrywise and
-    return the subclass.  A pickled or copied object gets its arrays back
-    read-only."""
+    return the subclass, and take only an operand of the same subclass: with
+    any other, an ndarray included, they raise TypeError.  A pickled or
+    copied object gets its arrays back read-only."""
 
     __slots__ = ("_coeffs", "_split")
+    __array_ufunc__ = None  # numpy's operators defer to ours, which refuse an ndarray
 
     def __init__(self, coeffs):
         self._start(_arrays.frozen_coeffs(coeffs, self._NDIM, self._WHAT), None)
@@ -92,10 +94,14 @@ class FrozenArrays:
             raise DimensionMismatch(f"{self._WHAT} shapes differ: {self.shape} vs {other.shape}")
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         self._check_shape(other)
         return type(self)(self.coeffs + other.coeffs)
 
     def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         self._check_shape(other)
         return type(self)(self.coeffs - other.coeffs)
 
@@ -222,7 +228,7 @@ class Submodule:
     """
 
     def __init__(self, n: int, generators):
-        self._n = _arrays.dimension(n)
+        self._n = _arrays.integer(n)
         if self._n < 1:
             raise ValueError("ambient dimension must be at least 1")
         gens = list(generators)
@@ -310,7 +316,7 @@ class Submodule:
 
     @classmethod
     def from_json(cls, data) -> "Submodule":
-        n = _arrays.dimension(data["n"])
+        n = _arrays.integer(data["n"])
         gens = [TVector.from_json(g) for g in data["generators"]]
         for g in gens:
             if g.n != n:

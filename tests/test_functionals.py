@@ -53,6 +53,13 @@ def test_eval_examples():
     assert f(TVector.basis(3, 0)) == Bicomplex()
     with pytest.raises(DimensionMismatch):
         f(TVector.basis(2, 0))
+    g = TFunctional.coordinate(3, 0)
+    assert (f + g)(TVector.basis(3, 0)) == ONE and (f - g)(TVector.basis(3, 1)) == ONE
+    for other in (1, f.coeffs, f.coeffs.coeffs):
+        with pytest.raises(TypeError):
+            f + other
+        with pytest.raises(TypeError):
+            other - f
 
 
 @given(vectors(3))

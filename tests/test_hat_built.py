@@ -3,6 +3,7 @@ apply, solve, compose, invert, distance_to and the functionals keep the stack
 as their split() and merge the coefficients only when they are read."""
 
 import copy
+import operator
 import pickle
 
 import numpy as np
@@ -148,6 +149,15 @@ def test_vectors_and_matrices_share_one_elementwise_algebra(pair, built):
     other_kind = TMatrix(x.coeffs[None]) if kind is TVector else TVector(x.coeffs[0])
     for other in (x.coeffs, 3, other_kind):
         assert (x == other) is False and (x != other) is True
+        # a foreign operand, the object's own coefficient array included
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    with pytest.raises(TypeError):
+        np.ones(x.coeffs.shape[0]) * x
+    assert np.float64(2.0) * x == x.scale(2.0)  # a numpy float is a float, not an array
     assert (other_kind == x) is False
     with pytest.raises(TypeError):
         hash(x)

@@ -93,13 +93,10 @@ SETTINGS = [
     "cli verify --check",
     "cli verify --out",
     "cli verify --seed",
-    "cli verify --tol",
     "cli verify --trials",
     "default_config(seed)",
-    "default_config(tol)",
     "default_config(trials)",
     "run_all(seed)",
-    "run_all(tol)",
     "run_all(trials)",
 ]
 
@@ -154,5 +151,5 @@ def test_deleted_names_are_not_exported():
 
 def test_settings_are_the_pinned_sorted_list():
     assert SETTINGS == sorted(SETTINGS)
-    assert len(SETTINGS) == 26
+    assert len(SETTINGS) == 23
     assert _settings() == SETTINGS

@@ -141,22 +141,29 @@ def test_unknown_check_id_rejected():
     with pytest.raises(UnknownCheckId):
         default_config("no-such-check")
     with pytest.raises(UnknownCheckId):
-        CheckConfig("no-such-check", seed=42, trials=1, tol=1e-12)
+        CheckConfig("no-such-check", seed=42, trials=1)
     with pytest.raises(UnknownCheckId):
         replay_witness("no-such-check", {})
 
 
-def test_config_validation():
-    for trials, tol in [(0, 1e-12), (1, 0.0), (1, -1e-12), (1, float("nan"))]:
-        with pytest.raises(ValueError):
-            CheckConfig("submult", seed=42, trials=trials, tol=tol)
+def test_config_validation(monkeypatch):
+    monkeypatch.setattr(verifier, "_run", lambda check, cfg, rng: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        CheckConfig("submult", seed=42, trials=0)
+    # never truncated: a float or a bool is refused before any check runs
+    for seed, trials in [(1.7, 2), (1, 2.5), (1, True), (True, 2), (1, 2.0)]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            run_check(default_config("ubp", seed=seed, trials=trials))
+        with pytest.raises(TypeError, match="must be an integer"):
+            run_all(seed=seed, trials=trials)
+    assert CheckConfig("ubp", seed=np.uint64(2**64 - 1), trials=np.int32(3)).trials == 3
 
 
 def test_config_has_no_defaults_to_fall_back_on():
     # default_config is the one constructor with defaults: the registry's.
     with pytest.raises(TypeError):
         CheckConfig("submult")
-    assert default_config("submult") == CheckConfig("submult", seed=42, trials=1_000_000, tol=1e-12)
+    assert default_config("submult") == CheckConfig("submult", seed=42, trials=1_000_000)
 
 
 def test_run_all_shape_and_aggregate():
@@ -186,7 +193,7 @@ def test_run_all_matches_individual_runs():
 def test_submult_witness_is_near_the_idempotent():
     report = run_check(default_config("submult", seed=42, trials=50_000))
     assert report.worst_value >= 1.41
-    assert report.worst_value <= report.bound
+    assert report.worst_value <= report.bound == 1e-12 + SQRT2
 
 
 def test_open_mapping_catches_a_solve_that_ignores_the_second_component(monkeypatch):
@@ -219,6 +226,20 @@ def test_open_mapping_catches_a_hat_fault_that_both_sides_of_the_residual_share(
     assert not report.passed
     assert report.worst_witness["part"] == "real-solve"
     assert replay_witness("open-mapping", dict(report.worst_witness, part="residual")) <= 1e-15
+
+
+def test_open_mapping_inverts_through_the_operator_layer(monkeypatch):
+    # The check refuses or inverts each operator with TMatrix.invert, so a
+    # wrong inverse there fails it: solve's two refinement steps do not
+    # repair an inverse of the wrong component.
+    invert = TMatrix.invert
+
+    def first_inverse_twice(self):
+        M1inv = invert(self).split()[0]
+        return TMatrix.from_hat(M1inv, M1inv)
+
+    monkeypatch.setattr(TMatrix, "invert", first_inverse_twice)
+    assert not run_check(default_config("open-mapping", trials=8)).passed
 
 
 def test_report_json_excludes_elapsed_by_default():
