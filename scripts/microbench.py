@@ -25,8 +25,21 @@ milliseconds: `import bicomplex`, then each of the six commands through
 `decompose` do not import numpy.  Wall time of a short process moves with
 the machine's load; its CPU time moves far less.
 
+With --against DIR the script compares two trees in one process instead.
+It imports the package under DIR/src as `bicomplex_against`, next to the
+one under test, and runs each per-object call of the first table on both,
+call by call, the first of each pair alternating, for --rounds rounds of
+--number calls (by default a twentieth of what takes 0.2 s).  A first
+control row, a product of two scalars built in the call, times what neither
+tree's arrays touch.  Each row gives both sides' medians over the rounds,
+the relative change and the rounds this tree won; the cold processes are
+not run.  Separate processes of the same tree differed here by up to 10%,
+where one process held the control within 1%.  --json prints either result
+as one JSON object.
+
     python scripts/microbench.py
     python scripts/microbench.py --number 100
+    python scripts/microbench.py --against /path/to/parent/tree --rounds 51 --json
 """
 
 import os
@@ -36,6 +49,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -49,12 +64,11 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import bicomplex  # noqa: E402
-from bicomplex import (  # noqa: E402
-    Submodule, TFunctional, TMatrix, TVector, _arrays, hahn_banach_extend, separating_functional
-)
+from bicomplex import Submodule, TFunctional, TMatrix, TVector  # noqa: E402
 
 SIZES = (2, 8, 64)
 REPEAT = 5
+AGAINST = "bicomplex_against"
 
 
 def _conditioned(rng, n: int) -> np.ndarray:
@@ -73,9 +87,12 @@ def _best_us(fn, number) -> float:
     return min(timer.repeat(number=number, repeat=REPEAT)) / number * 1e6
 
 
-def measure(n: int, number=None) -> dict:
-    """Best-of-5 microseconds per call of each timed operation at size n."""
+def calls(bc, n: int) -> dict:
+    """The timed calls at size n on the package `bc`, each a function of no
+    arguments, on inputs drawn from a generator seeded by n, so every package
+    gets the same bits."""
     rng = np.random.default_rng(n)
+    TMatrix, TVector, Submodule, TFunctional = bc.TMatrix, bc.TVector, bc.Submodule, bc.TFunctional
     A, B = _conditioned(rng, n), _conditioned(rng, n)
     x = rng.uniform(-1.0, 1.0, (n, 4))
     warm, warm_b = TMatrix(A), TMatrix(B)
@@ -85,23 +102,89 @@ def measure(n: int, number=None) -> dict:
     H, V = warm.split(), TVector(x).split()
     Hinv = np.linalg.inv(H)
     (M1, M2), (v1, v2) = H, V
+    solve_pair = importlib.import_module(f"{bc.__name__}._arrays").solve_pair
     return {
-        "apply warm": _best_us(lambda: warm.apply(TVector(x)), number),
-        "apply cold": _best_us(lambda: TMatrix(A).apply(TVector(x)), number),
-        "solve warm": _best_us(lambda: warm.solve(TVector(x)), number),
-        "solve cold": _best_us(lambda: TMatrix(A).solve(TVector(x)), number),
-        "norms cold": _best_us(lambda: TMatrix(A).norms(), number),
-        "invert cold": _best_us(lambda: TMatrix(A).invert(), number),
-        "compose cold": _best_us(lambda: TMatrix(A).compose(TMatrix(B)), number),
-        "compose apply": _best_us(lambda: warm.compose(warm_b).apply(TVector(x)), number),
-        "solve apply": _best_us(lambda: warm.apply(warm.solve(TVector(x))), number),
-        "separate": _best_us(lambda: separating_functional(TVector(x), Y), number),
-        "extend cold": _best_us(
-            lambda: hahn_banach_extend(TFunctional(TVector(x)), Submodule(n, [TVector(g) for g in gens])), number
-        ),
-        "matvecs": _best_us(lambda: (M1 @ v1, M2 @ v2), number),
-        "inverse-applies": _best_us(lambda: _arrays.solve_pair(H, Hinv, V), number),
+        "apply warm": lambda: warm.apply(TVector(x)),
+        "apply cold": lambda: TMatrix(A).apply(TVector(x)),
+        "solve warm": lambda: warm.solve(TVector(x)),
+        "solve cold": lambda: TMatrix(A).solve(TVector(x)),
+        "norms cold": lambda: TMatrix(A).norms(),
+        "invert cold": lambda: TMatrix(A).invert(),
+        "compose cold": lambda: TMatrix(A).compose(TMatrix(B)),
+        "compose apply": lambda: warm.compose(warm_b).apply(TVector(x)),
+        "solve apply": lambda: warm.apply(warm.solve(TVector(x))),
+        "separate": lambda: bc.separating_functional(TVector(x), Y),
+        "extend cold": lambda: bc.hahn_banach_extend(TFunctional(TVector(x)), Submodule(n, [TVector(g) for g in gens])),
+        "matvecs": lambda: (M1 @ v1, M2 @ v2),
+        "inverse-applies": lambda: solve_pair(H, Hinv, V),
     }
+
+
+def measure(n: int, number=None) -> dict:
+    """Best-of-5 microseconds per call of each timed operation at size n."""
+    return {name: _best_us(fn, number) for name, fn in calls(bicomplex, n).items()}
+
+
+def import_tree(root: Path):
+    """The package under root/src/bicomplex, imported as `bicomplex_against`
+    next to the one under test; its modules import each other relatively."""
+    init = root / "src" / "bicomplex" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(AGAINST, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def _control(bc):
+    """The control row: a product of two scalars built in the call, which
+    times the interpreter and the machine rather than either tree's arrays."""
+    w, z = (0.5, -1.25, 2.0, 0.75), (1.5, 0.25, -0.5, 2.0)
+    return lambda: bc.Bicomplex(*w) * bc.Bicomplex(*z)
+
+
+def _interleaved_us(mine, theirs, number: int) -> tuple:
+    """Mean microseconds per call of `mine` and of `theirs` over `number`
+    calls of each, taken call by call with the first of each pair
+    alternating, so that both sides meet the same state of the machine."""
+    clock, fns, spent = time.perf_counter, (mine, theirs), [0.0, 0.0]
+    for i in range(number):
+        first = i % 2
+        start = clock()
+        fns[first]()
+        middle = clock()
+        fns[1 - first]()
+        spent[1 - first] += clock() - middle
+        spent[first] += middle - start
+    return spent[0] / number * 1e6, spent[1] / number * 1e6
+
+
+def compare(other, rounds: int, number=None) -> list:
+    """Each per-object call on this package and on `other`, interleaved call
+    by call in this process (_interleaved_us), in `rounds` rounds of `number`
+    calls each.  One row per call and size: the median over the rounds of
+    each side's microseconds per call, and the rounds this side won."""
+    pairs = [("control", "-", _control(bicomplex), _control(other))]
+    for n in SIZES:
+        mine, theirs = calls(bicomplex, n), calls(other, n)
+        pairs += [(name, n, mine[name], theirs[name]) for name in mine]
+    rows = []
+    for name, n, mine, theirs in pairs:
+        count = number or max(1, timeit.Timer(mine).autorange()[0] // 20)
+        this, against = zip(*(_interleaved_us(mine, theirs, count) for _ in range(rounds)))
+        rows.append({"operation": name, "n": n, "this_us": statistics.median(this),
+                     "against_us": statistics.median(against),
+                     "wins": sum(a < b for a, b in zip(this, against)), "rounds": rounds})
+    return rows
+
+
+def compare_table(rows: list) -> str:
+    lines = ["| operation | n | this µs | against µs | change | wins |", "|---|---|---|---|---|---|"]
+    for row in rows:
+        change = (row["this_us"] / row["against_us"] - 1.0) * 100.0
+        lines.append(f"| {row['operation']} | {row['n']} | {row['this_us']:.2f} | {row['against_us']:.2f} "
+                     f"| {change:+.1f}% | {row['wins']}/{row['rounds']} |")
+    return "\n".join(lines)
 
 
 ROWS = (
@@ -174,10 +257,24 @@ def table(results: dict) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=None, help="calls per timing (default: as many as take 0.2 s)")
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+                        help="interleave every per-object call with the package of the tree DIR")
+    parser.add_argument("--rounds", type=int, default=21, help="interleaved rounds per call with --against")
+    parser.add_argument("--json", action="store_true", help="print one JSON object instead of the tables")
     args = parser.parse_args()
-    print(table({n: measure(n, args.number) for n in SIZES}))
+    if args.against is not None:
+        rows = compare(import_tree(args.against.resolve()), args.rounds, args.number)
+        print(json.dumps({"against": str(args.against), "rows": rows}) if args.json else compare_table(rows))
+        return 0
+    results = {n: measure(n, args.number) for n in SIZES}
+    cold = cold_start()
+    if args.json:
+        print(json.dumps({"per_call_us": results, "cold_process_ms": {
+            label.strip("`"): {"median": wall, "child_cpu": cpu} for label, (wall, cpu) in cold.items()}}))
+        return 0
+    print(table(results))
     print("\n| cold process | median ms | child CPU ms |\n|---|---|---|")
-    for label, (wall, cpu) in cold_start().items():
+    for label, (wall, cpu) in cold.items():
         print(f"| {label} | {wall:.1f} | {cpu:.1f} |")
     return 0
 

@@ -51,14 +51,17 @@ def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
 
 def hat_split(C: np.ndarray) -> np.ndarray:
     """Coefficients (..., 4) -> the C-contiguous stack (2, ...) of complex hat
-    components; it unpacks as h1, h2."""
-    a, b, c, d = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
-    H = np.empty((2,) + C.shape[:-1], dtype=np.complex128)
-    np.add(a, d, out=H.real[0, ...])
-    np.subtract(b, c, out=H.imag[0, ...])
-    np.subtract(a, d, out=H.real[1, ...])
-    np.add(b, c, out=H.imag[1, ...])
-    return H
+    components; it unpacks as h1, h2.  A C-contiguous stack is read as one
+    (k, 4) view, so each sum is one 1-D loop; other inputs are read in place."""
+    Q = C.reshape(-1, 4) if C.ndim > 2 and C.flags.c_contiguous else C
+    H = np.empty((2,) + Q.shape[:-1], dtype=np.complex128)
+    R, I = H.real, H.imag
+    a, b, c, d = Q[..., 0], Q[..., 1], Q[..., 2], Q[..., 3]
+    np.add(a, d, R[0, ...])
+    np.subtract(b, c, I[0, ...])
+    np.subtract(a, d, R[1, ...])
+    np.add(b, c, I[1, ...])
+    return H if Q is C else H.reshape((2,) + C.shape[:-1])
 
 
 def hat_merge(h1, h2) -> np.ndarray:
@@ -114,9 +117,11 @@ def pair_norms(u1: np.ndarray, u2: np.ndarray) -> tuple:
     checked_norm's scaled fallback.  Floats for vectors, arrays for stacks."""
     us = [np.ascontiguousarray(u, dtype=np.complex128) for u in (u1, u2)]
     with np.errstate(over="ignore"):
+        if us[0].ndim == 1:  # the two strided BLAS dots of a vector, added as Python floats
+            return tuple([checked_norm(math.sqrt(float(u.real.dot(u.real)) + float(u.imag.dot(u.imag))),
+                                       u.view(np.float64)) for u in us])
         plain = [np.sqrt(dots(u.real, u.real) + dots(u.imag, u.imag)) for u in us]
-    return tuple(checked_norm(float(p), u.view(np.float64)) if u.ndim == 1 else checked_norms(p, u)
-                 for p, u in zip(plain, us))
+    return tuple([checked_norms(p, u) for p, u in zip(plain, us)])
 
 
 def operator_norms(s1, s2) -> tuple[np.ndarray, np.ndarray]:
@@ -305,15 +310,25 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
 
 
-def restrict_pair(B1: np.ndarray, B2: np.ndarray, C: np.ndarray) -> tuple:
-    """Coordinates B_k^H conj(c_k) (..., r_k), whose lengths are the norms of
-    the functionals with coefficient hat stack C (2, ..., n) restricted to the
-    spans of the orthonormal bases B1, B2 (..., n, r_k), of differing ranks."""
-    return _matvec(B1.conj().swapaxes(-1, -2), C[0].conj()), _matvec(B2.conj().swapaxes(-1, -2), C[1].conj())
+def restrict_pair(A1: np.ndarray, A2: np.ndarray, C: np.ndarray) -> tuple:
+    """Coordinates A_k conj(c_k) (..., r_k), whose lengths are the norms of the
+    functionals with coefficient hat stack C (2, ..., n) restricted to the spans
+    of orthonormal bases B_k (..., n, r_k), from their adjoints A_k = B_k^H."""
+    return _matvec(A1, C[0].conj()), _matvec(A2, C[1].conj())
+
+
+def combine_pair(B1: np.ndarray, B2: np.ndarray, R) -> np.ndarray:
+    """Hat stack (2, ..., n) of the combinations B_k r_k of the columns of B1,
+    B2 (..., n, r_k) with the coordinates R = (r1, r2), in one fresh stack."""
+    E = np.empty((2,) + B1.shape[:-1], dtype=np.complex128)
+    for B, r, e in zip((B1, B2), R, E):
+        np.matmul(B, r[..., None], e[..., None])
+    return E
 
 
 def riesz_extension(B1: np.ndarray, B2: np.ndarray, R: tuple) -> np.ndarray:
     """Hat stack (2, ..., n) of the minimal-norm extensions conj(B_k r_k), the
     conjugated Riesz vectors, of the functionals whose restrictions to the
     spans of B1, B2 have the coordinates R = (r1, r2) of restrict_pair."""
-    return np.conj([_matvec(B1, R[0]), _matvec(B2, R[1])])
+    E = combine_pair(B1, B2, R)
+    return np.conj(E, E)

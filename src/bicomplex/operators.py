@@ -183,17 +183,19 @@ class TMatrix(FrozenArrays):
     def apply(self, x: TVector) -> TVector:
         """Matrix-vector product over the ring; acts componentwise on the
         hat coordinates."""
-        if x.n != self.n:
-            raise DimensionMismatch(f"operator takes dimension {self.n}, got {x.n}")
-        return TVector._of_hat(_arrays.apply_pair(self.split(), x.split()))
+        H, V = self.split(), x.split()
+        if V.shape[1] != H.shape[2]:
+            raise DimensionMismatch(f"operator takes dimension {H.shape[2]}, got {V.shape[1]}")
+        return TVector._of_hat(_arrays.apply_pair(H, V))
 
     __call__ = apply
 
     def compose(self, other: "TMatrix") -> "TMatrix":
         """Composition self after other; hat components multiply componentwise."""
-        if self.n != other.m:
-            raise DimensionMismatch(f"inner dimensions differ: {self.n} vs {other.m}")
-        return TMatrix._of_hat(_arrays.compose_pair(self.split(), other.split()))
+        A, B = self.split(), other.split()
+        if A.shape[2] != B.shape[1]:
+            raise DimensionMismatch(f"inner dimensions differ: {A.shape[2]} vs {B.shape[1]}")
+        return TMatrix._of_hat(_arrays.compose_pair(A, B))
 
     __matmul__ = compose
 

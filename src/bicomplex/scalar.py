@@ -15,6 +15,7 @@ union of the two principal ideals generated by e1 = (1+j)/2 and e2 = (1-j)/2.
 from __future__ import annotations
 
 import math
+import numbers
 
 from ._floats import checked_norm, fmt17, merge_parts, mul_parts, null_floor, qmean, spread, vanishing
 from .errors import SingularElement
@@ -129,12 +130,13 @@ class Bicomplex(_Frozen):
 
     @classmethod
     def coerce(cls, value) -> "Bicomplex":
+        """`value` as a scalar; a number of numpy's counts as the Python number it equals."""
         if isinstance(value, Bicomplex):
             return value
-        if isinstance(value, complex):
-            return cls.from_complex(value)
-        if isinstance(value, (int, float)):
+        if isinstance(value, numbers.Real):
             return cls.from_real(value)
+        if isinstance(value, numbers.Complex):
+            return cls.from_complex(value)
         raise TypeError(f"cannot interpret {type(value).__name__} as a bicomplex scalar")
 
     # views ----------------------------------------------------------------
@@ -177,7 +179,7 @@ class Bicomplex(_Frozen):
         return Bicomplex(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other):
-        if not isinstance(other, (Bicomplex, int, float, complex)):
+        if not isinstance(other, (Bicomplex, numbers.Complex)):
             return NotImplemented
         o = Bicomplex.coerce(other)
         return Bicomplex(*mul_parts(self.a, self.b, self.c, self.d, o.a, o.b, o.c, o.d))

@@ -10,6 +10,7 @@ is why the component-pair representation is canonical here.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ class FrozenArrays:
         return type(self)(_arrays.mul4(wrow, self.coeffs))
 
     def __rmul__(self, w):
-        if isinstance(w, (Bicomplex, int, float, complex)):
+        if isinstance(w, (Bicomplex, numbers.Complex)):
             return self.scale(w)
         return NotImplemented
 
@@ -242,6 +243,7 @@ class Submodule:
         U.setflags(write=False)
         self._basis1 = U[0, :, : ranks[0]]
         self._basis2 = U[1, :, : ranks[1]]
+        self._adjoints = (self._basis1.conj().T, self._basis2.conj().T)
 
     @classmethod
     def zero(cls, n: int) -> "Submodule":
@@ -286,7 +288,7 @@ class Submodule:
         """Component matrices (G1, G2), one column per generator, from a single
         hat split of the stacked generator coefficients."""
         if self._generators:
-            stacked = np.stack([g.coeffs for g in self._generators], axis=1)
+            stacked = np.array([g.coeffs for g in self._generators]).swapaxes(0, 1)
         else:
             stacked = np.zeros((self._n, 0, 4))
         return hat_split(stacked)
@@ -297,11 +299,10 @@ class Submodule:
         return self.distance_to(x).projection
 
     def distance_to(self, x: TVector) -> DistanceResult:
-        if x.n != self._n:
-            raise DimensionMismatch(f"vector dimension {x.n} != ambient {self._n}")
         V = x.split()
-        P = np.array((self._basis1 @ (self._basis1.conj().T @ V[0]),
-                      self._basis2 @ (self._basis2.conj().T @ V[1])))
+        if V.shape[1] != self._n:
+            raise DimensionMismatch(f"vector dimension {V.shape[1]} != ambient {self._n}")
+        P = _arrays.combine_pair(self._basis1, self._basis2, [A @ v for A, v in zip(self._adjoints, V)])
         d1, d2 = pair_norms(*(V - P))
         return DistanceResult(qmean(d1, d2), d1, d2, TVector._of_hat(P))
 

@@ -47,6 +47,26 @@ def test_hat_split_keeps_signed_zeros_and_infinities():
     assert np.array_equal(np.signbit(H), np.signbit(want))
 
 
+def test_hat_split_of_a_non_contiguous_input_is_the_elementwise_formula():
+    # Values with signed zeros, so a sum that rounded to +0.0 where the
+    # formula gives -0.0 would show.
+    rng = np.random.default_rng(3)
+    C = rng.choice([0.0, -0.0, 1.0, -1.5, 2.0**-1074, -(2.0**1000)], size=(3, 5, 6, 4))
+    inputs = {
+        "transposed": np.swapaxes(C, 0, 2),
+        "sliced": C[:, 1:4, ::2],
+        "generator stack": np.array(list(C[0])).swapaxes(0, 1),
+        "Fortran order": np.asfortranarray(C),
+        "scalar": np.ascontiguousarray(C[0, 0, 0]),
+        "strided scalar": C[0, 0, :, 1],
+        "strided rows": C[0, :, 2],
+    }
+    for name, X in inputs.items():
+        H, want = hat_split(X).view(np.float64), _elementwise_split(X).view(np.float64)
+        assert hat_split(X).shape == (2,) + X.shape[:-1] and hat_split(X).flags.c_contiguous, name
+        assert np.array_equal(H, want) and np.array_equal(np.signbit(H), np.signbit(want)), name
+
+
 @pytest.mark.parametrize("scale", SCALES)
 def test_hat_merge_is_merge_parts(scale):
     rng = np.random.default_rng(2)
@@ -159,6 +179,19 @@ def test_pair_norms_do_not_overflow_or_vanish():
         norms, _ = _arrays.pair_norms(u, u)
         assert np.allclose(norms / scale, 5 * np.sqrt(2), rtol=1e-15)
         assert _arrays.pair_norms(u[0], u[0])[0] == norms[0]
+
+
+@pytest.mark.parametrize("scale", [1e170, 1e-170, 1e300, 1e-300, 0.0])
+def test_a_vector_pair_norm_has_the_bits_of_the_stacked_one(scale):
+    # The squares overflow or leave the normal range at every scale but 1:
+    # both paths then recompute with scaling.
+    rng = np.random.default_rng(14)
+    for n in (1, 3, 8):
+        U = _complex(rng, (2, 1, n)) * scale
+        stacked = _arrays.pair_norms(*U)
+        vector = _arrays.pair_norms(*U[:, 0])
+        assert [type(v) for v in vector] == [float, float]
+        assert vector == (stacked[0][0], stacked[1][0]), n
 
 
 def test_norm_report_has_the_bits_of_the_stacked_operator_norms():

@@ -112,6 +112,15 @@ def test_an_exception_escaping_a_check_exits_3(capsys, monkeypatch):
     assert code == 2 and json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("scope", [["--all"], ["--check", "ubp"]], ids=["all", "check"])
+def test_a_seed_outside_64_bits_is_a_usage_error(capsys, monkeypatch, seed, scope):
+    monkeypatch.setattr(verifier, "_run", lambda check, cfg, rng: pytest.fail("a check ran"))
+    code, out, err = run_cli(capsys, "verify", *scope, "--seed", seed, "--trials", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError", "message": f"seed must be in [0, 2**64), got {seed}"}
+
+
 def test_malformed_literal_exits_2(capsys):
     code, _, err = run_cli(capsys, "calc", "1 2 3", "add", "0 0 0 0")
     assert code == 2

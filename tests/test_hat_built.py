@@ -5,6 +5,7 @@ as their split() and merge the coefficients only when they are read."""
 import copy
 import operator
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from bicomplex import (
     TMatrix,
     TVector,
     _arrays,
+    default_config,
     hahn_banach_extend,
     norming_functional,
+    run_check,
 )
 from bicomplex._arrays import hat_merge
 
@@ -95,6 +98,24 @@ def merges(monkeypatch):
         return merge(*args)
 
     monkeypatch.setattr(_arrays, "hat_merge", counted)
+    return calls
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The shapes of the arrays hat_split is called on while the test runs,
+    through whichever module's binding of it a caller uses (the verifier's
+    is loaded by this file's import of run_check)."""
+    calls = []
+    split = _arrays.hat_split
+
+    def counted(C):
+        calls.append(C.shape)
+        return split(C)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "bicomplex" and vars(module).get("hat_split") is split:
+            monkeypatch.setattr(module, "hat_split", counted)
     return calls
 
 
@@ -208,3 +229,36 @@ def test_chains_agree_with_the_coefficient_built_path():
     assert norming_functional(x).value.coeffs == pytest.approx(
         norming_functional(_through_coeffs(x)).value.coeffs, rel=1e-14, abs=1e-14 * x.norm()
     )
+
+
+def test_each_object_built_from_coefficients_is_split_once_per_operation(splits):
+    rng = np.random.default_rng(5)
+    A, B = (rng.uniform(-1.0, 1.0, (8, 8, 4)) for _ in range(2))
+    x, f = (rng.uniform(-1.0, 1.0, (8, 4)) for _ in range(2))
+    gens = [TVector(g) for g in rng.uniform(-1.0, 1.0, (3, 8, 4))]
+    counts = {}
+    for name, operation in [
+        ("apply", lambda: TMatrix(A).apply(TVector(x))),
+        ("compose", lambda: TMatrix(A).compose(TMatrix(B))),
+        ("submodule", lambda: Submodule(8, gens)),
+        ("distance_to", lambda: Y.distance_to(TVector(x))),
+        ("extend", lambda: hahn_banach_extend(TFunctional(TVector(f)), Y)),
+        ("restricted norms", lambda: TFunctional(TVector(f)).restricted_component_norms(Y)),
+    ]:
+        Y = Submodule(8, gens)
+        splits.clear()
+        operation()
+        counts[name] = len(splits)
+    assert counts == {"apply": 2, "compose": 2, "submodule": 1, "distance_to": 1, "extend": 1, "restricted norms": 1}
+
+
+def test_open_mapping_splits_each_group_once_whatever_its_trials(splits):
+    # Each group of operators of one size is split once, as a stack, and
+    # each trial is inverted from that split: no trial splits again.
+    counts = []
+    for trials in (40, 150):
+        splits.clear()
+        assert run_check(default_config("open-mapping", trials=trials)).passed
+        assert all(len(shape) == 4 for shape in splits)  # stacks (G, ., n, 4) only
+        counts.append(len(splits))
+    assert counts[0] == counts[1] == 32

@@ -23,6 +23,7 @@ from bicomplex import (
     IdempotentForm,
     SingularElement,
     SingularityReport,
+    TVector,
 )
 from bicomplex._arrays import hat_merge, mul4, real_block_matrix
 
@@ -288,6 +289,21 @@ def test_coerce():
     assert Bicomplex.coerce(E1) is E1
     with pytest.raises(TypeError):
         Bicomplex.coerce("nope")
+
+
+@pytest.mark.parametrize(
+    "number, value",
+    [(np.int64(2), 2.0), (np.uint8(3), 3.0), (np.float32(0.5), 0.5), (np.float16(-0.25), -0.25),
+     (np.complex64(1.5 - 2j), 1.5 - 2j), (True, 1.0), (False, 0.0)],
+)
+def test_numpy_numbers_and_bools_act_as_the_python_number(number, value):
+    assert Bicomplex.coerce(number) == Bicomplex.coerce(value)
+    w = Bicomplex(0.5, -1.0, 2.0, 0.25)
+    for product in (w * number, number * w):
+        assert type(product) is Bicomplex and product == w * value
+    x = TVector([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, -1.0, 2.0]])
+    for scaled in (x.scale(number), number * x):
+        assert type(scaled) is TVector and scaled == x.scale(value)
 
 
 @given(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),

@@ -159,6 +159,22 @@ def test_config_validation(monkeypatch):
     assert CheckConfig("ubp", seed=np.uint64(2**64 - 1), trials=np.int32(3)).trials == 3
 
 
+def test_a_seed_outside_64_bits_is_refused_before_any_check_runs(monkeypatch):
+    # Each seed names its own stream: -1 and 2^64 would otherwise wrap onto
+    # 2^64 - 1 and 0.
+    run = verifier._run
+    monkeypatch.setattr(verifier, "_run", lambda check, cfg, rng: pytest.fail("a check ran"))
+    for seed in (-1, 2**64, -(2**64) + 5):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            CheckConfig("ubp", seed=seed, trials=3)
+        with pytest.raises(ValueError, match="seed must be in"):
+            run_all(seed=seed, trials=3)
+    monkeypatch.setattr(verifier, "_run", run)
+    top = run_check(default_config("ubp", seed=2**64 - 1, trials=3))
+    assert top.to_json() == run_check(default_config("ubp", seed=np.uint64(2**64 - 1), trials=3)).to_json()
+    assert top.worst_witness != run_check(default_config("ubp", seed=0, trials=3)).worst_witness
+
+
 def test_config_has_no_defaults_to_fall_back_on():
     # default_config is the one constructor with defaults: the registry's.
     with pytest.raises(TypeError):
