@@ -27,19 +27,23 @@ the machine's load; its CPU time moves far less.
 
 With --against DIR the script compares two trees in one process instead.
 It imports the package under DIR/src as `bicomplex_against`, next to the
-one under test, and runs each per-object call of the first table on both,
-call by call, the first of each pair alternating, for --rounds rounds of
---number calls (by default a twentieth of what takes 0.2 s).  A first
-control row, a product of two scalars built in the call, times what neither
-tree's arrays touch.  Each row gives both sides' medians over the rounds,
-the relative change and the rounds this tree won; the cold processes are
-not run.  Separate processes of the same tree differed here by up to 10%,
-where one process held the control within 1%.  --json prints either result
-as one JSON object.
+one under test, and runs each call on both, call by call, the first of each
+pair alternating, for ROUNDS rounds of --number calls (by default a
+twentieth of what takes 0.2 s).  Those are the calls of the first table and
+the parts of a one-shot request at every size: `TMatrix(raw).apply(
+TVector(raw)).coeffs`, `hat_split` of the raw matrix and of the raw vector,
+`TMatrix(raw)` and `TVector(raw)`, warm `apply` of a built vector and its
+bare `apply_pair`, the vector `pair_norms`, and a warm submodule's
+`distance_to` and `hahn_banach_extend`.  A first control row, a product of
+two scalars built in the call, times what neither tree's arrays touch.
+Each row gives both sides' medians over the rounds, the relative change and
+the rounds this tree won; the cold processes are not run.  Separate
+processes of the same tree differed here by up to 10%, where one process
+held the control within 1%.  --json prints either result as one JSON object.
 
     python scripts/microbench.py
     python scripts/microbench.py --number 100
-    python scripts/microbench.py --against /path/to/parent/tree --rounds 51 --json
+    python scripts/microbench.py --against /path/to/parent/tree --json
 """
 
 import os
@@ -68,6 +72,7 @@ from bicomplex import Submodule, TFunctional, TMatrix, TVector  # noqa: E402
 
 SIZES = (2, 8, 64)
 REPEAT = 5
+ROUNDS = 31
 AGAINST = "bicomplex_against"
 
 
@@ -102,7 +107,8 @@ def calls(bc, n: int) -> dict:
     H, V = warm.split(), TVector(x).split()
     Hinv = np.linalg.inv(H)
     (M1, M2), (v1, v2) = H, V
-    solve_pair = importlib.import_module(f"{bc.__name__}._arrays").solve_pair
+    v = TVector(x)
+    arrays = importlib.import_module(f"{bc.__name__}._arrays")
     return {
         "apply warm": lambda: warm.apply(TVector(x)),
         "apply cold": lambda: TMatrix(A).apply(TVector(x)),
@@ -116,13 +122,23 @@ def calls(bc, n: int) -> dict:
         "separate": lambda: bc.separating_functional(TVector(x), Y),
         "extend cold": lambda: bc.hahn_banach_extend(TFunctional(TVector(x)), Submodule(n, [TVector(g) for g in gens])),
         "matvecs": lambda: (M1 @ v1, M2 @ v2),
-        "inverse-applies": lambda: solve_pair(H, Hinv, V),
+        "inverse-applies": lambda: arrays.solve_pair(H, Hinv, V),
+        "apply oneshot coeffs": lambda: TMatrix(A).apply(TVector(x)).coeffs,
+        "hat_split matrix": lambda: arrays.hat_split(A),
+        "hat_split vector": lambda: arrays.hat_split(x),
+        "TMatrix raw": lambda: TMatrix(A),
+        "TVector raw": lambda: TVector(x),
+        "apply warm built": lambda: warm.apply(v),
+        "apply_pair": lambda: arrays.apply_pair(H, V),
+        "pair_norms vector": lambda: arrays.pair_norms(v1, v2),
+        "distance warm": lambda: Y.distance_to(TVector(x)),
+        "extend warm": lambda: bc.hahn_banach_extend(TFunctional(TVector(x)), Y),
     }
 
 
 def measure(n: int, number=None) -> dict:
-    """Best-of-5 microseconds per call of each timed operation at size n."""
-    return {name: _best_us(fn, number) for name, fn in calls(bicomplex, n).items()}
+    """Best-of-5 microseconds per call of each operation of the first table at size n."""
+    return {name: _best_us(fn, number) for name, fn in calls(bicomplex, n).items() if name in TABLED}
 
 
 def import_tree(root: Path):
@@ -159,10 +175,9 @@ def _interleaved_us(mine, theirs, number: int) -> tuple:
     return spent[0] / number * 1e6, spent[1] / number * 1e6
 
 
-def compare(other, rounds: int, number=None) -> list:
-    """Each per-object call on this package and on `other`, interleaved call
-    by call in this process (_interleaved_us), in `rounds` rounds of `number`
-    calls each.  One row per call and size: the median over the rounds of
+def compare(other, number=None) -> list:
+    """Each call on this package and on `other`, interleaved call by call in
+    this process (_interleaved_us), in ROUNDS rounds of `number` calls each.  One row per call and size: the median over the rounds of
     each side's microseconds per call, and the rounds this side won."""
     pairs = [("control", "-", _control(bicomplex), _control(other))]
     for n in SIZES:
@@ -171,10 +186,10 @@ def compare(other, rounds: int, number=None) -> list:
     rows = []
     for name, n, mine, theirs in pairs:
         count = number or max(1, timeit.Timer(mine).autorange()[0] // 20)
-        this, against = zip(*(_interleaved_us(mine, theirs, count) for _ in range(rounds)))
+        this, against = zip(*(_interleaved_us(mine, theirs, count) for _ in range(ROUNDS)))
         rows.append({"operation": name, "n": n, "this_us": statistics.median(this),
                      "against_us": statistics.median(against),
-                     "wins": sum(a < b for a, b in zip(this, against)), "rounds": rounds})
+                     "wins": sum(a < b for a, b in zip(this, against)), "rounds": ROUNDS})
     return rows
 
 
@@ -198,6 +213,7 @@ ROWS = (
     ("`hahn_banach_extend` (cold submodule)", ("extend cold",)),
     ("two raw complex matvecs / refined inverse-applies", ("matvecs", "inverse-applies")),
 )
+TABLED = {name for _, names in ROWS for name in names}
 
 
 def _child_cpu_s() -> float:
@@ -259,11 +275,10 @@ def main() -> int:
     parser.add_argument("--number", type=int, default=None, help="calls per timing (default: as many as take 0.2 s)")
     parser.add_argument("--against", type=Path, default=None, metavar="DIR",
                         help="interleave every per-object call with the package of the tree DIR")
-    parser.add_argument("--rounds", type=int, default=21, help="interleaved rounds per call with --against")
     parser.add_argument("--json", action="store_true", help="print one JSON object instead of the tables")
     args = parser.parse_args()
     if args.against is not None:
-        rows = compare(import_tree(args.against.resolve()), args.rounds, args.number)
+        rows = compare(import_tree(args.against.resolve()), args.number)
         print(json.dumps({"against": str(args.against), "rows": rows}) if args.json else compare_table(rows))
         return 0
     results = {n: measure(n, args.number) for n in SIZES}

@@ -310,25 +310,15 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A @ v if v.ndim == 1 else (A @ v[..., None])[..., 0]
 
 
-def restrict_pair(A1: np.ndarray, A2: np.ndarray, C: np.ndarray) -> tuple:
-    """Coordinates A_k conj(c_k) (..., r_k), whose lengths are the norms of the
-    functionals with coefficient hat stack C (2, ..., n) restricted to the spans
-    of orthonormal bases B_k (..., n, r_k), from their adjoints A_k = B_k^H."""
-    return _matvec(A1, C[0].conj()), _matvec(A2, C[1].conj())
-
-
-def combine_pair(B1: np.ndarray, B2: np.ndarray, R) -> np.ndarray:
-    """Hat stack (2, ..., n) of the combinations B_k r_k of the columns of B1,
-    B2 (..., n, r_k) with the coordinates R = (r1, r2), in one fresh stack."""
-    E = np.empty((2,) + B1.shape[:-1], dtype=np.complex128)
-    for B, r, e in zip((B1, B2), R, E):
-        np.matmul(B, r[..., None], e[..., None])
-    return E
+def restrict_pair(B1: np.ndarray, B2: np.ndarray, C: np.ndarray) -> tuple:
+    """Coordinates B_k^H conj(c_k) (..., r_k), whose lengths are the norms of
+    the functionals with coefficient hat stack C (2, ..., n) restricted to the
+    spans of the orthonormal bases B1, B2 (..., n, r_k), of differing ranks."""
+    return _matvec(B1.conj().swapaxes(-1, -2), C[0].conj()), _matvec(B2.conj().swapaxes(-1, -2), C[1].conj())
 
 
 def riesz_extension(B1: np.ndarray, B2: np.ndarray, R: tuple) -> np.ndarray:
     """Hat stack (2, ..., n) of the minimal-norm extensions conj(B_k r_k), the
     conjugated Riesz vectors, of the functionals whose restrictions to the
     spans of B1, B2 have the coordinates R = (r1, r2) of restrict_pair."""
-    E = combine_pair(B1, B2, R)
-    return np.conj(E, E)
+    return np.conj([_matvec(B1, R[0]), _matvec(B2, R[1])])

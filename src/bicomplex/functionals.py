@@ -140,7 +140,7 @@ class TFunctional:
 
     def restricted_component_norms(self, Y: Submodule) -> tuple[float, float]:
         """Norms of the restrictions to the component subspaces of Y."""
-        return pair_norms(*_arrays.restrict_pair(*Y._adjoints, self._coeffs.split()))
+        return pair_norms(*_arrays.restrict_pair(Y.basis1, Y.basis2, self._coeffs.split()))
 
     # real decomposition -------------------------------------------------------
 
@@ -250,13 +250,13 @@ def hahn_banach_extend(ystar, Y: Submodule) -> ExtensionReport:
     if ystar.n != Y.n:
         raise DimensionMismatch(f"functional dimension {ystar.n} != ambient {Y.n}")
     C = ystar.coeffs.split()
-    R = _arrays.restrict_pair(*Y._adjoints, C)
+    R = _arrays.restrict_pair(Y.basis1, Y.basis2, C)
     E = _arrays.riesz_extension(Y.basis1, Y.basis2, R)
     extension = TFunctional(TVector._of_hat(E))
 
     # Restriction error as an exact operator norm on Y: project the
     # coefficient difference back onto the component subspaces.
-    err = max(pair_norms(*_arrays.restrict_pair(*Y._adjoints, E - C)))
+    err = max(pair_norms(*_arrays.restrict_pair(Y.basis1, Y.basis2, E - C)))
 
     y_comp = pair_norms(*R)
     x_comp = extension.component_norms()

@@ -243,7 +243,6 @@ class Submodule:
         U.setflags(write=False)
         self._basis1 = U[0, :, : ranks[0]]
         self._basis2 = U[1, :, : ranks[1]]
-        self._adjoints = (self._basis1.conj().T, self._basis2.conj().T)
 
     @classmethod
     def zero(cls, n: int) -> "Submodule":
@@ -288,7 +287,7 @@ class Submodule:
         """Component matrices (G1, G2), one column per generator, from a single
         hat split of the stacked generator coefficients."""
         if self._generators:
-            stacked = np.array([g.coeffs for g in self._generators]).swapaxes(0, 1)
+            stacked = np.stack([g.coeffs for g in self._generators], axis=1)
         else:
             stacked = np.zeros((self._n, 0, 4))
         return hat_split(stacked)
@@ -299,10 +298,11 @@ class Submodule:
         return self.distance_to(x).projection
 
     def distance_to(self, x: TVector) -> DistanceResult:
+        if x.n != self._n:
+            raise DimensionMismatch(f"vector dimension {x.n} != ambient {self._n}")
         V = x.split()
-        if V.shape[1] != self._n:
-            raise DimensionMismatch(f"vector dimension {V.shape[1]} != ambient {self._n}")
-        P = _arrays.combine_pair(self._basis1, self._basis2, [A @ v for A, v in zip(self._adjoints, V)])
+        P = np.array((self._basis1 @ (self._basis1.conj().T @ V[0]),
+                      self._basis2 @ (self._basis2.conj().T @ V[1])))
         d1, d2 = pair_norms(*(V - P))
         return DistanceResult(qmean(d1, d2), d1, d2, TVector._of_hat(P))
 

@@ -776,13 +776,12 @@ def _hahn_banach_values(B1, B2, F, W, X):
     miss of the extension on Y, of its component norms, of the round trip
     through its real part, and of T-linearity at w and x."""
     C = hat_split(F)
-    adjoints = B1.conj().swapaxes(1, 2), B2.conj().swapaxes(1, 2)
-    R = _arrays.restrict_pair(*adjoints, C)
+    R = _arrays.restrict_pair(B1, B2, C)
     E = _arrays.riesz_extension(B1, B2, R)
     ext = hat_merge(*E)
     y1, y2 = _arrays.pair_norms(*R)
     x1, x2 = _arrays.pair_norms(*E)
-    err = np.maximum(*_arrays.pair_norms(*_arrays.restrict_pair(*adjoints, E - C)))
+    err = np.maximum(*_arrays.pair_norms(*_arrays.restrict_pair(B1, B2, E - C)))
     lifted = _arrays.lift_rows(np.stack([ext, *_arrays.unit_multiples(ext)], axis=-1)[..., 0, :])
     at_x = _arrays.dots(E, hat_split(X))
     at_wx = _arrays.dots(E, hat_split(mul4(W[:, None, :], X)))

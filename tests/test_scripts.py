@@ -60,18 +60,18 @@ def test_microbench_prints_the_table_at_tiny_repetitions():
     ]
     assert all(float(cell) > 0.0 for line in lines[14:] for cell in line.rstrip(" |").split(" | ")[1:])
     # Against a second tree, here this one imported again under another name.
-    done = run_script("microbench.py", "--number", "1", "--rounds", "2", "--against", str(ROOT))
+    done = run_script("microbench.py", "--number", "1", "--against", str(ROOT))
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == "| operation | n | this µs | against µs | change | wins |" and len(lines) == 2 + 1 + 3 * 13
-    assert lines[2].startswith("| control | - | ") and lines[-1].startswith("| inverse-applies | 64 | ")
-    assert all(line.endswith("/2 |") for line in lines[2:])
-    done = run_script("microbench.py", "--number", "1", "--rounds", "1", "--against", str(ROOT), "--json")
+    assert lines[0] == "| operation | n | this µs | against µs | change | wins |" and len(lines) == 2 + 1 + 3 * 23
+    assert lines[2].startswith("| control | - | ") and lines[-1].startswith("| extend warm | 64 | ")
+    assert all(line.endswith("/31 |") for line in lines[2:])
+    done = run_script("microbench.py", "--number", "1", "--against", str(ROOT), "--json")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report["against"] == str(ROOT) and len(report["rows"]) == 1 + 3 * 13
+    assert report["against"] == str(ROOT) and len(report["rows"]) == 1 + 3 * 23
     assert {row["n"] for row in report["rows"]} == {"-", 2, 8, 64}
-    assert all(row["this_us"] > 0.0 and row["against_us"] > 0.0 and row["rounds"] == 1 for row in report["rows"])
+    assert all(row["this_us"] > 0.0 and row["against_us"] > 0.0 and row["rounds"] == 31 for row in report["rows"])
 
 
 def test_bench_pairs_compares_one_pair_of_identical_trees(tmp_path):
