@@ -32,9 +32,9 @@ pair alternating, for ROUNDS rounds of --number calls (by default a
 twentieth of what takes 0.2 s).  Those are the calls of the first table and
 the parts of a one-shot request at every size: `TMatrix(raw).apply(
 TVector(raw)).coeffs`, `hat_split` of the raw matrix and of the raw vector,
-`TMatrix(raw)` and `TVector(raw)`, warm `apply` of a built vector and its
-bare `apply_pair`, the vector `pair_norms`, and a warm submodule's
-`distance_to` and `hahn_banach_extend`.  A first control row, a product of
+`TMatrix(raw)` and `TVector(raw)`, a built vector's `norm`, warm `apply` of
+a built vector and its bare `apply_pair`, the vector `pair_norms`, and a
+warm submodule's `distance_to` and `hahn_banach_extend`.  A first control row, a product of
 two scalars built in the call, times what neither tree's arrays touch.
 Each row gives both sides' medians over the rounds, the relative change and
 the rounds this tree won; the cold processes are not run.  Separate
@@ -128,6 +128,7 @@ def calls(bc, n: int) -> dict:
         "hat_split vector": lambda: arrays.hat_split(x),
         "TMatrix raw": lambda: TMatrix(A),
         "TVector raw": lambda: TVector(x),
+        "TVector norm": lambda: v.norm(),
         "apply warm built": lambda: warm.apply(v),
         "apply_pair": lambda: arrays.apply_pair(H, V),
         "pair_norms vector": lambda: arrays.pair_norms(v1, v2),

@@ -40,7 +40,7 @@ def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
     fresh float64 array that nothing else holds."""
     arr = np.array(data, dtype=np.float64) if copy else np.asarray(data, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != 4:
-        raise ValueError(f"{what}: expected shape {'(...,' * (ndim - 1)}4{')' * (ndim - 1)}, got {arr.shape}")
+        raise ValueError(f"{what}: expected shape ({'..., ' * (ndim - 1)}4), got {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{what}: every dimension must be at least 1, got {arr.shape}")
     if not np.vdot(arr, arr) < math.inf and not np.isfinite(arr).all():
@@ -138,16 +138,30 @@ def operator_norms(s1, s2) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(s1, s2) / SQRT2, idem
 
 
-def norm4(C: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the trailing coefficient axis: (..., 4) -> (...).
-    One pass over the four coefficients, summed in the order np.sum takes."""
-    a, b, c, d = C[..., 0], C[..., 1], C[..., 2], C[..., 3]
-    return np.sqrt(a * a + b * b + c * c + d * d)
+def add_in_turn(s: np.ndarray) -> np.ndarray:
+    """s[..., 0] + s[..., 1] + ... + s[..., n-1], added in turn: (..., n) -> (...).
+    One vector's terms take one C loop of np.add.accumulate, whose order numpy
+    documents; a stack's take n passes over all its rows."""
+    if s.ndim == 1:
+        return np.add.accumulate(s)[-1]
+    total = s[..., 0]
+    for k in range(1, s.shape[-1]):
+        total = total + s[..., k]
+    return total
 
 
 def vec_norm4(C: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the trailing (entries, 4) axes: (..., n, 4) -> (...)."""
-    return np.sqrt(np.sum(C * C, axis=(-2, -1)))
+    """Euclidean norm over the trailing (entries, 4) axes: (..., n, 4) -> (...):
+    each entry's a*a + b*b + c*c + d*d, then the entries, added in turn: an order
+    the package owns, so every layout gives the same bits on any numpy."""
+    Q = C * C
+    return np.sqrt(add_in_turn(Q[..., 0] + Q[..., 1] + Q[..., 2] + Q[..., 3]))
+
+
+def norm4(C: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the trailing coefficient axis: (..., 4) -> (...),
+    vec_norm4 of one entry, with Bicomplex.norm's order of sums."""
+    return vec_norm4(C[..., None, :])
 
 
 # Coefficient planes (4, ..., rows) hold a stack of `rows` scalars (4, rows)
@@ -188,36 +202,13 @@ def plane_norm4(P: np.ndarray) -> np.ndarray:
 
 
 def plane_vec_norm4(P: np.ndarray) -> np.ndarray:
-    """vec_norm4 on vector planes: (4, n, rows) -> (rows,), the squares summed
-    in the order np.sum takes a vector's (n, 4) squares."""
-    return np.sqrt(rowsum((P * P).swapaxes(0, 1)))
-
-
-def rowsum(Q: np.ndarray) -> np.ndarray:
-    """Sums over every axis of Q (..., rows) but the last, each equal bit for
-    bit to np.sum over the same m <= 128 floats in one contiguous row, in C
-    order.  numpy's pairwise summation adds fewer than 8 in turn from 0.0;
-    from 8 to 128 it adds them into 8 strided partial sums, combines those
-    pairwise as a tree and adds the last m % 8 in turn.  (Longer rows it halves
-    first.)  Each index of Q's first axis must hold a divisor of 8 floats, as
-    in (m, rows) and (n, 4, rows)."""
-    rows = Q.shape[-1]
-    m = Q.size // rows
-    if m < 8:
-        return Q.reshape(-1, rows).sum(axis=0)
-    group, k = m // len(Q), m - m % 8
-    r = Q[: k // group].reshape(k // 8, 8 // group, *Q.shape[1:]).sum(axis=0).reshape(8, rows)
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]  # (r0 + r1) + (r2 + r3) and (r4 + r5) + (r6 + r7)
-    total = r[0] + r[1]
-    for q in Q[k // group :].reshape(-1, rows):
-        total += q
-    return total
+    """vec_norm4 on vector planes: (4, n, rows) -> (rows,)."""
+    return vec_norm4(P.T)
 
 
 def vector_norms(C: np.ndarray) -> np.ndarray:
-    """Norms of a stack of vectors (..., n, 4), as TVector.norm takes them one
-    at a time: vec_norm4 with checked_norm's scaled fallback."""
+    """Norms of a stack of vectors (..., n, 4), each with the bits of
+    TVector.norm: vec_norm4 with checked_norm's scaled fallback."""
     with np.errstate(over="ignore"):
         return checked_norms(vec_norm4(C), C)
 

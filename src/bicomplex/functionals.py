@@ -59,10 +59,6 @@ class TFunctional:
         return cls(TVector.basis(n, k))
 
     @classmethod
-    def zero(cls, n: int) -> "TFunctional":
-        return cls(TVector.zero(n))
-
-    @classmethod
     def from_generator_values(cls, Y: Submodule, values: Sequence[Bicomplex]) -> "TFunctional":
         """Least-squares functional with prescribed values on the generators.
 
@@ -74,7 +70,7 @@ class TFunctional:
         if len(values) != len(gens):
             raise DimensionMismatch(f"{len(gens)} generators but {len(values)} values")
         if not gens:
-            return cls.zero(Y.n)
+            return cls(TVector.zero(Y.n))
         G1, G2 = Y.generator_matrices()
         t1, t2 = hat_split(np.array([Bicomplex.coerce(v).coeffs for v in values]))
         c1, *_ = np.linalg.lstsq(G1.T, t1, rcond=None)

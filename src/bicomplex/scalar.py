@@ -142,14 +142,6 @@ class Bicomplex(_Frozen):
     # views ----------------------------------------------------------------
 
     @property
-    def z1(self) -> complex:
-        return complex(self.a, self.b)
-
-    @property
-    def z2(self) -> complex:
-        return complex(self.c, self.d)
-
-    @property
     def coeffs(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
 

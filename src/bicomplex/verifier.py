@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import _arrays
-from ._arrays import frozen_coeffs, hat_merge, hat_split, mul4, planes, rowsum
+from ._arrays import add_in_turn, frozen_coeffs, hat_merge, hat_split, mul4, planes
 from ._arrays import plane_hat_merge, plane_hat_split, plane_mul4, plane_norm4, plane_vec_norm4
 from ._floats import SQRT2
 from .errors import MALFORMED, CheckCrashed, UnknownCheckId
@@ -451,7 +451,7 @@ def _mlambda_values(part, component, L, X) -> dict:
         return {part: plane_vec_norm4(back - X) / (1.0 + plane_vec_norm4(X))}
     if part == "collapse":
         dead = plane_hat_split(plane_mul4(L, X))[component - 1]
-        return {part: np.sqrt(rowsum(np.abs(dead) ** 2)) / (1.0 + plane_vec_norm4(X))}
+        return {part: np.sqrt(add_in_turn(np.abs(dead.T) ** 2)) / (1.0 + plane_vec_norm4(X))}
     return {}
 
 

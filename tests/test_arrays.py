@@ -4,11 +4,12 @@ hat components at once."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bicomplex import NormReport, TMatrix, TVector, _arrays
+from bicomplex import NormReport, TMatrix, TVector, _arrays, verifier
 from bicomplex._arrays import hat_merge, hat_split, mul4, norm4, planes, vec_norm4
 from bicomplex._floats import merge_parts
 
@@ -214,6 +215,15 @@ def test_frozen_coeffs_accepts_entries_whose_squares_overflow_and_rejects_the_re
                 _arrays.frozen_coeffs([row], 2, "vector")
 
 
+def test_frozen_coeffs_names_the_shape_it_expects():
+    for ndim in (2, 3, 4):
+        shape = "(" + "..., " * (ndim - 1) + "4)"
+        with pytest.raises(ValueError, match=re.escape(f"point: expected shape {shape}, got (1, 3)")):
+            _arrays.frozen_coeffs([[1.0, 2.0, 3.0]], ndim, "point")
+    with pytest.raises(ValueError, match=re.escape("matrix: expected shape (..., ..., 4), got (1, 3)")):
+        TMatrix([[1, 2, 3]])
+
+
 def test_orthonormal_columns_cuts_each_matrix_of_a_stack_to_its_rank():
     rng = np.random.default_rng(13)
     M = _complex(rng, (3, 5, 3))
@@ -232,33 +242,68 @@ def test_orthonormal_columns_cuts_each_matrix_of_a_stack_to_its_rank():
 #
 # The scalar and vector checks evaluate coefficient planes (4, ..., rows).
 # Each plane kernel must give the bits of the coefficient kernel it stands
-# for.  rowsum and plane_vec_norm4 add in the order numpy's pairwise
-# summation takes along a contiguous row, which numpy does not document:
-# these tests guard that order for the numpy the CI installs (2.4.6, and 2.2.6
-# on Python 3.10).
+# for.
 
 PLANE_ROWS = (1, 7, 4097)
 
 
-def _magnitudes(rng, shape):
-    """Floats of either sign and magnitude 2^k, |k| <= 500, where the order of
+def _magnitudes(rng, shape, top=500):
+    """Floats of either sign and magnitude 2^k, |k| <= top, where the order of
     a sum matters; about a tenth are +0.0 and a tenth -0.0."""
-    x = rng.uniform(1.0, 2.0, shape) * 2.0 ** rng.integers(-500, 501, shape) * rng.choice([-1.0, 1.0], shape)
+    x = rng.uniform(1.0, 2.0, shape) * 2.0 ** rng.integers(-top, top + 1, shape) * rng.choice([-1.0, 1.0], shape)
     x[rng.random(shape) < 0.1] = 0.0
     x[rng.random(shape) < 0.1] = -0.0
     return x
+
+
+def _row_scaled(rng, shape, top=250):
+    """Rows of floats of one magnitude 2^k each, |k| <= top, whose sums round."""
+    return rng.uniform(-2.0, 2.0, shape) * 2.0 ** rng.integers(-top, top + 1, shape[:1] + (1,) * (len(shape) - 1))
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("rows", PLANE_ROWS)
-def test_rowsum_adds_in_the_order_of_np_sum(rows):
-    rng = np.random.default_rng([rows, 21])
-    for m in range(1, 41):
-        Q = _magnitudes(rng, (rows, m))
-        assert np.array_equal(_bits(_arrays.rowsum(planes(Q))), _bits(np.sum(Q, axis=-1))), m
+def test_vec_norm4_adds_in_the_order_it_documents():
+    # Each entry's a*a + b*b + c*c + d*d, then the entries in turn, in Python
+    # floats: a vector alone, and each row of a stack.
+    rng = np.random.default_rng(23)
+    for n in range(1, 65):
+        X = np.concatenate([_magnitudes(rng, (3, n, 4), top=250), _row_scaled(rng, (3, n, 4))])
+        expected = []
+        for row in X.tolist():
+            total = 0.0
+            for a, b, c, d in row:
+                total += a * a + b * b + c * c + d * d
+            expected.append(math.sqrt(total))
+        assert vec_norm4(X).tolist() == expected, n
+        assert [float(vec_norm4(x)) for x in X] == expected, n
+
+
+def test_a_vector_norm_has_the_bits_of_the_stacked_norms():
+    rng = np.random.default_rng(24)
+    for n in range(1, 65):
+        X = _magnitudes(rng, (5, n, 4))
+        stacked = _arrays.vector_norms(X)
+        assert np.array_equal(_bits([TVector(x).norm() for x in X]), _bits(stacked)), n
+        assert np.array_equal(_bits(_arrays.vector_norms(planes(X).T)), _bits(stacked)), n
+
+
+def test_collapse_on_one_row_planes_has_the_bits_of_the_coefficient_layout():
+    # A witness replays on the planes of a stack of one row.  The check's
+    # singular multipliers leave a dead component of a few bits, whose sum
+    # is exact in any order; any multiplier L tests the order.
+    rng = np.random.default_rng(25)
+    for n in range(1, 9):
+        X = _row_scaled(rng, (7, n, 4))
+        for component, L in ((1, _row_scaled(rng, (7, 4))), (2, _row_scaled(rng, (7, 4)))):
+            block = verifier._mlambda_values("collapse", component, planes(L), planes(X))["collapse"]
+            for k in range(len(X)):
+                one = verifier._mlambda_values("collapse", component, planes(L[k : k + 1]), planes(X[k : k + 1]))
+                dead = hat_split(mul4(L[k], X[k]))[component - 1]
+                coefficients = math.sqrt(_arrays.add_in_turn(np.abs(dead) ** 2)) / (1.0 + float(vec_norm4(X[k])))
+                assert one["collapse"].tolist() == [block[k]] == [coefficients], (n, k)
 
 
 @pytest.mark.parametrize("rows", PLANE_ROWS)

@@ -290,9 +290,9 @@ def test_verify_all_at_seed_42_is_pinned_bit_for_bit(capsys):
 @pytest.mark.parametrize(
     "args, digest",
     [
-        (("--seed", "1"), "d752a42aa7f0cf98f6160cbc92beecbb8ac9fc601a832f84d7479b9da1e4f40b"),
-        (("--seed", "7", "--trials", "40"), "6fcbcf033075bae975f54706d8278d158b716d1b0d68361eb189e9d1e0cb6f43"),
-        (("--seed", "123", "--trials", "40"), "67afd47f5cd77324c496bc05416a8f6521529459362e9880017597a27e757e68"),
+        (("--seed", "1"), "5b7cf5481b289a42a6f4f9d0d4f61cc855c5c6b2d5b2862c91475d0b6d25cdeb"),
+        (("--seed", "7", "--trials", "40"), "1de87455647873b9be57ba81122fe02080748bcb41bb13d5525fe799a36e8f4d"),
+        (("--seed", "123", "--trials", "40"), "0efeba6800a0f25832229439d09070c3b80ff0c52d6803ebaa4adab1898a9d3d"),
     ],
     ids=["seed-1", "seed-7-trials-40", "seed-123-trials-40"],
 )
