@@ -35,9 +35,13 @@ TVector(raw)).coeffs`, `hat_split` of the raw matrix and of the raw vector,
 `TMatrix(raw)` and `TVector(raw)`, a built vector's `norm`, warm `apply` of
 a built vector and its bare `apply_pair`, the vector `pair_norms`, and a
 warm submodule's `distance_to` and `hahn_banach_extend`.  A first control row, a product of
-two scalars built in the call, times what neither tree's arrays touch.
-Each row gives both sides' medians over the rounds, the relative change and
-the rounds this tree won; the cold processes are not run.  Separate
+two scalars built in the call, times what neither tree's arrays touch.  The
+last rows run each of the seven streamed verifier checks once (`run_check`
+at seed 42 and CHECK_TRIALS trials: two full blocks of a scalar check, 1000
+trials in each dimension of a vector check), so that a change to the plane
+kernels is timed check by check in one process.  Each row gives both
+sides' medians over the rounds, the relative change and the rounds this
+tree won; the cold processes are not run.  Separate
 processes of the same tree differed here by up to 10%, where one process
 held the control within 1%.  --json prints either result as one JSON object.
 
@@ -74,6 +78,9 @@ SIZES = (2, 8, 64)
 REPEAT = 5
 ROUNDS = 31
 AGAINST = "bicomplex_against"
+STREAMED = ("ring-axioms", "submult", "norm-identity", "scalar-homogeneity", "translation-invariance",
+            "homeomorphism-Ta", "homeomorphism-Mlambda")
+CHECK_TRIALS = 8_000
 
 
 def _conditioned(rng, n: int) -> np.ndarray:
@@ -160,6 +167,12 @@ def _control(bc):
     return lambda: bc.Bicomplex(*w) * bc.Bicomplex(*z)
 
 
+def _check(bc, check_id: str):
+    """One run of a streamed check at CHECK_TRIALS trials."""
+    cfg = bc.default_config(check_id, seed=42, trials=CHECK_TRIALS)
+    return lambda: bc.run_check(cfg)
+
+
 def _interleaved_us(mine, theirs, number: int) -> tuple:
     """Mean microseconds per call of `mine` and of `theirs` over `number`
     calls of each, taken call by call with the first of each pair
@@ -184,6 +197,7 @@ def compare(other, number=None) -> list:
     for n in SIZES:
         mine, theirs = calls(bicomplex, n), calls(other, n)
         pairs += [(name, n, mine[name], theirs[name]) for name in mine]
+    pairs += [(f"check {check_id}", "-", _check(bicomplex, check_id), _check(other, check_id)) for check_id in STREAMED]
     rows = []
     for name, n, mine, theirs in pairs:
         count = number or max(1, timeit.Timer(mine).autorange()[0] // 20)

@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from ._floats import EPS, NORM_FLOOR, SQRT2, checked_norm, merge_parts, mul_parts, qmean
+from ._floats import EPS, MUL_TERMS, NORM_FLOOR, SQRT2, checked_norm, mul_parts, qmean
 
 
 def integer(value, what: str = "a dimension") -> int:
@@ -64,20 +64,24 @@ def hat_split(C: np.ndarray) -> np.ndarray:
     return H if Q is C else H.reshape((2,) + C.shape[:-1])
 
 
-def hat_merge(h1, h2) -> np.ndarray:
-    """Inverse of hat_split: merge_parts' sums written into one fresh
-    (..., 4) array, with the same bits.  Writing them in place takes about
-    half the time of stacking merge_parts' four results at n = 8, and a third
-    for large stacks."""
-    h1 = np.asarray(h1, dtype=np.complex128)
-    h2 = np.asarray(h2, dtype=np.complex128)
-    C = np.empty(np.broadcast_shapes(h1.shape, h2.shape) + (4,))
+def _merge_into(C: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """merge_parts' sums of complex arrays written into the coefficients
+    (..., 4) of C, with the same bits.  Writing them in place takes about half
+    the time of stacking merge_parts' four results at n = 8, and a third for
+    large stacks."""
     np.add(h1.real, h2.real, out=C[..., 0])
     np.add(h1.imag, h2.imag, out=C[..., 1])
     np.subtract(h2.imag, h1.imag, out=C[..., 2])
     np.subtract(h1.real, h2.real, out=C[..., 3])
     C *= 0.5
     return C
+
+
+def hat_merge(h1, h2) -> np.ndarray:
+    """Inverse of hat_split: the coefficients (..., 4) of h1*e1 + h2*e2."""
+    h1 = np.asarray(h1, dtype=np.complex128)
+    h2 = np.asarray(h2, dtype=np.complex128)
+    return _merge_into(np.empty(np.broadcast_shapes(h1.shape, h2.shape) + (4,)), h1, h2)
 
 
 def mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -141,12 +145,12 @@ def operator_norms(s1, s2) -> tuple[np.ndarray, np.ndarray]:
 def add_in_turn(s: np.ndarray) -> np.ndarray:
     """s[..., 0] + s[..., 1] + ... + s[..., n-1], added in turn: (..., n) -> (...).
     One vector's terms take one C loop of np.add.accumulate, whose order numpy
-    documents; a stack's take n passes over all its rows."""
+    documents; a stack's take n passes over all its rows, into one array."""
     if s.ndim == 1:
         return np.add.accumulate(s)[-1]
     total = s[..., 0]
     for k in range(1, s.shape[-1]):
-        total = total + s[..., k]
+        total = np.add(total, s[..., k], out=None if k == 1 else total)
     return total
 
 
@@ -187,23 +191,47 @@ def plane_hat_split(P: np.ndarray) -> np.ndarray:
 
 
 def plane_hat_merge(h1, h2) -> np.ndarray:
-    """hat_merge into planes (4, ..., rows): merge_parts' sums, the same bits."""
-    return np.array(merge_parts(h1, h2))
+    """hat_merge of complex arrays (..., rows) into planes (4, ..., rows), the same bits."""
+    P = np.empty((4,) + np.broadcast(h1, h2).shape)
+    _merge_into(_coefficients_last(P), h1, h2)
+    return P
+
+
+#: The ufunc that joins a term of MUL_TERMS with its sign to the sum before it.
+_JOIN = {1: np.add, -1: np.subtract}
 
 
 def plane_mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """mul4 on planes, which broadcast: scalars (4, rows) times vectors (4, n, rows)."""
-    return np.array(mul_parts(*U, *V))
+    """mul4 on planes, which broadcast: scalars (4, rows) times vectors
+    (4, n, rows).  Each coefficient is summed in place in its plane of the
+    output, term by term in MUL_TERMS' order, through one scratch plane."""
+    u, v = list(U), list(V)
+    P = np.empty((4,) + np.broadcast(u[0], v[0]).shape)
+    term = np.empty(P.shape[1:])
+    for out, ((_, k, l), *rest) in zip(P, MUL_TERMS):
+        np.multiply(u[k], v[l], out)
+        for sign, k, l in rest:
+            _JOIN[sign](out, np.multiply(u[k], v[l], term), out)
+    return P
+
+
+def _plane_squares(P: np.ndarray) -> np.ndarray:
+    """Each entry's a*a + b*b + c*c + d*d over planes (4, ..., rows): the
+    planes squared into one array, then added in turn into its first."""
+    Q = P * P
+    for k in (1, 2, 3):
+        Q[0] += Q[k]
+    return Q[0]
 
 
 def plane_norm4(P: np.ndarray) -> np.ndarray:
     """norm4 on planes: (4, ..., rows) -> (..., rows)."""
-    return norm4(_coefficients_last(P))
+    return np.sqrt(_plane_squares(P))
 
 
 def plane_vec_norm4(P: np.ndarray) -> np.ndarray:
     """vec_norm4 on vector planes: (4, n, rows) -> (rows,)."""
-    return vec_norm4(P.T)
+    return np.sqrt(add_in_turn(_plane_squares(P).T))
 
 
 def vector_norms(C: np.ndarray) -> np.ndarray:

@@ -41,6 +41,18 @@ def mul_parts(au, bu, cu, du, av, bv, cv, dv) -> tuple:
     )
 
 
+#: mul_parts' terms in its order, for kernels that write the product in place:
+#: per coefficient, the terms (sign, k, l) of sign * u_k * v_l, with u, v the
+#: coefficients (a, b, c, d); the first (always +1) starts the sum, and each
+#: later one is added or subtracted in turn.
+MUL_TERMS = (
+    ((1, 0, 0), (-1, 1, 1), (-1, 2, 2), (1, 3, 3)),
+    ((1, 0, 1), (1, 1, 0), (-1, 2, 3), (-1, 3, 2)),
+    ((1, 0, 2), (1, 2, 0), (-1, 1, 3), (-1, 3, 1)),
+    ((1, 0, 3), (1, 3, 0), (1, 1, 2), (1, 2, 1)),
+)
+
+
 def checked_norm(plain: float, parts) -> float:
     """`plain`, the square root of the plain sum of squares of the floats
     `parts`, when it lies in [NORM_FLOOR, inf) where it is exact to rounding;

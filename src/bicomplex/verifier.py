@@ -98,8 +98,7 @@ class _Best:
         values = np.atleast_1d(np.asarray(values, dtype=np.float64))
         if values.size == 0 or np.isnan(self.value):
             return
-        nan = np.isnan(values)
-        k = int(np.argmax(nan)) if nan.any() else int(np.argmax(values))
+        k = int(np.argmax(values))  # numpy's argmax stops at the first NaN
         v = float(values[k])
         if np.isnan(v) or v > self.value:
             self.value = v
@@ -228,7 +227,9 @@ def _nonsingular_scalars(rng, count: int):
 # of each trial.  Each part keeps its worst value over a group, and the parts
 # are folded in order at its end, so ties and NaNs pick the witness that one
 # pass per part would.  A witness holds the part, if any, then the columns its
-# values are indexed by.
+# values are indexed by.  A block may carry, after its columns, values derived
+# from them that several of its draw's blocks share, such as the norms of a
+# vector column; the witness leaves them out, and a replay recomputes them.
 
 
 @dataclass(frozen=True)
@@ -356,16 +357,28 @@ def _idempotent_identity_violation() -> float:
     return float(max(np.max(np.abs(dev)) for dev in devs))
 
 
+def _deviation(P, Q) -> np.ndarray:
+    """The largest coefficient of |P - Q| over scalar planes (4, rows), per
+    row, taken in the buffer of Q, a temporary."""
+    np.subtract(P, Q, out=Q)
+    return np.abs(Q, out=Q).max(axis=0)
+
+
 def _ring_axiom_values(S, T, U) -> dict:
     """The identities of e1 and e2, a constant replayed from no input, then each
     axiom's largest coefficient deviation over scalar planes (4, rows)."""
     values = {"idempotent-identities": _idempotent_identity_violation()}
     S, T, U = (np.empty((4, 0)) if P is None else P for P in (S, T, U))  # a column a witness lacks has no rows
+    STU = plane_mul4(S, plane_mul4(T, U))  # before ST, so that TU is freed first
     ST = plane_mul4(S, T)
-    values["mul-associative"] = np.abs(plane_mul4(ST, U) - plane_mul4(S, plane_mul4(T, U))).max(axis=0)
-    values["mul-commutative"] = np.abs(ST - plane_mul4(T, S)).max(axis=0)
-    values["distributive"] = np.abs(plane_mul4(S, T + U) - (ST + plane_mul4(S, U))).max(axis=0)
-    values["add-associative"] = np.abs((S + T) + U - (S + (T + U))).max(axis=0)
+    values["mul-associative"] = _deviation(plane_mul4(ST, U), STU)
+    del STU
+    values["mul-commutative"] = _deviation(ST, plane_mul4(T, S))
+    ST += plane_mul4(S, U)
+    values["distributive"] = _deviation(plane_mul4(S, T + U), ST)
+    left, right = np.add(S, T, out=ST), T + U  # ST is spent
+    left += U
+    values["add-associative"] = _deviation(left, np.add(S, right, out=right))
     return values
 
 
@@ -373,18 +386,29 @@ def _ring_axiom_values(S, T, U) -> dict:
 
 
 def _submult_values(S, T) -> np.ndarray:
-    denom = plane_norm4(S) * plane_norm4(T)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    return plane_norm4(plane_mul4(S, T)) / denom
+    ratio = plane_norm4(plane_mul4(S, T))
+    denom = plane_norm4(S)
+    denom *= plane_norm4(T)
+    denom[denom == 0.0] = 1.0
+    ratio /= denom
+    return ratio
 
 
 # --- norm-identity -----------------------------------------------------------
 
 
 def _norm_identity_values(W) -> np.ndarray:
+    """|n - sqrt((|h1|^2 + |h2|^2) / 2)| / (1 + n), n the norm of W (4, rows),
+    computed in place."""
     n = plane_norm4(W)
-    h1, h2 = plane_hat_split(W)
-    return np.abs(n - np.sqrt((np.abs(h1) ** 2 + np.abs(h2) ** 2) / 2.0)) / (1.0 + n)
+    squares = np.abs(plane_hat_split(W))
+    squares *= squares
+    hat = np.add(*squares, out=squares[0])
+    hat /= 2.0
+    np.sqrt(hat, out=hat)
+    np.subtract(n, hat, out=hat)
+    n += 1.0
+    return np.divide(np.abs(hat, out=hat), n, out=hat)
 
 
 # --- scalar-homogeneity --------------------------------------------------------
@@ -399,12 +423,14 @@ _HOMOGENEITY_PARTS = {
 }
 
 
-def _homogeneity_values(part, A, X) -> dict:
-    """The violation of `part` at scalar planes A (4, rows), vector planes X (4, n, rows)."""
+def _homogeneity_values(part, A, X, nx=None) -> dict:
+    """The violation of `part` at scalar planes A (4, rows), vector planes
+    X (4, n, rows), whose norms nx the draw may pass."""
     formula = _HOMOGENEITY_PARTS.get(part)
     if formula is None:
         return {}
-    return {part: formula(plane_vec_norm4(plane_mul4(A, X)), plane_norm4(A), plane_vec_norm4(X))}
+    ns = plane_vec_norm4(plane_mul4(A, X))
+    return {part: formula(ns, plane_norm4(A), plane_vec_norm4(X) if nx is None else nx)}
 
 
 @_per_dimension
@@ -412,8 +438,9 @@ def _homogeneity_draw(rng, n: int, count: int):
     """Each part's (part, alpha, x): complex alpha, any alpha, and alpha = e1
     at x in the ideal e1 T^n, where the sqrt(2) bound is attained."""
     for X, z, W, G in _plane_blocks(rng, count, (n, 4), (2,), (4,), (n, 4)):
-        yield "complex-exact", np.concatenate([z, np.zeros_like(z)]), X
-        yield "ring-bound", W, X
+        nx = plane_vec_norm4(X)
+        yield "complex-exact", np.concatenate([z, np.zeros_like(z)]), X, nx
+        yield "ring-bound", W, X, nx
         yield "attainment", np.broadcast_to(_E1_PLANE, W.shape), plane_mul4(_E1_PLANE, G)
 
 
@@ -421,10 +448,15 @@ def _homogeneity_draw(rng, n: int, count: int):
 
 
 def _translation_values(X, Y, A) -> dict:
-    before = plane_vec_norm4(X - Y)
+    """The violations at vector planes X, Y, A (4, n, rows), whose sums and
+    differences share two buffers."""
+    D, E = X - Y, Y + A
+    before = plane_vec_norm4(D)
+    np.add(X, A, out=D)
+    shifted = plane_vec_norm4(np.subtract(D, E, out=D))
     return {
-        "metric-shift": np.abs(plane_vec_norm4((X + A) - (Y + A)) - before) / (1.0 + before),
-        "fnorm-definition": np.abs(plane_vec_norm4(X) - plane_vec_norm4(X - np.zeros_like(X))),
+        "metric-shift": np.abs(shifted - before) / (1.0 + before),
+        "fnorm-definition": np.abs(plane_vec_norm4(X) - plane_vec_norm4(np.subtract(X, 0.0, out=E))),
     }
 
 
@@ -432,27 +464,40 @@ def _translation_values(X, Y, A) -> dict:
 
 
 def _ta_values(A, X, Y) -> dict:
-    before = plane_vec_norm4(X - Y)
+    """The violations at vector planes A, X, Y (4, n, rows), whose sums and
+    differences share two buffers."""
+    D, E = X - Y, A + Y
+    before = plane_vec_norm4(D)
+    np.add(A, X, out=D)
+    moved = plane_vec_norm4(np.subtract(D, E, out=D))
+    np.add(X, A, out=D)
+    D -= A
+    D -= X
     return {
-        "isometry": np.abs(plane_vec_norm4((A + X) - (A + Y)) - before) / (1.0 + before),
-        "roundtrip": plane_vec_norm4(((X + A) - A) - X) / (1.0 + plane_vec_norm4(X) + plane_vec_norm4(A)),
+        "isometry": np.abs(moved - before) / (1.0 + before),
+        "roundtrip": plane_vec_norm4(D) / (1.0 + plane_vec_norm4(X) + plane_vec_norm4(A)),
     }
 
 
 # --- homeomorphism-Mlambda ---------------------------------------------------------
 
 
-def _mlambda_values(part, component, L, X) -> dict:
+def _mlambda_values(part, component, L, X, nx=None) -> dict:
     """The violation of `part` at scalar planes L (4, rows) and vector planes
-    X (4, n, rows); for collapse, hat component `component` of L vanishes."""
+    X (4, n, rows), whose norms nx the draw may pass; for collapse, hat
+    component `component` of L vanishes."""
     if part == "roundtrip":
         h1, h2 = plane_hat_split(L)
         back = plane_mul4(plane_hat_merge(1.0 / h1, 1.0 / h2), plane_mul4(L, X))
-        return {part: plane_vec_norm4(back - X) / (1.0 + plane_vec_norm4(X))}
-    if part == "collapse":
-        dead = plane_hat_split(plane_mul4(L, X))[component - 1]
-        return {part: np.sqrt(add_in_turn(np.abs(dead.T) ** 2)) / (1.0 + plane_vec_norm4(X))}
-    return {}
+        back -= X
+        violation = plane_vec_norm4(back)
+    elif part == "collapse":
+        dead = np.abs(plane_hat_split(plane_mul4(L, X))[component - 1])
+        dead *= dead
+        violation = np.sqrt(add_in_turn(dead.T))
+    else:
+        return {}
+    return {part: violation / (1.0 + (plane_vec_norm4(X) if nx is None else nx))}
 
 
 @_per_dimension
@@ -464,12 +509,13 @@ def _mlambda_draw(rng, n: int, count: int):
         rows = X.shape[-1]
         while len(L) < rows:
             L = np.concatenate([L, next(multipliers)])
-        yield "roundtrip", None, planes(L[:rows]), X
+        nx = plane_vec_norm4(X)
+        yield "roundtrip", None, planes(L[:rows]), X, nx
         L = L[rows:]
         h = re + 1j * im
         zeros = np.zeros_like(h)
-        yield "collapse", 1, plane_hat_merge(zeros, h), X
-        yield "collapse", 2, plane_hat_merge(h, zeros), X
+        yield "collapse", 1, plane_hat_merge(zeros, h), X, nx
+        yield "collapse", 2, plane_hat_merge(h, zeros), X, nx
 
 
 # --- total-family ----------------------------------------------------------------

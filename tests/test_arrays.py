@@ -9,9 +9,9 @@ import re
 import numpy as np
 import pytest
 
-from bicomplex import NormReport, TMatrix, TVector, _arrays, verifier
+from bicomplex import Bicomplex, NormReport, TMatrix, TVector, _arrays, verifier
 from bicomplex._arrays import hat_merge, hat_split, mul4, norm4, planes, vec_norm4
-from bicomplex._floats import merge_parts
+from bicomplex._floats import MUL_TERMS, merge_parts, mul_parts
 
 #: Powers of two from the subnormals to the top of the range, and 1e+-300.
 SCALES = [2.0**k for k in (-1074, -1070, -1050, -1022, -997, -530, -1, 0, 1, 997, 1022, 1023)]
@@ -320,3 +320,68 @@ def test_plane_kernels_give_the_bits_of_the_coefficient_kernels(rows):
         H = _arrays.plane_hat_split(planes(X))
         assert np.array_equal(_bits(H), _bits(np.moveaxis(hat_split(X), 1, -1))), n
         assert np.array_equal(_bits(_arrays.plane_hat_merge(*H).T), _bits(hat_merge(*hat_split(X)))), n
+
+
+class _Terms:
+    """A coefficient u_k, v_l, or a sum of signed products u_k v_l as mul_parts
+    forms it: each later product must join the sum alone, added in turn."""
+
+    def __init__(self, side=None, index=None, terms=()):
+        self.side, self.index, self.terms = side, index, terms
+
+    def __mul__(self, other):
+        assert (self.side, other.side) == ("u", "v")
+        return _Terms(terms=((1, self.index, other.index),))
+
+    def _then(self, sign, other):
+        ((one, k, l),) = other.terms
+        return _Terms(terms=self.terms + ((sign * one, k, l),))
+
+    def __add__(self, other):
+        return self._then(1, other)
+
+    def __sub__(self, other):
+        return self._then(-1, other)
+
+
+def test_mul_terms_are_the_terms_of_mul_parts_in_its_order():
+    u = [_Terms("u", k) for k in range(4)]
+    v = [_Terms("v", l) for l in range(4)]
+    assert tuple(part.terms for part in mul_parts(*u, *v)) == MUL_TERMS
+
+
+#: Coefficients whose products vanish to signed zeros, fall to subnormals,
+#: overflow to +-inf and give inf - inf = NaN, and whose sums round.
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-160, -1.5e-162,
+           1.0, -1.0, 3.0, 0.1, -0.7, 1.0 / 3.0, 2.0**-27, 1.0 + 2.0**-52, -1e154, 1.5e154, 1e300, -1e300,
+           1.7976931348623157e308]
+
+
+def _ubits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_plane_kernels_keep_the_bits_of_special_values():
+    rng = np.random.default_rng(26)
+    S, T = rng.choice(SPECIAL, (2, 4097, 4))
+    X = rng.choice(SPECIAL, (4097, 3, 4))
+    H = rng.choice(SPECIAL, (2, 3, 4097)) + 1j * rng.choice(SPECIAL, (2, 3, 4097))
+    with np.errstate(all="ignore"):
+        product = _arrays.plane_mul4(planes(S), planes(T))
+        assert np.array_equal(_ubits(product.T), _ubits(mul4(S, T)))
+        assert np.array_equal(_ubits(product.T), _ubits([mul_parts(*s, *t) for s, t in zip(S.tolist(), T.tolist())]))
+        vectors = _arrays.plane_mul4(planes(S), planes(X))
+        assert np.array_equal(_ubits(vectors.T), _ubits(mul4(S[:, None], X)))
+        norms = _arrays.plane_norm4(planes(S))
+        assert np.array_equal(_ubits(norms), _ubits(norm4(S)))
+        assert np.array_equal(_ubits(_arrays.checked_norms(norms, S)), _ubits([Bicomplex(*s).norm() for s in S]))
+        assert np.array_equal(_ubits(_arrays.plane_vec_norm4(planes(X))), _ubits(vec_norm4(X)))
+        assert np.array_equal(_ubits(_arrays.plane_hat_merge(*H).T), _ubits(hat_merge(H[0].T, H[1].T)))
+    assert np.isnan(product).any() and np.isinf(product).any() and (_ubits(product) == _ubits(-0.0)).any()
+    for s, t, row in zip(S, T, product.T):
+        if np.isfinite(row).all():
+            w = Bicomplex(*s) * Bicomplex(*t)
+            assert _ubits([w.a, w.b, w.c, w.d]).tolist() == _ubits(row).tolist()
+        else:
+            with pytest.raises(ValueError):
+                Bicomplex(*s) * Bicomplex(*t)

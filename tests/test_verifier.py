@@ -31,7 +31,7 @@ from bicomplex import (
     run_check,
 )
 from bicomplex import _arrays, verifier
-from bicomplex._arrays import real_block_matrix
+from bicomplex._arrays import planes, real_block_matrix
 from bicomplex.verifier import CHECKS
 
 SMALL_TRIALS = 25
@@ -668,6 +668,28 @@ def test_streamed_checks_hold_the_same_memory_at_four_times_the_trials(check_id)
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize("values, columns, kept", [(verifier._submult_values, 2, 2), (verifier._ring_axiom_values, 3, 3)])
+def test_a_full_scalar_block_is_evaluated_in_place(values, columns, kept):
+    # The product kernel writes into its output through one scratch plane and
+    # the norm kernels square into one array, so a block of scalar planes
+    # (4, rows) holds its output and at most `kept` block-sized arrays beside
+    # it: submult the product and its squares, ring-axioms two products and a
+    # sum.  Kernels that make one temporary per term, as the allocating ones
+    # did, hold at least half a block more.
+    rows = verifier._BLOCK_ELEMENTS // 4
+    rng = np.random.default_rng(8)
+    block = [planes(rng.uniform(-1.0, 1.0, (rows, 4))) for _ in range(columns)]
+    values(*block)
+    tracemalloc.start()
+    try:
+        out = values(*block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(np.asarray(v).nbytes for v in (out.values() if isinstance(out, dict) else [out]))
+    assert peak <= output + kept * block[0].nbytes + 4096
 
 
 #: Column shapes of one stream: a scalar, a T row and a vector of T^3.
