@@ -1,53 +1,52 @@
 #!/usr/bin/env python3
-"""Time the per-object operator path at n = 2, 8, 64 and print a table.
+"""Time the package in cold processes, or call by call against a second tree.
 
-Each figure is the best of 5 timings, in microseconds per call; a timing
-runs --number calls, or by default as many as take 0.2 s.  *Warm* reuses
-one operator that has solved once, so its hat split and inverse are
-cached; accepting it took no SVD, so its singular values are not, and it
-took a determinant only where the AM-GM bounds on it fall short of the
-null-cone floor (here at n = 64, not at n = 2 or 8).  *Cold* builds the operator from its raw coefficient array inside the
-call.  Every call builds its argument vector from a raw array, as
-a request would.  The chained rows feed one warm operator's result to the
+By default the script prints, for 5 fresh processes each, the median wall
+time and the median CPU time of the child (user + system, from
+`getrusage`) in milliseconds: `import bicomplex`, then each of the six
+commands through `python -m bicomplex` at n = 8, `verify` at `--trials 3`.
+`calc` and `decompose` do not import numpy.  Wall time of a short process
+moves with the machine's load; its CPU time moves far less.
+
+With --against DIR the script compares two trees in one process instead;
+DIR may be this tree, to see how far one process's rounds spread.  It
+imports the package under DIR/src as `bicomplex_against`, next to the one
+under test, and runs each call on both, call by call, the first of each
+pair alternating, for ROUNDS rounds of --number calls (by default a
+twentieth of what takes 0.2 s).  The calls are the per-object operator
+path at n = 2, 8 and 64.  *Warm* reuses one operator that has solved once,
+so its hat split and inverse are cached; accepting it took no SVD, so its
+singular values are not, and it took a determinant only where the AM-GM
+bounds on it fall short of the null-cone floor (here at n = 64, not at n = 2
+or 8).  *Cold* builds the operator from its raw coefficient array inside
+the call.  Every call builds its argument vector from a raw array, as a
+request would.  The chained calls feed one warm operator's result to the
 next call, and `separating_functional` runs against a warm submodule of n/2
 generators; none of them reads a result's coefficients, so a result kept in
-hat form is never merged.  `hahn_banach_extend` builds that submodule from
-its raw generator arrays inside the call, as a one-shot request would, and
-extends a functional built from a raw array.  The last row times the bare
-complex work of one call: the two matvecs (M1 v1, M2 v2) of `apply`, and the
-refined inverse-apply of both components that `solve` makes on the cached
-inverses (`_arrays.solve_pair`, five stacked matvecs).
-
-A second table gives, for 5 fresh processes each, the median wall time and
-the median CPU time of the child (user + system, from `getrusage`) in
-milliseconds: `import bicomplex`, then each of the six commands through
-`python -m bicomplex` at n = 8, `verify` at `--trials 3`.  `calc` and
-`decompose` do not import numpy.  Wall time of a short process moves with
-the machine's load; its CPU time moves far less.
-
-With --against DIR the script compares two trees in one process instead.
-It imports the package under DIR/src as `bicomplex_against`, next to the
-one under test, and runs each call on both, call by call, the first of each
-pair alternating, for ROUNDS rounds of --number calls (by default a
-twentieth of what takes 0.2 s).  Those are the calls of the first table and
-the parts of a one-shot request at every size: `TMatrix(raw).apply(
-TVector(raw)).coeffs`, `hat_split` of the raw matrix and of the raw vector,
-`TMatrix(raw)` and `TVector(raw)`, a built vector's `norm`, warm `apply` of
-a built vector and its bare `apply_pair`, the vector `pair_norms`, and a
-warm submodule's `distance_to` and `hahn_banach_extend`.  A first control row, a product of
-two scalars built in the call, times what neither tree's arrays touch.  The
-last rows run each of the seven streamed verifier checks once (`run_check`
-at seed 42 and CHECK_TRIALS trials: two full blocks of a scalar check, 1000
-trials in each dimension of a vector check), so that a change to the plane
-kernels is timed check by check in one process.  Each row gives both
-sides' medians over the rounds, the relative change and the rounds this
-tree won; the cold processes are not run.  Separate
-processes of the same tree differed here by up to 10%, where one process
-held the control within 1%.  --json prints either result as one JSON object.
+hat form is never merged.  `extend cold` builds that submodule from its raw
+generator arrays inside the call, as a one-shot request would, and extends
+a functional built from a raw array.  `matvecs` times the two bare complex
+matvecs (M1 v1, M2 v2) of `apply`, and `inverse-applies` the refined
+inverse-apply of both components that `solve` makes on the cached inverses
+(`_arrays.solve_pair`, five stacked matvecs).  Then come the parts of a
+one-shot request: `TMatrix(raw).apply(TVector(raw)).coeffs`, `hat_split`
+of the raw matrix and of the raw vector, `TMatrix(raw)` and `TVector(raw)`,
+a built vector's `norm`, warm `apply` of a built vector and its bare
+`apply_pair`, the vector `pair_norms`, and a warm submodule's `distance_to`
+and `hahn_banach_extend`.  A first control row, a product of two scalars
+built in the call, times what neither tree's arrays touch.  The last rows
+run each of the seven streamed verifier checks once (`run_check` at seed 42
+and CHECK_TRIALS trials: two full blocks of a scalar check, 1000 trials in
+each dimension of a vector check), so that a change to the plane kernels is
+timed check by check in one process.  Each row gives both sides' medians
+over the rounds, the relative change and the rounds this tree won; the cold
+processes are not run.  Separate processes of the same tree differed here
+by up to 10%, where one process held the control within 1%.  --json prints
+either result as one JSON object.
 
     python scripts/microbench.py
-    python scripts/microbench.py --number 100
-    python scripts/microbench.py --against /path/to/parent/tree --json
+    python scripts/microbench.py --against /path/to/parent/tree
+    python scripts/microbench.py --against . --number 100 --json
 """
 
 import os
@@ -93,12 +92,6 @@ def _conditioned(rng, n: int) -> np.ndarray:
     return TMatrix.from_hat(*comps).coeffs
 
 
-def _best_us(fn, number) -> float:
-    timer = timeit.Timer(fn)
-    number = number or timer.autorange()[0]
-    return min(timer.repeat(number=number, repeat=REPEAT)) / number * 1e6
-
-
 def calls(bc, n: int) -> dict:
     """The timed calls at size n on the package `bc`, each a function of no
     arguments, on inputs drawn from a generator seeded by n, so every package
@@ -142,11 +135,6 @@ def calls(bc, n: int) -> dict:
         "distance warm": lambda: Y.distance_to(TVector(x)),
         "extend warm": lambda: bc.hahn_banach_extend(TFunctional(TVector(x)), Y),
     }
-
-
-def measure(n: int, number=None) -> dict:
-    """Best-of-5 microseconds per call of each operation of the first table at size n."""
-    return {name: _best_us(fn, number) for name, fn in calls(bicomplex, n).items() if name in TABLED}
 
 
 def import_tree(root: Path):
@@ -217,20 +205,6 @@ def compare_table(rows: list) -> str:
     return "\n".join(lines)
 
 
-ROWS = (
-    ("`apply` warm / cold", ("apply warm", "apply cold")),
-    ("`solve` warm / cold", ("solve warm", "solve cold")),
-    ("`norms` / `invert` cold", ("norms cold", "invert cold")),
-    ("`compose` (cold)", ("compose cold",)),
-    ("`compose` then `apply` (warm)", ("compose apply",)),
-    ("`solve` then `apply` (warm)", ("solve apply",)),
-    ("`separating_functional` (warm submodule)", ("separate",)),
-    ("`hahn_banach_extend` (cold submodule)", ("extend cold",)),
-    ("two raw complex matvecs / refined inverse-applies", ("matvecs", "inverse-applies")),
-)
-TABLED = {name for _, names in ROWS for name in names}
-
-
 def _child_cpu_s() -> float:
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
@@ -277,33 +251,26 @@ def cold_start() -> dict:
         return times
 
 
-def table(results: dict) -> str:
-    lines = ["| operation | " + " | ".join(f"n={n}" for n in results) + " |", "|---" * (len(results) + 1) + "|"]
-    for label, keys in ROWS:
-        cells = [" / ".join(f"{results[n][k]:.1f}" for k in keys) for n in results]
-        lines.append(f"| {label} | " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--number", type=int, default=None, help="calls per timing (default: as many as take 0.2 s)")
+    parser.add_argument("--number", type=int, default=None,
+                        help="calls per round of --against (default: a twentieth of what takes 0.2 s)")
     parser.add_argument("--against", type=Path, default=None, metavar="DIR",
                         help="interleave every per-object call with the package of the tree DIR")
-    parser.add_argument("--json", action="store_true", help="print one JSON object instead of the tables")
+    parser.add_argument("--json", action="store_true", help="print one JSON object instead of the table")
     args = parser.parse_args()
+    if args.number is not None and args.against is None:
+        parser.error("--number sets the calls of --against; the cold processes take none")
     if args.against is not None:
         rows = compare(import_tree(args.against.resolve()), args.number)
         print(json.dumps({"against": str(args.against), "rows": rows}) if args.json else compare_table(rows))
         return 0
-    results = {n: measure(n, args.number) for n in SIZES}
     cold = cold_start()
     if args.json:
-        print(json.dumps({"per_call_us": results, "cold_process_ms": {
+        print(json.dumps({"cold_process_ms": {
             label.strip("`"): {"median": wall, "child_cpu": cpu} for label, (wall, cpu) in cold.items()}}))
         return 0
-    print(table(results))
-    print("\n| cold process | median ms | child CPU ms |\n|---|---|---|")
+    print("| cold process | median ms | child CPU ms |\n|---|---|---|")
     for label, (wall, cpu) in cold.items():
         print(f"| {label} | {wall:.1f} | {cpu:.1f} |")
     return 0

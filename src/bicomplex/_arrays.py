@@ -31,14 +31,13 @@ def integer(value, what: str = "a dimension") -> int:
     return operator.index(value)
 
 
-def frozen_coeffs(data, ndim: int, what: str, copy: bool = True) -> np.ndarray:
+def frozen_coeffs(data, ndim: int, what: str) -> np.ndarray:
     """A read-only float64 copy of `data`, checked to have `ndim` nonempty
     axes, the last of length 4, and finite entries: the sum of squares, one
     BLAS dot, is below inf, or else np.isfinite holds, as it does for entries
     whose squares overflow.  The copy keeps later writes to `data` from
-    reaching the per-object caches built on it; pass copy=False only for a
-    fresh float64 array that nothing else holds."""
-    arr = np.array(data, dtype=np.float64) if copy else np.asarray(data, dtype=np.float64)
+    reaching the per-object caches built on it."""
+    arr = np.array(data, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != 4:
         raise ValueError(f"{what}: expected shape ({'..., ' * (ndim - 1)}4), got {arr.shape}")
     if arr.size == 0:
@@ -108,10 +107,9 @@ def checked_norms(plain: np.ndarray, parts: np.ndarray) -> np.ndarray:
 
 
 def dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Dot products sum_k u_k v_k over the last axis of two vectors (n,) or
-    stacks (..., n), which broadcast.  Each is the BLAS dot of the 1-D u @ v."""
-    if U.ndim == V.ndim == 1:
-        return U.dot(V)
+    """Dot products sum_k u_k v_k over the last axis of two stacks (..., n),
+    which broadcast, as row-by-column matrix products; each has the bits of
+    the 1-D u @ v."""
     return (U[..., None, :] @ V[..., :, None])[..., 0, 0]
 
 

@@ -1,6 +1,7 @@
 """Float formulas shared by the scalar layer and the array kernels.  No numpy
-is imported here, so the scalar commands start without it; the product and
-merge formulas take floats and arrays alike and round the same on both."""
+is imported here, so the scalar commands start without it.  Arrays round as
+scalars do by taking MUL_TERMS through _arrays.plane_mul4, mul_parts through
+_arrays.mul4, and merge_parts' sums written out in _arrays._merge_into."""
 
 import math
 import sys

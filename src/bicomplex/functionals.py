@@ -289,13 +289,8 @@ def separating_functional(x: TVector, Y: Submodule) -> SeparationResult:
     bad = vanishing(result.d1, result.d2, NULL_CONE_TOL * x.norm())
     if bad:
         raise ComponentInNullDistance(bad, (result.d1, result.d2))
-    v1, v2 = x.split()
-    p1, p2 = result.projection.split()
-    res1 = v1 - p1
-    res2 = v2 - p2
-    c1 = np.conj(res1) / result.d1 / result.d1
-    c2 = np.conj(res2) / result.d2 / result.d2
-    functional = TFunctional(TVector.from_split(c1, c2))
+    d = np.array([[result.d1], [result.d2]])
+    functional = TFunctional(TVector.from_split(*np.conj(x.split() - result.projection.split()) / d / d))
     return SeparationResult(
         functional=functional,
         norms=functional.norms(),
@@ -324,15 +319,13 @@ def norming_functional(x: TVector) -> NormingResult:
     Null-cone vectors raise NullConeVector since f(x) would be confined to
     an ideal.
     """
-    v1, v2 = x.split()
-    n1, n2 = pair_norms(v1, v2)
+    H = x.split()
+    n1, n2 = pair_norms(*H)
     bad = vanishing(n1, n2, NULL_CONE_TOL * x.norm())
     if bad:
         raise NullConeVector(bad)
-    target = x.norm()
-    c1 = np.conj(v1) * (target / n1 / n1)
-    c2 = np.conj(v2) * (target / n2 / n2)
-    functional = TFunctional(TVector.from_split(c1, c2))
+    n = np.array([[n1], [n2]])
+    functional = TFunctional(TVector.from_split(*np.conj(H) * (x.norm() / n / n)))
     return NormingResult(
         functional=functional,
         value=functional(x),

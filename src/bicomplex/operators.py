@@ -341,6 +341,8 @@ class TMatrix(FrozenArrays):
     @classmethod
     def from_json(cls, data) -> "TMatrix":
         m, n = _arrays.integer(data["m"]), _arrays.integer(data["n"])
+        if m < 1 or n < 1:
+            raise ValueError(f"dimensions m and n must be at least 1, got m={m}, n={n}")
         entries = np.array(data["entries"], dtype=np.float64)
         if entries.shape != (m * n, 4):
             raise ValueError(f"expected {m * n} entries of 4 reals, got shape {entries.shape}")

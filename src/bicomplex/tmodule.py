@@ -62,7 +62,7 @@ class FrozenArrays:
             x._start(None, H)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                x._start(_arrays.frozen_coeffs(_arrays.hat_merge(*H), cls._NDIM, cls._WHAT, copy=False), H)
+                x._start(_arrays.frozen_coeffs(_arrays.hat_merge(*H), cls._NDIM, cls._WHAT), H)
         return x
 
     @property

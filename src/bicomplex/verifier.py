@@ -17,7 +17,6 @@ functionals module, not here.
 from __future__ import annotations
 
 import copy
-import functools
 import itertools
 import math
 import operator
@@ -34,7 +33,7 @@ from ._floats import SQRT2
 from .errors import MALFORMED, CheckCrashed, UnknownCheckId
 from .functionals import TFunctional, hahn_banach_extend, lift_real
 from .operators import TMatrix
-from .scalar import Bicomplex
+from .scalar import E1, E2, ONE, Bicomplex
 from .tmodule import Submodule, TVector
 
 
@@ -346,15 +345,9 @@ def _vector_draw(columns: int):
 # The scalar and vector checks evaluate each block on its coefficient planes,
 # through plane kernels that keep the bits of the coefficient layout.
 
-_E1_ROW, _E2_ROW = np.array([0.5, 0.0, 0.0, 0.5]), np.array([0.5, 0.0, 0.0, -0.5])
-_E1_PLANE = planes(_E1_ROW[None])
-
-
-@functools.cache
-def _idempotent_identity_violation() -> float:
-    e1, e2 = _E1_ROW, _E2_ROW
-    devs = (mul4(e1, e1) - e1, mul4(e2, e2) - e2, mul4(e1, e2), e1 + e2 - np.array([1.0, 0.0, 0.0, 0.0]))
-    return float(max(np.max(np.abs(dev)) for dev in devs))
+_E1_PLANE = planes(np.array([E1.coeffs]))
+#: The identities of e1 and e2: the largest coefficient of each deviation.
+_IDEMPOTENT_IDENTITIES = max(max(map(abs, w.coeffs)) for w in (E1 * E1 - E1, E2 * E2 - E2, E1 * E2, E1 + E2 - ONE))
 
 
 def _deviation(P, Q) -> np.ndarray:
@@ -367,7 +360,7 @@ def _deviation(P, Q) -> np.ndarray:
 def _ring_axiom_values(S, T, U) -> dict:
     """The identities of e1 and e2, a constant replayed from no input, then each
     axiom's largest coefficient deviation over scalar planes (4, rows)."""
-    values = {"idempotent-identities": _idempotent_identity_violation()}
+    values = {"idempotent-identities": _IDEMPOTENT_IDENTITIES}
     S, T, U = (np.empty((4, 0)) if P is None else P for P in (S, T, U))  # a column a witness lacks has no rows
     STU = plane_mul4(S, plane_mul4(T, U))  # before ST, so that TU is freed first
     ST = plane_mul4(S, T)
@@ -666,8 +659,8 @@ def _continuity_values(C, X) -> dict:
 
 # --- limit-operator --------------------------------------------------------------
 
-#: Coefficients of the scalars 1/k, k = 21..40, that shrink the perturbation.
-_TAIL_ROWS = np.array([[1.0 / k, 0.0, 0.0, 0.0] for k in range(21, 41)])
+#: The real scalars 1/k, k = 21..40, that shrink the perturbation.
+_TAIL_SCALES = np.array([1.0 / k for k in range(21, 41)])
 
 
 def _limit_perturbation_group(T, E):
@@ -675,16 +668,16 @@ def _limit_perturbation_group(T, E):
     stands in for the true liminf; a zero E is kept."""
     sup_t, sup_e = _norms(T)[0], _norms(E)[0]
     positive = sup_e > 0.0
-    rows = np.zeros((len(E), 4))
-    rows[positive, 0] = 0.5 * (sup_t[positive] + 1e-3) / sup_e[positive]
-    return np.where(positive[:, None, None, None], mul4(rows[:, None, None, :], E), E)
+    scales = np.ones(len(E))
+    scales[positive] = 0.5 * (sup_t[positive] + 1e-3) / sup_e[positive]
+    return scales[:, None, None, None] * E
 
 
 def _limit_operator_group(T, E):
     """Operators T, perturbations E (G, n, n, 4) -> (G,): how far sup_norm(T)
     exceeds sqrt(2) * min over k of sup_norm(T + E / k)."""
     target = _norms(T)[0]
-    tail = _norms(T[:, None] + mul4(_TAIL_ROWS[:, None, None, :], E[:, None]))[0]
+    tail = _norms(T[:, None] + _TAIL_SCALES[:, None, None, None] * E[:, None])[0]
     return (target - SQRT2 * np.min(tail, axis=-1)) / (1.0 + target)
 
 
@@ -692,17 +685,17 @@ def _limit_operator_group(T, E):
 
 #: The Cauchy sequence T_k = T + 2^(1-k) E, sampled at these k.
 _BXY_STEPS = (1, 5, 10, 20, 45)
-_BXY_ROWS = np.array([[2.0 ** (1 - k), 0.0, 0.0, 0.0] for k in _BXY_STEPS])
+_BXY_SCALES = np.array([2.0 ** (1 - k) for k in _BXY_STEPS])
 #: Every pair of sampled terms j < k, and |2^(1-j) - 2^(1-k)| for each.
 _BXY_EARLY, _BXY_LATE = np.triu_indices(len(_BXY_STEPS), k=1)
-_BXY_GAPS = np.abs(_BXY_ROWS[_BXY_EARLY, 0] - _BXY_ROWS[_BXY_LATE, 0])
+_BXY_GAPS = np.abs(_BXY_SCALES[_BXY_EARLY] - _BXY_SCALES[_BXY_LATE])
 
 
 def _bxy_complete_group(T, E):
     """Operators T, directions E (G, n, n, 4) -> (G,): the worst of the Cauchy
     bound on idem_norm(T_j - T_k), the distance from T_45 to the limit T, and
     the continuity of idem_norm along the sequence."""
-    terms = T[:, None] + mul4(_BXY_ROWS[:, None, None, :], E[:, None])
+    terms = T[:, None] + _BXY_SCALES[:, None, None, None] * E[:, None]
     idem_e, idem_t = _norms(E)[1][:, None], _norms(T)[1][:, None]
     measured = _norms(terms[:, _BXY_EARLY] - terms[:, _BXY_LATE])[1]
     residual = _norms(T - terms[:, -1])[1][:, None]
@@ -740,9 +733,8 @@ def _scaled_rhs_group(S, A, Y, u):
     C = _conditioned_matrices(S, A)
     sv = _arrays.pair_singular_values(hat_split(C))
     radius = np.minimum(sv[0, :, -1], sv[1, :, -1])
-    rows = np.zeros(u.shape + (4,))
-    rows[..., 0] = radius[:, None] * u / _arrays.vector_norms(Y)
-    return list(zip(C, mul4(rows[..., None, :], Y)))
+    scales = radius[:, None] * u / _arrays.vector_norms(Y)
+    return list(zip(C, scales[..., None, None] * Y))
 
 
 def _open_mapping_group(C, Y):
@@ -768,15 +760,12 @@ def _open_mapping_group(C, Y):
 
 # --- closed-graph ----------------------------------------------------------------
 
-#: Coefficients of the scalar 2^-40: x_k = x + 2^-40 p approaches x.
-_SHIFT_ROW = np.array([2.0 ** -40, 0.0, 0.0, 0.0])
-
 
 def _closed_graph_group(C, X, P):
     """Operators C (G, n, n, 4), points X and directions P (G, n, 4) -> (G,):
     |T x - T x_k| relative to |T x|."""
     H = hat_split(C)
-    y_limit = _apply(H, X + mul4(_SHIFT_ROW, P))
+    y_limit = _apply(H, X + 2.0**-40 * P)  # x_k = x + 2^-40 p approaches x
     at_x = _apply(H, X)
     return _arrays.vector_norms(at_x - y_limit) / (1.0 + _arrays.vector_norms(at_x))
 

@@ -75,15 +75,20 @@ def test_decompose_singular(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["calc", "1 0 0 0", "mul"])  # missing operand
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--all", "--frobnicate"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify"])  # needs --all or --check
-    assert exc.value.code == 2
+    for argv in (
+        ["calc", "1 0 0 0", "mul"],  # missing operand
+        ["calc", "1 0 0 0", "inverse", "2 0 0 0"],  # inverse takes one scalar
+        ["verify", "--all", "--frobnicate"],
+        ["verify"],  # needs --all or --check
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    for command in (["calc", "1 0 0 0", "inverse"], ["decompose", "1 0 0 0"], ["solve", "m.json", "v.json"]):
+        for tol in ("0", "-1", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--tol", tol])
+            assert exc.value.code == 2 and "--tol: must be positive" in capsys.readouterr().err
 
 
 def test_unknown_check_id_is_a_usage_error_naming_the_valid_ids(capsys, monkeypatch):
@@ -231,6 +236,15 @@ def test_a_json_file_of_the_wrong_structure_exits_2_naming_it(capsys, tmp_path, 
     assert (code, out, sorted(payload)) == (2, "", ["error", "message"])
     assert payload["error"] == "ValueError"
     assert [str(path) in payload["message"] for path in paths] == [k == bad for k in range(len(paths))]
+
+
+def test_matrix_dimensions_below_1_exit_2_naming_the_file_and_fields(capsys, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"m": -1, "n": -1, "entries": _ONE}))  # m * n = 1 entry
+    code, out, err = run_cli(capsys, "norm", str(path))
+    message = json.loads(err)["message"]
+    assert (code, out) == (2, "")
+    assert str(path) in message and "m and n must be at least 1, got m=-1, n=-1" in message
 
 
 def test_norm_report(capsys, problem_files):

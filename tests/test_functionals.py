@@ -53,6 +53,7 @@ def test_eval_examples():
     assert f(TVector.basis(3, 0)) == Bicomplex()
     with pytest.raises(DimensionMismatch):
         f(TVector.basis(2, 0))
+    assert TFunctional(f.coeffs.coeffs) == f  # raw (n, 4) coefficients
     g = TFunctional.coordinate(3, 0)
     assert (f + g)(TVector.basis(3, 0)) == ONE and (f - g)(TVector.basis(3, 1)) == ONE
     for other in (1, f.coeffs, f.coeffs.coeffs):
@@ -137,6 +138,10 @@ def test_lift_real_examples():
     assert (lifted(w) - w[0]).norm() <= 2.3e-16 * (1 + w.norm())
 
     assert lift_real(RealLinearFunctional.zero(3)).coeffs == TVector.zero(3)
+    with pytest.raises(DimensionMismatch, match="functional takes dimension 1, got 2"):
+        F1(TVector.zero(2))
+    assert F1 == RealLinearFunctional([[1.0, 0.0, 0.0, 0.0]])
+    assert F1 != RealLinearFunctional.zero(1) and F1 != F1.coeffs
 
 
 @given(functionals(3))
@@ -182,6 +187,8 @@ def test_hahn_banach_axis_example():
     assert np.max(np.abs(report.extension.coeffs.coeffs - ystar.coeffs.coeffs)) <= 1e-12
     assert report.y_component_norms == pytest.approx(report.x_component_norms, abs=1e-12)
     assert report.y_norms.idem_norm == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(DimensionMismatch, match="functional dimension 3 != ambient 2"):
+        hahn_banach_extend(TFunctional.coordinate(3, 0), Y)
 
 
 def test_hahn_banach_random_instances():
@@ -210,6 +217,9 @@ def test_from_generator_values_consistent_case():
     target = Bicomplex(0.5, 0.25, -0.75, 1.0)
     f = TFunctional.from_generator_values(Y, [target])
     assert (f(g) - target).norm() <= 1e-12
+    with pytest.raises(DimensionMismatch, match="1 generators but 2 values"):
+        TFunctional.from_generator_values(Y, [target, target])
+    assert TFunctional.from_generator_values(Submodule.zero(2), []) == TFunctional(TVector.zero(2))
 
 
 def test_from_generator_values_inconsistent_case():

@@ -244,8 +244,9 @@ def test_bound_constant_contract_and_tightness():
 def test_det_examples():
     assert TMatrix.identity(3).det() == ONE
     assert TMatrix.scalar(2, E1).det() == E1
-    with pytest.raises(NotSquare):
-        TMatrix.zeros(2, 3).det()
+    for call in (TMatrix.det, TMatrix.invert, lambda T: T.solve(TVector.zero(2))):
+        with pytest.raises(NotSquare):
+            call(TMatrix.zeros(2, 3))
 
 
 def test_a_determinant_float64_cannot_hold_raises_overflow_without_a_warning():
@@ -269,6 +270,8 @@ def test_solve_scalar_example():
     T = TMatrix.scalar(1, Bicomplex.from_idempotent(2, 1))
     b = TVector.from_scalars([ONE])
     assert T.solve(b) == TVector.from_scalars([Bicomplex(0.75, 0, 0, -0.25)])
+    with pytest.raises(DimensionMismatch, match="right-hand side dimension 2 != 1"):
+        T.solve(TVector.zero(2))
 
 
 def test_invert_rejects_null_cone_multiplier():
@@ -337,6 +340,9 @@ def test_matrix_json_round_trip():
     assert back == T
     with pytest.raises(ValueError):
         TMatrix.from_json({"m": 2, "n": 2, "entries": [[1, 0, 0, 0]]})
+    for m, n in ((-1, -1), (0, 1), (1, 0)):  # m * n entries alone let (-1, -1) reach reshape
+        with pytest.raises(ValueError, match=f"m and n must be at least 1, got m={m}, n={n}"):
+            TMatrix.from_json({"m": m, "n": n, "entries": [[1, 0, 0, 0]]})
     for m in (1.9, True, None):  # int() read 1.9 and True as 1
         with pytest.raises(TypeError, match="dimension must be an integer"):
             TMatrix.from_json({"m": m, "n": 1, "entries": [[1, 0, 0, 0]]})

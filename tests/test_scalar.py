@@ -126,6 +126,7 @@ def test_hat_components_multiply_componentwise_example():
     hw, hv = w.to_idempotent(), v.to_idempotent()
     assert left.h1 == hw.h1 * hv.h1 == 1 - 1j
     assert left.h2 == hw.h2 * hv.h2 == -1 - 1j
+    assert hw * hv == left
 
 
 @given(scalars, scalars)
@@ -287,6 +288,7 @@ def test_coerce():
     assert Bicomplex.coerce(2) == Bicomplex(2.0)
     assert Bicomplex.coerce(1 + 2j) == Bicomplex(1.0, 2.0)
     assert Bicomplex.coerce(E1) is E1
+    assert 1 - E1 == E2 and 1j - ONE == Bicomplex(-1.0, 1.0)  # __rsub__ coerces the number
     with pytest.raises(TypeError):
         Bicomplex.coerce("nope")
 

@@ -300,6 +300,12 @@ def test_submodule_json_round_trip():
     for n in (2.7, 2.0, True):
         with pytest.raises(TypeError, match="dimension must be an integer"):
             Submodule(n, [])
+    with pytest.raises(ValueError, match="ambient dimension must be at least 1"):
+        Submodule(0, [])
+    with pytest.raises(TypeError, match="generators must be TVector instances"):
+        Submodule(2, [np.zeros((2, 4))])
+    with pytest.raises(ValueError, match="needs at least one generator"):
+        Submodule.span()
     with pytest.raises(ValueError, match="declared dimension 3 != generator length 2"):
         Submodule.from_json({"n": 3, "generators": Y.to_json()["generators"]})
 
