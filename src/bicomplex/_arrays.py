@@ -118,10 +118,10 @@ def pair_norms(u1: np.ndarray, u2: np.ndarray) -> tuple:
     (..., n): the sums of squares np.linalg.norm takes of one vector, with
     checked_norm's scaled fallback.  Floats for vectors, arrays for stacks."""
     us = [np.ascontiguousarray(u, dtype=np.complex128) for u in (u1, u2)]
+    if us[0].ndim == 1:  # a vector's two BLAS dots, added as Python floats; np.vdot never warns
+        return tuple([checked_norm(math.sqrt(float(np.vdot(u.real, u.real)) + float(np.vdot(u.imag, u.imag))),
+                                   u.view(np.float64)) for u in us])
     with np.errstate(over="ignore"):
-        if us[0].ndim == 1:  # the two strided BLAS dots of a vector, added as Python floats
-            return tuple([checked_norm(math.sqrt(float(u.real.dot(u.real)) + float(u.imag.dot(u.imag))),
-                                       u.view(np.float64)) for u in us])
         plain = [np.sqrt(dots(u.real, u.real) + dots(u.imag, u.imag)) for u in us]
     return tuple([checked_norms(p, u) for p, u in zip(plain, us)])
 
@@ -275,12 +275,6 @@ def solve_pair(H: np.ndarray, Hinv: np.ndarray, V: np.ndarray) -> np.ndarray:
     X += Hinv @ (V - H @ X)
     X += Hinv @ (V - H @ X)
     return X[..., 0]
-
-
-def compose_pair(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Hat stack of the composition A after B, from the hat stacks of one
-    pair of operators or of stacks of them."""
-    return A @ B
 
 
 def unit_multiples(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -158,7 +158,7 @@ class TFunctional:
     @classmethod
     def from_json(cls, data) -> "TFunctional":
         f = cls(TVector.from_json(data["coeffs"]))
-        if "n" in data and _arrays.integer(data["n"]) != f.n:
+        if "n" in data and _arrays.integer(data["n"], "n: a dimension") != f.n:
             raise ValueError(f"declared dimension {data['n']} != coefficient length {f.n}")
         return f
 

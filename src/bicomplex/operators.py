@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,12 +58,7 @@ class NormReport:
         return cls(sup_norm=max(s1, s2) / SQRT2, idem_norm=qmean(s1, s2), s1=s1, s2=s2)
 
     def to_json(self) -> dict:
-        return {
-            "sup_norm": self.sup_norm,
-            "idem_norm": self.idem_norm,
-            "s1": self.s1,
-            "s2": self.s2,
-        }
+        return asdict(self)
 
 
 def _condition(sv) -> tuple[float, float]:
@@ -145,9 +140,7 @@ class TMatrix(FrozenArrays):
 
     @classmethod
     def identity(cls, n: int) -> "TMatrix":
-        coeffs = np.zeros((n, n, 4))
-        coeffs[np.arange(n), np.arange(n), 0] = 1.0
-        return cls(coeffs)
+        return cls.scalar(n, 1.0)
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "TMatrix":
@@ -195,7 +188,7 @@ class TMatrix(FrozenArrays):
         A, B = self.split(), other.split()
         if A.shape[2] != B.shape[1]:
             raise DimensionMismatch(f"inner dimensions differ: {A.shape[2]} vs {B.shape[1]}")
-        return TMatrix._of_hat(_arrays.compose_pair(A, B))
+        return TMatrix._of_hat(A @ B)
 
     __matmul__ = compose
 
@@ -340,7 +333,7 @@ class TMatrix(FrozenArrays):
 
     @classmethod
     def from_json(cls, data) -> "TMatrix":
-        m, n = _arrays.integer(data["m"]), _arrays.integer(data["n"])
+        m, n = _arrays.integer(data["m"], "m: a dimension"), _arrays.integer(data["n"], "n: a dimension")
         if m < 1 or n < 1:
             raise ValueError(f"dimensions m and n must be at least 1, got m={m}, n={n}")
         entries = np.array(data["entries"], dtype=np.float64)

@@ -317,7 +317,7 @@ class Submodule:
 
     @classmethod
     def from_json(cls, data) -> "Submodule":
-        n = _arrays.integer(data["n"])
+        n = _arrays.integer(data["n"], "n: a dimension")
         gens = [TVector.from_json(g) for g in data["generators"]]
         for g in gens:
             if g.n != n:

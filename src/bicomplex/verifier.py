@@ -440,15 +440,21 @@ def _homogeneity_draw(rng, n: int, count: int):
 # --- translation-invariance ----------------------------------------------------
 
 
-def _translation_values(X, Y, A) -> dict:
-    """The violations at vector planes X, Y, A (4, n, rows), whose sums and
-    differences share two buffers."""
+def _shift_violation(X, Y, A) -> tuple:
+    """How far |(x + a) - (y + a)| misses |x - y|, relative to 1 + |x - y|, at
+    vector planes X, Y, A (4, n, rows); then the two buffers it filled."""
     D, E = X - Y, Y + A
     before = plane_vec_norm4(D)
     np.add(X, A, out=D)
     shifted = plane_vec_norm4(np.subtract(D, E, out=D))
+    return np.abs(shifted - before) / (1.0 + before), D, E
+
+
+def _translation_values(X, Y, A) -> dict:
+    """The violations at vector planes X, Y, A (4, n, rows)."""
+    shift, _, E = _shift_violation(X, Y, A)
     return {
-        "metric-shift": np.abs(shifted - before) / (1.0 + before),
+        "metric-shift": shift,
         "fnorm-definition": np.abs(plane_vec_norm4(X) - plane_vec_norm4(np.subtract(X, 0.0, out=E))),
     }
 
@@ -457,17 +463,13 @@ def _translation_values(X, Y, A) -> dict:
 
 
 def _ta_values(A, X, Y) -> dict:
-    """The violations at vector planes A, X, Y (4, n, rows), whose sums and
-    differences share two buffers."""
-    D, E = X - Y, A + Y
-    before = plane_vec_norm4(D)
-    np.add(A, X, out=D)
-    moved = plane_vec_norm4(np.subtract(D, E, out=D))
+    """The violations at vector planes A, X, Y (4, n, rows); T_a(x) = a + x is x + a."""
+    isometry, D, _ = _shift_violation(X, Y, A)
     np.add(X, A, out=D)
     D -= A
     D -= X
     return {
-        "isometry": np.abs(moved - before) / (1.0 + before),
+        "isometry": isometry,
         "roundtrip": plane_vec_norm4(D) / (1.0 + plane_vec_norm4(X) + plane_vec_norm4(A)),
     }
 
@@ -642,9 +644,9 @@ def _continuity_group(C, X):
     _, _, vh = np.linalg.svd(np.where(first[:, None, None], H[0], H[1]))
     v = SQRT2 * np.conj(vh[:, 0])
     zero = np.zeros_like(v)
-    top = hat_merge(np.where(first[:, None], v, zero), np.where(first[:, None], zero, v))
+    top = np.where(first[:, None], [v, zero], [zero, v])  # the hat stack of x
     target = SQRT2 * sup
-    attain = np.abs(_arrays.vector_norms(_apply(H, top)) - target) / (1.0 + target)
+    attain = np.abs(_arrays.vector_norms(hat_merge(*_arrays.apply_pair(H, top))) - target) / (1.0 + target)
     rhs = (SQRT2 * sup)[:, None] * _arrays.vector_norms(X)
     exceed = (_arrays.vector_norms(_apply(H[:, :, None], X)) - rhs) / (1.0 + rhs)
     return np.concatenate([attain[:, None], exceed], axis=1)
@@ -876,12 +878,11 @@ def _norm_sandwich_group(C):
     sup_norm <= idem_norm <= sqrt(2) * sup_norm, then its attainment on the
     left (M2 replaced by 0) and on the right (M2 replaced by M1)."""
     H = hat_split(C)
-    M1 = H[0]
     sup, idem = _split_norms(H)
     sandwich = np.maximum(sup - idem, idem - SQRT2 * sup) / (1.0 + sup)
-    sup, idem = _norms(hat_merge(M1, np.zeros_like(M1)))
+    sup, idem = _split_norms(np.stack([H[0], np.zeros_like(H[0])]))
     left = np.abs(sup - idem) / (1.0 + sup)
-    sup, idem = _norms(hat_merge(M1, M1))
+    sup, idem = _split_norms(H[[0, 0]])
     right = np.abs(idem - SQRT2 * sup) / (1.0 + sup)
     return np.stack([sandwich, left, right], axis=-1)
 
@@ -889,16 +890,18 @@ def _norm_sandwich_group(C):
 # --- compose-norm -----------------------------------------------------------------
 
 
+def _trial_norms(H) -> np.ndarray:
+    """(G, 2): (sup_norm, idem_norm) of operators given by their hat stacks (G, 2, m, n)."""
+    return np.stack(_split_norms(np.swapaxes(H, 0, 1)), axis=-1)
+
+
 def _compose_norm_values(lefts, rights) -> np.ndarray:
     """(N,): the excess of each norm of A @ B over sqrt(2) * |A| * |B|, the
-    worse of sup_norm and idem_norm.  Each product's norms are taken from the
-    hat stack TMatrix.compose keeps; every norm is taken in groups of one
-    shape, which hold far more trials than groups of (m, k, n)."""
-    products = _grouped(
-        lambda A, B: np.swapaxes(_arrays.compose_pair(hat_split(A), hat_split(B)), 0, 1), lefts, rights
-    )
-    ra, rb = (np.array(_grouped(lambda C: np.stack(_norms(C), axis=-1), Cs)) for Cs in (lefts, rights))
-    rab = np.array(_grouped(lambda H: np.stack(_split_norms(np.swapaxes(H, 0, 1)), axis=-1), products))
+    worse of sup_norm and idem_norm.  Each operand is split once, in groups of
+    its shape, and multiplied as hat stacks, as TMatrix.compose does; every
+    norm is taken in groups of one shape, not of (m, k, n), which hold fewer."""
+    hats = [_grouped(lambda C: np.swapaxes(hat_split(C), 0, 1), Cs) for Cs in (lefts, rights)]
+    ra, rb, rab = (np.array(_grouped(_trial_norms, Hs)) for Hs in (*hats, _grouped(np.matmul, *hats)))
     bound = SQRT2 * ra * rb
     return np.max((rab - bound) / (1.0 + bound), axis=-1)
 

@@ -100,7 +100,7 @@ def test_stacked_lapack_and_blas_calls_equal_per_component_calls(n):
         assert np.array_equal(np.linalg.det(H), _per_component(np.linalg.det, H))
         assert np.array_equal(np.linalg.solve(H, b[..., None])[..., 0], _per_component(np.linalg.solve, H, b))
         assert np.array_equal(np.linalg.inv(H), _per_component(np.linalg.inv, H))
-        assert np.array_equal(_arrays.compose_pair(H, B), _per_component(np.matmul, H, B))
+        assert np.array_equal(H @ B, _per_component(np.matmul, H, B))
         assert np.array_equal(
             _arrays.apply_pair(H, b), _per_component(lambda M, v: (M @ v[:, None])[:, 0], H, b)
         )

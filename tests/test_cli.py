@@ -207,27 +207,29 @@ def _json(data):
     return ".json", json.dumps(data)
 
 
-#: (command, input files as (suffix, text), index of the malformed file).
+#: (command, input files as (suffix, text), index of the malformed file,
+#: the dimension field that is not an integer or None).
 _MALFORMED_INPUTS = [
-    ("solve", [_json({"m": None, "n": 1, "entries": _ONE}), _json(_ONE)], 0),
-    ("solve", [_json(_ONE), _json(_ONE)], 0),
-    ("norm", [_json({"m": 1.9, "n": 1, "entries": _ONE})], 0),
-    ("norm", [_json({"m": True, "n": 1, "entries": _ONE})], 0),
-    ("extend", [_json({"n": 1, "generators": 5}), _json(_FUNCTIONAL)], 0),
-    ("extend", [_json(_FUNCTIONAL), _json(_FUNCTIONAL)], 0),
-    ("extend", [_json({"n": 2.7, "generators": [[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]}), _json(_FUNCTIONAL)], 0),
-    ("extend", [_json({"n": 2, "generators": [_ONE]}), _json(_FUNCTIONAL)], 0),
-    ("solve", [(".json", '{"m": 1,'), _json(_ONE)], 0),
-    ("solve", [_json(_MATRIX), (".csv", "1,0,0,x\n")], 1),
-    ("solve", [_json(_MATRIX), (".csv", "")], 1),
+    ("solve", [_json({"m": None, "n": 1, "entries": _ONE}), _json(_ONE)], 0, "m"),
+    ("solve", [_json(_ONE), _json(_ONE)], 0, None),
+    ("norm", [_json({"m": 1.9, "n": 1, "entries": _ONE})], 0, "m"),
+    ("norm", [_json({"m": True, "n": 1, "entries": _ONE})], 0, "m"),
+    ("extend", [_json({"n": 1, "generators": 5}), _json(_FUNCTIONAL)], 0, None),
+    ("extend", [_json(_FUNCTIONAL), _json(_FUNCTIONAL)], 0, None),
+    ("extend", [_json({"n": 2.7, "generators": [[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]}), _json(_FUNCTIONAL)],
+     0, "n"),
+    ("extend", [_json({"n": 2, "generators": [_ONE]}), _json(_FUNCTIONAL)], 0, None),
+    ("solve", [(".json", '{"m": 1,'), _json(_ONE)], 0, None),
+    ("solve", [_json(_MATRIX), (".csv", "1,0,0,x\n")], 1, None),
+    ("solve", [_json(_MATRIX), (".csv", "")], 1, None),
 ]
 
 
-@pytest.mark.parametrize("command, files, bad", _MALFORMED_INPUTS,
+@pytest.mark.parametrize("command, files, bad, field", _MALFORMED_INPUTS,
                          ids=[f"{case[0]}-files{k}" for k, case in enumerate(_MALFORMED_INPUTS)])
-def test_a_json_file_of_the_wrong_structure_exits_2_naming_it(capsys, tmp_path, command, files, bad):
+def test_a_json_file_of_the_wrong_structure_exits_2_naming_it(capsys, tmp_path, command, files, bad, field):
     """A file whose text does not decode or parse, JSON or CSV, exits 2 with
-    a ValueError that names that file and no other."""
+    a ValueError that names that file and no other, and the field it gets wrong."""
     paths = [tmp_path / f"in{k}{suffix}" for k, (suffix, _) in enumerate(files)]
     for path, (_, text) in zip(paths, files):
         path.write_text(text)
@@ -236,6 +238,7 @@ def test_a_json_file_of_the_wrong_structure_exits_2_naming_it(capsys, tmp_path, 
     assert (code, out, sorted(payload)) == (2, "", ["error", "message"])
     assert payload["error"] == "ValueError"
     assert [str(path) in payload["message"] for path in paths] == [k == bad for k in range(len(paths))]
+    assert field is None or f"{field}: a dimension must be an integer, got" in payload["message"]
 
 
 def test_matrix_dimensions_below_1_exit_2_naming_the_file_and_fields(capsys, tmp_path):
@@ -256,6 +259,7 @@ def test_norm_report(capsys, problem_files):
     assert payload["sup_norm"] == report.sup_norm
     assert payload["idem_norm"] == report.idem_norm
     assert payload["s1"] == report.s1 and payload["s2"] == report.s2
+    assert list(payload) == ["sup_norm", "idem_norm", "s1", "s2"]
 
 
 def test_extend(capsys, tmp_path):

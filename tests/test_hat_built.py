@@ -262,3 +262,40 @@ def test_open_mapping_splits_each_group_once_whatever_its_trials(splits):
         assert all(len(shape) == 4 for shape in splits)  # stacks (G, ., n, 4) only
         counts.append(len(splits))
     assert counts[0] == counts[1] == 32
+
+
+@pytest.fixture
+def hat_calls(monkeypatch):
+    """The names, hat_split or hat_merge, of the calls made while the test
+    runs, through whichever module's binding of either a caller uses."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    for name in ("hat_split", "hat_merge"):
+        fn = getattr(_arrays, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "bicomplex" and vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    return calls
+
+
+def test_the_operator_norm_checks_split_each_operand_once(hat_calls):
+    # At seed 42 the 400 trials of norm-sandwich and of compose-norm meet all
+    # 64 operator shapes (m, n), and continuity-bounded's 200 trials 63 of
+    # them.  norm-sandwich splits each shape group once and hands its
+    # attaining operators (M1, 0) and (M1, M1) on as hat stacks; compose-norm
+    # splits each left and each right operand shape once and takes the
+    # products and all three norms from those splits; continuity-bounded
+    # splits each group's operators and points, and merges the two images.
+    counts = {}
+    for check_id in ("norm-sandwich", "compose-norm", "continuity-bounded"):
+        hat_calls.clear()
+        assert run_check(default_config(check_id, seed=42)).passed
+        counts[check_id] = (hat_calls.count("hat_split"), hat_calls.count("hat_merge"))
+    assert counts == {"norm-sandwich": (64, 0), "compose-norm": (2 * 64, 0), "continuity-bounded": (2 * 63, 2 * 63)}

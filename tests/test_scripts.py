@@ -47,30 +47,36 @@ def test_run_verification_reports_a_bad_argument_as_a_usage_error(argument):
     assert done.stdout == ""
 
 
-def test_microbench_prints_the_table_at_tiny_repetitions():
-    done = run_script("microbench.py")
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+def test_microbench_prints_the_table_at_tiny_repetitions(capsys, monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # the script sets them on import
+    microbench = _script("microbench")
+    monkeypatch.setattr(microbench, "REPEAT", 1)
+    monkeypatch.setattr(sys, "argv", ["microbench.py"])
+    assert microbench.main() == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["| cold process | median ms | child CPU ms |", "|---|---|---|"] and len(lines) == 9
     assert [line.split(" | ")[0] for line in lines[2:]] == ["| `import bicomplex`"] + [
         f"| `python -m bicomplex {command}`" for command in ("calc", "decompose", "solve", "norm", "extend", "verify")
     ]
     assert all(float(cell) > 0.0 for line in lines[2:] for cell in line.rstrip(" |").split(" | ")[1:])
-    assert run_script("microbench.py", "--number", "1").returncode == 2  # only --against takes --number
-    # Against a second tree, here this one imported again under another name.
-    done = run_script("microbench.py", "--number", "1", "--against", str(ROOT))
-    assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == "| operation | n | this µs | against µs | change | wins |" and len(lines) == 2 + 1 + 3 * 24 + 7
-    assert lines[2].startswith("| control | - | ") and lines[-8].startswith("| extend warm | 64 | ")
-    assert lines[-1].startswith("| check homeomorphism-Mlambda | - | ")
-    assert all(line.endswith("/31 |") for line in lines[2:])
+    monkeypatch.setattr(sys, "argv", ["microbench.py", "--number", "1"])
+    with pytest.raises(SystemExit) as usage:  # only --against takes --number
+        microbench.main()
+    assert usage.value.code == 2
+    # Against a second tree, here this one imported again under another name:
+    # one measurement, read as JSON and as the table it prints.
     done = run_script("microbench.py", "--number", "1", "--against", str(ROOT), "--json")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["against"] == str(ROOT) and len(report["rows"]) == 1 + 3 * 24 + 7
     assert {row["n"] for row in report["rows"]} == {"-", 2, 8, 64}
     assert all(row["this_us"] > 0.0 and row["against_us"] > 0.0 and row["rounds"] == 31 for row in report["rows"])
+    lines = microbench.compare_table(report["rows"]).splitlines()
+    assert lines[0] == "| operation | n | this µs | against µs | change | wins |" and len(lines) == 2 + 1 + 3 * 24 + 7
+    assert lines[2].startswith("| control | - | ") and lines[-8].startswith("| extend warm | 64 | ")
+    assert lines[-1].startswith("| check homeomorphism-Mlambda | - | ")
+    assert all(line.endswith("/31 |") for line in lines[2:])
 
 
 def test_bench_pairs_compares_one_pair_of_identical_trees(tmp_path):
@@ -99,11 +105,16 @@ def test_bench_pairs_compares_one_pair_of_identical_trees(tmp_path):
     assert [r["first"] for r in report["runs"]] == ["parent"]
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+def _script(name: str):
+    """The script scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
 
 
 def test_bench_pairs_verdicts_follow_failures_and_spread():
