@@ -20,7 +20,7 @@ _HOMES = {
         "functionals": "ExtensionReport NormingResult RealLinearFunctional SeparationResult TFunctional"
         " hahn_banach_extend lift_real norming_functional separating_functional",
         "operators": "NormReport TMatrix",
-        "scalar": "DEFAULT_SINGULAR_TOL E1 E2 IOTA1 IOTA2 J ONE ZERO Bicomplex IdempotentForm SingularityReport",
+        "scalar": "SINGULAR_TOL E1 E2 IOTA1 IOTA2 J ONE ZERO Bicomplex IdempotentForm SingularityReport",
         "tmodule": "DistanceResult Submodule TVector",
         "verifier": "CHECK_IDS CheckConfig CheckReport all_passed default_config replay_witness run_all run_check",
     }.items()

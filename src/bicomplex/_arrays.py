@@ -239,13 +239,6 @@ def vector_norms(C: np.ndarray) -> np.ndarray:
         return checked_norms(vec_norm4(C), C)
 
 
-def scalar_norms(C: np.ndarray) -> np.ndarray:
-    """Norms of a stack of scalars (..., 4), as Bicomplex.norm takes them one at
-    a time: norm4 with checked_norm's scaled fallback."""
-    with np.errstate(over="ignore"):
-        return checked_norms(norm4(C), C)
-
-
 def pair_singular_values(H: np.ndarray) -> np.ndarray:
     """Singular values (2, ..., k), in descending order, of a hat stack
     (2, m, n) of one operator or (2, ..., m, n) of a stack of operators."""

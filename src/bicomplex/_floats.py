@@ -71,10 +71,14 @@ def qmean(x: float, y: float) -> float:
     return checked_norm(math.sqrt((x * x + y * y) / 2.0), (x / SQRT2, y / SQRT2))
 
 
-def null_floor(m1: float, m2: float, tol: float) -> float:
+#: The tolerance of the null-cone test, fixed as the other tolerances are.
+SINGULAR_TOL = 1e-12
+
+
+def null_floor(m1: float, m2: float) -> float:
     """The null-cone floor of the hat magnitudes m1, m2 of a scalar, or of an
-    operator's determinant: a component at or below it vanishes at `tol`."""
-    return tol * max(1.0, math.hypot(m1, m2))
+    operator's determinant: a component at or below it vanishes."""
+    return SINGULAR_TOL * max(1.0, math.hypot(m1, m2))
 
 
 def vanishing(m1: float, m2: float, threshold: float) -> tuple:

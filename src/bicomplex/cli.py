@@ -23,14 +23,7 @@ from pathlib import Path
 
 from ._floats import fmt17
 from .errors import MALFORMED, BicomplexError, CheckCrashed, UnknownCheckId
-from .scalar import DEFAULT_SINGULAR_TOL, Bicomplex
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+from .scalar import Bicomplex
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,18 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
     calc.add_argument("lhs", help="scalar literal 'a b c d'")
     calc.add_argument("op", choices=["add", "mul", "inverse"])
     calc.add_argument("rhs", nargs="?", help="second scalar literal (not for inverse)")
-    calc.add_argument(
-        "--tol", type=_positive_float, default=DEFAULT_SINGULAR_TOL, help="singularity tolerance for inverse"
-    )
 
     dec = sub.add_parser("decompose", help="print hat components and the singularity report")
     dec.add_argument("scalar", help="scalar literal 'a b c d'")
-    dec.add_argument("--tol", type=_positive_float, default=DEFAULT_SINGULAR_TOL)
 
     solve = sub.add_parser("solve", help="solve T x = b from a matrix file and a vector file")
     solve.add_argument("matrix", type=Path)
     solve.add_argument("vector", type=Path)
-    solve.add_argument("--tol", type=_positive_float, default=DEFAULT_SINGULAR_TOL)
     solve.add_argument("--format", choices=["json", "csv"], default="json")
     solve.add_argument("--out", type=Path, default=None)
 
@@ -111,7 +99,7 @@ def _cmd_calc(args) -> int:
     if args.op == "inverse":
         if args.rhs is not None:
             raise UsageError("inverse takes a single scalar")
-        result = lhs.inverse(args.tol)
+        result = lhs.inverse()
     else:
         if args.rhs is None:
             raise UsageError(f"{args.op} needs two scalars")
@@ -124,7 +112,7 @@ def _cmd_calc(args) -> int:
 def _cmd_decompose(args) -> int:
     w = Bicomplex.from_text(args.scalar)
     form = w.to_idempotent()
-    report = w.classify(args.tol)
+    report = w.classify()
     payload = {
         "h1": [form.h1.real, form.h1.imag],
         "h2": [form.h2.real, form.h2.imag],
@@ -141,7 +129,7 @@ def _cmd_solve(args) -> int:
 
     T = _load(args.matrix, TMatrix.from_json)
     b = _read_vector(args.vector)
-    x = T.solve(b, args.tol)
+    x = T.solve(b)
     residual = (T.apply(x) - b).norm()
     scale = b.norm()
     relative = residual / scale if scale > 0.0 else residual

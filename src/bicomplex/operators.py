@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _arrays
-from ._floats import EPS, NORM_FLOOR, SQRT2, null_floor, qmean, spread, vanishing
+from ._floats import EPS, NORM_FLOOR, SINGULAR_TOL, SQRT2, null_floor, qmean, spread, vanishing
 from .errors import DimensionMismatch, NotSquare, SingularOperator
-from .scalar import Bicomplex, DEFAULT_SINGULAR_TOL
+from .scalar import Bicomplex
 from .tmodule import FrozenArrays, TVector
 
 #: Hat components whose condition number exceeds this are rejected by
@@ -90,16 +90,16 @@ def _det_margin(n: int, kappa: float) -> float:
     return 8.0 * EPS * n * (n * kappa + 1000.0)
 
 
-def refusal(sv, dets, tol: float):
+def refusal(sv, dets):
     """The SingularOperator arguments with which solve and invert refuse a
     square operator of component singular values sv (2, n) and component
-    determinants dets = (d1, d2) at `tol`, or None: a component is refused
+    determinants dets = (d1, d2), or None: a component is refused
     when |d_k| is at most null_floor (on the pair: merged into one Bicomplex,
     a component 2^53 times smaller is lost) or its condition number exceeds
     CONDITION_LIMIT."""
     condition = _condition(sv)
     m1, m2 = abs(dets[0]), abs(dets[1])
-    bad = set(vanishing(m1, m2, null_floor(m1, m2, tol)))
+    bad = set(vanishing(m1, m2, null_floor(m1, m2)))
     bad.update(k for k, cond in enumerate(condition, start=1) if cond > CONDITION_LIMIT)
     return (sorted(bad), (float(sv[0, -1]), float(sv[1, -1])), condition) if bad else None
 
@@ -108,15 +108,15 @@ class TMatrix(FrozenArrays):
     """An m-by-n matrix of bicomplex entries, held as its (m, n, 4) real
     coefficients or its hat stack (2, m, n) (from_hat, compose and invert
     build from a hat stack).  It keeps the component singular values, the
-    determinant, the decision of solve and invert for each tol and, once that
-    decision accepts the operator, the inverse hat stack.  Accepting takes no
-    SVD, and mostly no determinant, when the inverse certifies the operator
+    determinant and the one decision of solve and invert: its refusal or, if
+    it accepts the operator, the inverse hat stack.  Accepting takes no SVD,
+    and mostly no determinant, when the inverse certifies the operator
     (_certify); a refused operator keeps no inverse.  split() unpacks as the
     component matrices M1, M2, so each method below is one numpy call over
     both.
     """
 
-    __slots__ = ("_singular_values", "_dets", "_det", "_refusals", "_inverse")
+    __slots__ = ("_singular_values", "_dets", "_det", "_refusal", "_inverse")
     _NDIM, _WHAT = 3, "matrix"
 
     def _start(self, coeffs, split):
@@ -126,7 +126,7 @@ class TMatrix(FrozenArrays):
         self._singular_values = None
         self._dets = None
         self._det = None
-        self._refusals = {}
+        self._refusal = None
         self._inverse = None
 
     # construction ---------------------------------------------------------
@@ -245,14 +245,14 @@ class TMatrix(FrozenArrays):
         sign, logdet = np.linalg.slogdet(self.split())
         return tuple(sign * np.exp(logdet - max(logdet.max(), 0.0)))
 
-    def _certify(self, tol: float) -> tuple:
+    def _certify(self) -> tuple:
         """(inverse, accepted): a sufficient test that solve and invert accept
-        the square operator at `tol`, made from the inverse they need anyway.
+        the square operator, made from the inverse they need anyway.
         Both Frobenius norms F_k must lie in [NORM_FLOOR, 2^(1000/n)], so that
         the guard's determinants are det()'s.  By AM-GM on the singular
         values, (sqrt(n) / ||M_k^-1||_F)^n <= |det M_k| <= (F_k / sqrt(n))^n.
-        An upper bound below tol, the least the guard's threshold can be,
-        leaves the decision to the guard before any inverse is built.
+        An upper bound below SINGULAR_TOL, the least the guard's threshold
+        can be, leaves the decision to the guard before any inverse is built.
         Otherwise np.linalg.inv must succeed, each ||M_k^-1||_F be at least
         NORM_FLOOR, and F_k ||M_k^-1||_F, which bounds the condition number
         from above, at most CONDITION_LIMIT / 2 (the computed inverse and the
@@ -261,66 +261,60 @@ class TMatrix(FrozenArrays):
         smallest normal float and the guard's threshold null_floor taken at
         the upper bounds, which the norms' range keeps below 2^1000; where one
         does not, det() decides on the pair the guard tests.  So the test
-        never accepts what the guard refuses.  `inverse` is the kept inverse
-        or the one built on the way, else None; a NaN or inf norm fails its
-        comparison."""
-        inverse = self._inverse
+        never accepts what the guard refuses.  `inverse` is the one built on
+        the way, else None; a NaN or inf norm fails its comparison."""
         n = self.n
         norms = _frobenius_norms(self.split())
         if not all(NORM_FLOOR <= f and _det_fits(f, n) for f in norms):
-            return inverse, False
+            return None, False
         upper = [(f / math.sqrt(n)) ** n for f in norms]
-        if min(upper) < tol:
-            return inverse, False
-        if inverse is None:
-            try:
-                inverse = np.linalg.inv(self.split())
-            except np.linalg.LinAlgError:
-                return None, False
+        if min(upper) < SINGULAR_TOL:
+            return None, False
+        try:
+            inverse = np.linalg.inv(self.split())
+        except np.linalg.LinAlgError:
+            return None, False
         inverse_norms = _frobenius_norms(inverse)
         if not all(NORM_FLOOR <= g and f * g <= CONDITION_LIMIT / 2 for f, g in zip(norms, inverse_norms)):
             return inverse, False
         margin = _det_margin(n, max(f * g for f, g in zip(norms, inverse_norms)))
         lower = min((math.sqrt(n) / g) ** n for g in inverse_norms)
-        if lower * math.exp(-2.0 * margin) > max(null_floor(*upper, tol), sys.float_info.min):
+        if lower * math.exp(-2.0 * margin) > max(null_floor(*upper), sys.float_info.min):
             return inverse, True
         d1, d2 = map(abs, self._component_dets())
-        return inverse, not vanishing(d1, d2, null_floor(d1, d2, tol))
+        return inverse, not vanishing(d1, d2, null_floor(d1, d2))
 
-    def _inverse_split(self, tol: float) -> np.ndarray:
+    def _inverse_split(self) -> np.ndarray:
         """The read-only inverse hat stack (2, n, n), which unpacks as M1^-1,
-        M2^-1; raises the refusal of solve and invert at `tol` instead.  The
-        first call with a tol decides, and the decision is kept: _certify
-        accepts most operators; refusal, on the singular values and
-        _guard_det, decides the rest and gives every refusal its arguments.
-        The inverse is kept once a decision accepts, never for a refusal.
-        A negative or NaN tol raises ValueError and keeps no decision."""
+        M2^-1; raises the refusal of solve and invert instead.  The first
+        call decides, and the decision is kept: _certify accepts most
+        operators; refusal, on the singular values and _guard_det, decides
+        the rest and gives every refusal its arguments.  The inverse is kept
+        once the decision accepts, never for a refusal."""
         if self.m != self.n:
             raise NotSquare(f"inversion needs a square matrix, got {self.m}x{self.n}")
-        if tol not in self._refusals:
-            if not tol >= 0:
-                raise ValueError("tol must be nonnegative")
-            inverse, accepted = self._certify(tol)
-            self._refusals[tol] = None if accepted else refusal(self.component_singular_values(), self._guard_det(), tol)
-            if self._refusals[tol] is None:
+        if self._inverse is None and self._refusal is None:
+            inverse, accepted = self._certify()
+            self._refusal = None if accepted else refusal(self.component_singular_values(), self._guard_det())
+            if self._refusal is None:
                 self._inverse = np.linalg.inv(self.split()) if inverse is None else inverse
                 self._inverse.setflags(write=False)
-        if self._refusals[tol] is not None:
-            raise SingularOperator(*self._refusals[tol])
+        if self._refusal is not None:
+            raise SingularOperator(*self._refusal)
         return self._inverse
 
-    def solve(self, b: TVector, tol: float = DEFAULT_SINGULAR_TOL) -> TVector:
+    def solve(self, b: TVector) -> TVector:
         """Solve T x = b in the two complex component systems: the cached
         inverse applied to b, then two steps of iterative refinement
         (_arrays.solve_pair), so a warm solve factors nothing."""
         if b.n != self.m:
             raise DimensionMismatch(f"right-hand side dimension {b.n} != {self.m}")
-        Hinv = self._inverse_split(tol)
+        Hinv = self._inverse_split()
         return TVector._of_hat(_arrays.solve_pair(self.split(), Hinv, b.split()))
 
     def invert(self) -> "TMatrix":
         """The inverse operator, with hat components M1^-1, M2^-1."""
-        return TMatrix._of_hat(self._inverse_split(DEFAULT_SINGULAR_TOL))
+        return TMatrix._of_hat(self._inverse_split())
 
     # file form --------------------------------------------------------------------
 

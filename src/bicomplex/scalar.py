@@ -17,11 +17,9 @@ from __future__ import annotations
 import math
 import numbers
 
-from ._floats import checked_norm, fmt17, merge_parts, mul_parts, null_floor, qmean, spread, vanishing
+# SINGULAR_TOL, the tolerance of classify, is exported from here.
+from ._floats import SINGULAR_TOL, checked_norm, fmt17, merge_parts, mul_parts, null_floor, qmean, spread, vanishing
 from .errors import SingularElement
-
-#: Default tolerance of the null-cone test (_floats.null_floor); zero is exact.
-DEFAULT_SINGULAR_TOL = 1e-12
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -119,24 +117,14 @@ class Bicomplex(_Frozen):
         return cls(*merge_parts(complex(h1), complex(h2)))
 
     @classmethod
-    def from_real(cls, value: float) -> "Bicomplex":
-        return cls(float(value), 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "Bicomplex":
-        """Embed an i1-complex scalar (b holds the imaginary part)."""
-        z = complex(z)
-        return cls(z.real, z.imag, 0.0, 0.0)
-
-    @classmethod
     def coerce(cls, value) -> "Bicomplex":
-        """`value` as a scalar; a number of numpy's counts as the Python number it equals."""
+        """`value` as a scalar; a number of numpy's counts as the Python number
+        it equals, and an i1-complex one keeps its imaginary part in b."""
         if isinstance(value, Bicomplex):
             return value
-        if isinstance(value, numbers.Real):
-            return cls.from_real(value)
         if isinstance(value, numbers.Complex):
-            return cls.from_complex(value)
+            z = complex(value)
+            return cls(z.real, z.imag)
         raise TypeError(f"cannot interpret {type(value).__name__} as a bicomplex scalar")
 
     # views ----------------------------------------------------------------
@@ -187,23 +175,21 @@ class Bicomplex(_Frozen):
 
     __abs__ = norm
 
-    def classify(self, tol: float = DEFAULT_SINGULAR_TOL) -> SingularityReport:
+    def classify(self) -> SingularityReport:
         """Null-cone test: component k vanishes when |h_k| is at most
-        null_floor(|h1|, |h2|, tol); tol = 0 selects the exact comparison."""
-        if not tol >= 0:
-            raise ValueError("tol must be nonnegative")
+        null_floor(|h1|, |h2|)."""
         form = self.to_idempotent()
         m1, m2 = abs(form.h1), abs(form.h2)
-        components = vanishing(m1, m2, null_floor(m1, m2, tol))
+        components = vanishing(m1, m2, null_floor(m1, m2))
         return SingularityReport(bool(components), components, (m1, m2))
 
-    def inverse(self, tol: float = DEFAULT_SINGULAR_TOL) -> "Bicomplex":
+    def inverse(self) -> "Bicomplex":
         """Multiplicative inverse via componentwise reciprocals of the hat form.
 
-        Raises SingularElement when a hat component vanishes at the given
-        tolerance; near the null cone the result grows like 1/|h_k|.
+        Raises SingularElement when a hat component vanishes (classify); near
+        the null cone the result grows like 1/|h_k|.
         """
-        report = self.classify(tol)
+        report = self.classify()
         if report.is_singular:
             raise SingularElement(report)
         form = self.to_idempotent()

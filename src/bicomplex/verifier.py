@@ -729,27 +729,29 @@ def _open_mapping_trial(rng):
 
 def _scaled_rhs_group(S, A, Y, u):
     """Draws S, A of _conditioned_draws (G, ...), right-hand sides Y
-    (G, k, n, 4) and fractions u (G, k) -> for each trial its operator
-    (n, n, 4) and each y rescaled to length u times the operator's smallest
-    component singular value, the radius of the ball it maps onto."""
+    (G, k, n, 4) and fractions u (G, k) -> per trial, its operator (n, n, 4),
+    each y rescaled to length u times the least component singular value,
+    the radius of the ball the operator maps onto, then its hat stack."""
     C = _conditioned_matrices(S, A)
-    sv = _arrays.pair_singular_values(hat_split(C))
+    H = hat_split(C)
+    sv = _arrays.pair_singular_values(H)
     radius = np.minimum(sv[0, :, -1], sv[1, :, -1])
     scales = radius[:, None] * u / _arrays.vector_norms(Y)
-    return list(zip(C, scales[..., None, None] * Y))
+    return list(zip(C, scales[..., None, None] * Y, H.swapaxes(0, 1)))
 
 
-def _open_mapping_group(C, Y):
-    """Operators C (G, n, n, 4) and right-hand sides Y (G, k, n, 4) ->
-    (G, k, 3): for the solution x of T x = y, |x| - 1, the relative residual
-    of T x = y, and the distance from x to the solution of the realified
-    system R x = y.  Each operator is refused, or accepted and inverted, by
-    TMatrix.invert, then solved through TMatrix.solve's kernel; R
-    (real_block_matrix) and its LU solve share nothing with that path, so the
-    last part catches a fault in the hat kernels that both sides of the
-    residual share."""
-    H = hat_split(C)
-    Hinv = np.stack([TMatrix._of_hat(h).invert().split() for h in np.ascontiguousarray(H.swapaxes(0, 1))], axis=1)
+def _open_mapping_group(C, Y, H=None):
+    """Operators C (G, n, n, 4), right-hand sides Y (G, k, n, 4) and hat
+    stacks H (G, 2, n, n), split here if a replay gives none -> (G, k, 3):
+    for the solution x of T x = y, |x| - 1, the relative residual of T x = y,
+    and the distance from x to the solution of the realified system R x = y.
+    Each operator is refused, or accepted and inverted, by TMatrix.invert,
+    then solved through TMatrix.solve's kernel; R (real_block_matrix) and its
+    LU solve share nothing with that path, so the last part catches a fault
+    in the hat kernels that both sides of the residual share."""
+    H = np.ascontiguousarray(hat_split(C).swapaxes(0, 1)) if H is None else H
+    Hinv = np.stack([TMatrix._of_hat(h).invert().split() for h in H], axis=1)
+    H = H.swapaxes(0, 1)
     X = hat_merge(*_arrays.solve_pair(H[:, :, None], Hinv[:, :, None], hat_split(Y)))
     unit_ball = _arrays.vector_norms(X) - 1.0
     residual = _arrays.vector_norms(_apply(H[:, :, None], X) - Y) / (1.0 + _arrays.vector_norms(Y))
@@ -822,13 +824,13 @@ def _hahn_banach_values(B1, B2, F, W, X):
     lifted = _arrays.lift_rows(np.stack([ext, *_arrays.unit_multiples(ext)], axis=-1)[..., 0, :])
     at_x = _arrays.dots(E, hat_split(X))
     at_wx = _arrays.dots(E, hat_split(mul4(W[:, None, :], X)))
-    rhs = mul4(W, hat_merge(*at_x))
+    rhs = mul4(W, hat_merge(*at_x))[:, None]  # one-entry vectors, normed as vectors
     parts = (
         err / (1.0 + _arrays.operator_norms(y1, y2)[1]),
         np.abs(x1 - y1) / (1.0 + y1),
         np.abs(x2 - y2) / (1.0 + y2),
         _arrays.vector_norms(lifted - ext) / (1.0 + _arrays.vector_norms(ext)),
-        _arrays.scalar_norms(hat_merge(*at_wx) - rhs) / (1.0 + _arrays.scalar_norms(rhs)),
+        _arrays.vector_norms(hat_merge(*at_wx)[:, None] - rhs) / (1.0 + _arrays.vector_norms(rhs)),
     )
     return np.max(parts, axis=0)
 

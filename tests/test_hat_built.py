@@ -253,15 +253,16 @@ def test_each_object_built_from_coefficients_is_split_once_per_operation(splits)
 
 
 def test_open_mapping_splits_each_group_once_whatever_its_trials(splits):
-    # Each group of operators of one size is split once, as a stack, and
-    # each trial is inverted from that split: no trial splits again.
+    # Each group of operators of one size is split once, as a stack, for the
+    # radius, and each trial is inverted and solved from that split: neither
+    # the trial nor the group splits again.
     counts = []
     for trials in (40, 150):
         splits.clear()
         assert run_check(default_config("open-mapping", trials=trials)).passed
         assert all(len(shape) == 4 for shape in splits)  # stacks (G, ., n, 4) only
         counts.append(len(splits))
-    assert counts[0] == counts[1] == 32
+    assert counts[0] == counts[1] == 24
 
 
 @pytest.fixture

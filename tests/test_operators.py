@@ -21,7 +21,7 @@ from bicomplex import (
     TVector,
 )
 from bicomplex import operators
-from bicomplex._floats import null_floor
+from bicomplex._floats import SINGULAR_TOL, null_floor
 from bicomplex.operators import refusal
 from oracles import sampled_sup_norm
 
@@ -431,25 +431,6 @@ def test_warm_operator_gives_the_results_of_a_fresh_one():
             assert np.array_equal(fresh[name], warmed[name]), name
 
 
-def test_solve_decides_each_tolerance_afresh():
-    T = TMatrix.scalar(2, Bicomplex.from_idempotent(0.1, 1.0))
-    b = TVector.basis(2, 0)
-    with pytest.raises(SingularOperator) as exc:
-        T.solve(b, tol=0.5)
-    assert exc.value.components == (1,)
-    assert (T.apply(T.solve(b)) - b).norm() <= 1e-15
-    with pytest.raises(SingularOperator):
-        T.solve(b, tol=0.5)
-
-
-def test_solve_rejects_a_nan_tol_and_keeps_no_decision_for_it():
-    T = TMatrix.identity(2)
-    for _ in range(3):
-        with pytest.raises(ValueError, match="nonnegative"):
-            T.solve(TVector.basis(2, 0), tol=math.nan)
-    assert T._refusals == {}
-
-
 def _hats_with_spectra(rng, n, s1, s2):
     """Hat components U diag(s_k) V^H with random unitary U, V."""
     comps = []
@@ -521,7 +502,7 @@ def test_repeated_solves_run_the_inverse_once_and_no_determinant_or_svd(monkeypa
 
 def test_a_small_operator_is_refused_before_any_inverse_is_built(monkeypatch):
     # At scale 0.02, a component's determinant is at most (0.04)^8 and its
-    # AM-GM bound (||M||_F / sqrt(n))^n is below tol = 1e-12: the guard
+    # AM-GM bound (||M||_F / sqrt(n))^n is below SINGULAR_TOL: the guard
     # refuses it on its determinant, with one SVD for the arguments.
     calls = _count_linalg(monkeypatch, ("svd", "det", "inv", "solve"))
     M1, M2 = random_conditioned(np.random.default_rng(49), 8).split()
@@ -535,30 +516,34 @@ def test_a_small_operator_is_refused_before_any_inverse_is_built(monkeypatch):
 
 def test_the_exact_test_decides_on_the_determinant_pair():
     # Merged into one bicomplex scalar, the determinants (2^60, 1) would lose
-    # the second component: the exact test (tol = 0) accepts the operator,
-    # and the relative floor at tol = 1e-12 (2^60 * 1e-12 > 1) refuses it.
+    # the second component; the test takes the pair, whose relative floor
+    # (2^60 * 1e-12 > 1) refuses the second component.
     b = TVector([[1.0, 0.0, 0.0, 0.0]])
-    x = TMatrix.from_hat([[2.0**60]], [[1.0]]).solve(b, tol=0.0)
-    assert x.split().tolist() == [[2.0**-60], [1.0]]
     with pytest.raises(SingularOperator) as exc:
-        TMatrix.from_hat([[2.0**60]], [[1.0]]).solve(b, tol=1e-12)
+        TMatrix.from_hat([[2.0**60]], [[1.0]]).solve(b)
     assert exc.value.components == (2,) and exc.value.condition == (1.0, 1.0)
 
 
 def test_scalars_and_operators_decide_the_null_cone_on_one_floor():
-    # tol puts the floor on a hat magnitude m_k through either size the floor
-    # was once taken from, sqrt(2)|w| or hypot(|h1|, |h2|), so the decision
-    # turns on rounding: a scalar and the 1 x 1 operator with hat components
-    # (h1, h2) must round it alike.
+    # One hat magnitude lies on the floor SINGULAR_TOL * max(1, hypot(m1, m2))
+    # to within 2 ulp, as the threshold operators of _square_operators put
+    # |det M2|, so the decision turns on rounding: a scalar and the 1 x 1
+    # operator with hat components (h1, h2) must round it alike.  A real h1
+    # and an imaginary h2, or the reverse, merge and split back exactly.
     rng = np.random.default_rng(2)
-    for coeffs, scale in zip(rng.uniform(-1.0, 1.0, (2000, 4)), 2.0 ** rng.integers(-8, 9, 2000)):
-        w = Bicomplex(*(coeffs * scale))
-        form = w.to_idempotent()
-        m = abs(form.h1), abs(form.h2)
-        for size in (SQRT2 * w.norm(), math.hypot(*m)):
-            for tol in (mk / max(1.0, size) for mk in m):
-                why = refusal(np.array([[m[0]], [m[1]]]), (form.h1, form.h2), tol)
-                assert w.classify(tol).vanishing_components == (() if why is None else tuple(why[0]))
+    tol, decided = SINGULAR_TOL, set()
+    for m1, j, k in zip(rng.uniform(1.0, 2.0, 2000), rng.integers(-8, 61, 2000), rng.integers(-2, 3, 2000)):
+        m1 *= 2.0**j
+        m2 = tol * max(1.0, m1 / math.sqrt(1.0 - tol * tol)) * (1.0 + k * 2.0**-52)
+        for w in (Bicomplex.from_idempotent(m1, 1j * m2), Bicomplex.from_idempotent(1j * m2, m1)):
+            form = w.to_idempotent()
+            m = abs(form.h1), abs(form.h2)
+            assert sorted(m) == [m2, m1]
+            why = refusal(np.array([[m[0]], [m[1]]]), (form.h1, form.h2))
+            components = w.classify().vanishing_components
+            assert components == (() if why is None else tuple(why[0]))
+            decided.add(components)
+    assert decided == {(), (1,), (2,)}
 
 
 def test_an_operator_refused_for_its_condition_alone_keeps_no_inverse(monkeypatch):
@@ -612,8 +597,8 @@ def _spectrum(rng, n, log_kappa):
 
 @st.composite
 def _square_operators(draw):
-    """Hat components (M1, M2) of one square operator, a right-hand side and
-    a tol.  Each component has a prescribed spectrum (_spectrum) and its own
+    """Hat components (M1, M2) of one square operator and a right-hand side.
+    Each component has a prescribed spectrum (_spectrum) and its own
     scale, whose determinant ratio 2^(j1 - j2), up to 2^600, crosses the
     null-cone test; M2 may instead be rank deficient or have a zero row, M1
     may be the Wilkinson matrix times a spectrum (a column scaling, which
@@ -624,11 +609,11 @@ def _square_operators(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["spectra"] * 5 + ["rank-deficient", "zero-row", "wilkinson"] + ["threshold"] * 2))
     if kind == "threshold":
-        tol = draw(st.sampled_from([1e-12, 1e-4]))
+        tol = SINGULAR_TOL
         d1 = 2.0 ** draw(st.integers(-8, 60))
         d2 = tol * max(1.0, d1 / math.sqrt(1.0 - tol * tol)) * (1.0 + draw(st.integers(-2, 2)) * n * 2.0**-52)
         M1, M2 = _hats_with_spectra(rng, n, np.full(n, d1 ** (1 / n)), np.full(n, d2 ** (1 / n)))
-        return M1, M2, TVector(rng.uniform(-1.0, 1.0, (n, 4))), tol
+        return M1, M2, TVector(rng.uniform(-1.0, 1.0, (n, 4)))
     spectra = [_spectrum(rng, n, draw(_LOG_KAPPA)) for _ in range(2)]
     if kind == "rank-deficient":
         spectra[1][n - draw(st.integers(1, n)):] = 0.0
@@ -641,7 +626,7 @@ def _square_operators(draw):
     shift = st.one_of(st.integers(-48, 48), st.integers(-300, 300))
     M1, M2 = (M * 2.0 ** (k + draw(shift) / n) for M in (M1, M2))
     b = TVector(rng.uniform(-1.0, 1.0, (n, 4)) * 2.0**k)
-    return M1, M2, b, draw(st.sampled_from([1e-12, 0.0, 1e-4]))
+    return M1, M2, b
 
 
 @settings(max_examples=400, deadline=None)
@@ -650,15 +635,15 @@ def test_solve_decides_as_the_svd_guard_does_and_gives_the_same_bits(case):
     # The certificate accepts without an SVD or, mostly, a determinant; it
     # must accept exactly what the guard on the singular values and the
     # determinant pair accepts, and build the same inverse.
-    M1, M2, b, tol = case
+    M1, M2, b = case
     twin = TMatrix.from_hat(M1, M2)
-    expected = refusal(twin.component_singular_values(), twin._guard_det(), tol)
+    expected = refusal(twin.component_singular_values(), twin._guard_det())
     fresh, warm = TMatrix.from_hat(M1, M2), TMatrix.from_hat(M1, M2)
     warm.norms()
     outcomes = []
     for T in (fresh, warm):
         try:
-            outcomes.append(T.solve(b, tol).coeffs.tobytes())
+            outcomes.append(T.solve(b).coeffs.tobytes())
         except SingularOperator as exc:
             outcomes.append((exc.components, exc.smallest, exc.condition))
     if expected is None:
@@ -691,10 +676,10 @@ def test_solve_has_the_backward_error_of_an_lu_solve(n, kappa):
         assert backward <= 1e-13
 
 
-def test_repeated_solves_classify_the_determinant_once_per_tolerance(monkeypatch):
+def test_repeated_solves_classify_the_determinant_once_per_operator(monkeypatch):
     # Singular values from 10^3 down to 10^-3 in pairs: |det M_k| = 1, but its
     # AM-GM lower bound is about 1e-21, so the certificate falls back to the
-    # determinant pair, once per tol.
+    # determinant pair, once: the operator keeps its decision.
     calls = []
     vanishing = operators.vanishing
 
@@ -709,11 +694,7 @@ def test_repeated_solves_classify_the_determinant_once_per_tolerance(monkeypatch
     for _ in range(10):
         T.solve(TVector(rng.uniform(-1, 1, (8, 4))))
     T.invert()
-    floors = [null_floor(*map(abs, T._component_dets()), tol) for tol in (1e-12, 1e-6)]
-    assert calls == floors[:1]
-    T.solve(TVector.basis(8, 0), tol=1e-6)
-    T.solve(TVector.basis(8, 1), tol=1e-6)
-    assert calls == floors
+    assert calls == [null_floor(*map(abs, T._component_dets()))]
     assert T._singular_values is None
 
 
