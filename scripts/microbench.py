@@ -35,10 +35,11 @@ a built vector's `norm`, warm `apply` of a built vector and its bare
 `apply_pair`, the vector `pair_norms`, and a warm submodule's `distance_to`
 and `hahn_banach_extend`.  A first control row, a product of two scalars
 built in the call, times what neither tree's arrays touch.  The last rows
-run each of the seven streamed verifier checks once (`run_check` at seed 42
-and CHECK_TRIALS trials: two full blocks of a scalar check, 1000 trials in
-each dimension of a vector check), so that a change to the plane kernels is
-timed check by check in one process.  Each row gives both sides' medians
+run each verifier check once, `run_check` at seed 42 and the smaller of its
+default trials and CHECK_TRIALS (two full blocks of a scalar check, 1000
+trials in each dimension of a vector check, every default trial of an
+operator check), so that a change to a kernel is timed check by check in
+one process.  Each row gives both sides' medians
 over the rounds, the relative change and the rounds this tree won; the cold
 processes are not run.  Separate processes of the same tree differed here
 by up to 10%, where one process held the control within 1%.  --json prints
@@ -77,8 +78,6 @@ SIZES = (2, 8, 64)
 REPEAT = 5
 ROUNDS = 31
 AGAINST = "bicomplex_against"
-STREAMED = ("ring-axioms", "submult", "norm-identity", "scalar-homogeneity", "translation-invariance",
-            "homeomorphism-Ta", "homeomorphism-Mlambda")
 CHECK_TRIALS = 8_000
 
 
@@ -156,8 +155,9 @@ def _control(bc):
 
 
 def _check(bc, check_id: str):
-    """One run of a streamed check at CHECK_TRIALS trials."""
-    cfg = bc.default_config(check_id, seed=42, trials=CHECK_TRIALS)
+    """One run of a check at the smaller of its default trials and CHECK_TRIALS."""
+    trials = min(bc.default_config(check_id).trials, CHECK_TRIALS)
+    cfg = bc.default_config(check_id, seed=42, trials=trials)
     return lambda: bc.run_check(cfg)
 
 
@@ -185,7 +185,8 @@ def compare(other, number=None) -> list:
     for n in SIZES:
         mine, theirs = calls(bicomplex, n), calls(other, n)
         pairs += [(name, n, mine[name], theirs[name]) for name in mine]
-    pairs += [(f"check {check_id}", "-", _check(bicomplex, check_id), _check(other, check_id)) for check_id in STREAMED]
+    pairs += [(f"check {check_id}", "-", _check(bicomplex, check_id), _check(other, check_id))
+              for check_id in bicomplex.CHECK_IDS]
     rows = []
     for name, n, mine, theirs in pairs:
         count = number or max(1, timeit.Timer(mine).autorange()[0] // 20)

@@ -15,6 +15,7 @@ identically.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -169,7 +170,8 @@ def norm4(C: np.ndarray) -> np.ndarray:
 # Coefficient planes (4, ..., rows) hold a stack of `rows` scalars (4, rows)
 # or vectors (4, n, rows) with the row axis last, so that each pass of the
 # kernels below is one long contiguous loop; row by row, they give the bits
-# of the kernels above.
+# of the kernels above.  plane_mul4 also takes scalar planes as a list with
+# None for each plane known to be zero, and leaves its terms out.
 
 
 def planes(C: np.ndarray) -> np.ndarray:
@@ -199,15 +201,32 @@ def plane_hat_merge(h1, h2) -> np.ndarray:
 _JOIN = {1: np.add, -1: np.subtract}
 
 
-def plane_mul4(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+@functools.cache
+def _kept_terms(given: tuple) -> tuple:
+    """MUL_TERMS without the terms of the planes u_k not given."""
+    return tuple(tuple((sign, k, l) for sign, k, l in terms if given[k]) for terms in MUL_TERMS)
+
+
+def plane_mul4(U, V) -> np.ndarray:
     """mul4 on planes, which broadcast: scalars (4, rows) times vectors
     (4, n, rows).  Each coefficient is summed in place in its plane of the
-    output, term by term in MUL_TERMS' order, through one scratch plane."""
+    output, term by term in MUL_TERMS' order, through one scratch plane.
+
+    U may be a sequence of four planes in which None stands for a plane known
+    to be zero, not all four: the terms it enters are left out, and the others
+    keep MUL_TERMS' order, the first kept one starting the sum with its sign.
+    A left-out term is a signed zero, and adding one leaves any nonzero sum as
+    it is, so every coefficient keeps its bits except, where it is zero, its
+    sign, which no norm sees."""
     u, v = list(U), list(V)
-    P = np.empty((4,) + np.broadcast(u[0], v[0]).shape)
+    table = _kept_terms(tuple(p is not None for p in u))
+    (_, k, l), *_ = table[0]
+    P = np.empty((4,) + np.broadcast(u[k], v[l]).shape)
     term = np.empty(P.shape[1:])
-    for out, ((_, k, l), *rest) in zip(P, MUL_TERMS):
+    for out, ((sign, k, l), *rest) in zip(P, table):
         np.multiply(u[k], v[l], out)
+        if sign < 0:
+            np.negative(out, out)
         for sign, k, l in rest:
             _JOIN[sign](out, np.multiply(u[k], v[l], term), out)
     return P

@@ -4,7 +4,10 @@ verification suites.
 
 Exit status: 0 on success (and when all verification checks pass), 1 on a
 domain error (singular operator, null-cone input, ...) with a structured
-JSON object on stderr, 2 on usage errors, 3 on an internal error.
+JSON object on stderr, 2 on usage errors, 3 on an internal error.  A
+result that holds a NaN or an infinity, which neither JSON nor the CSV
+output can hold, is refused as a malformed input is, with exit status 2;
+only `verify` prints a NaN worst value, which fails its check.
 
 Each command imports only the modules it runs on: `calc` and `decompose`
 start without numpy.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,6 +89,26 @@ def _read_vector(path: Path):
     return _load(path, TVector.from_json)
 
 
+_NOT_FINITE = "the result holds a NaN or an infinity, which the output cannot hold"
+
+
+def _json(payload) -> str:
+    """payload as JSON text, refusing a NaN or an infinity as a ValueError:
+    json.dumps would print them as NaN or Infinity, which JSON does not have."""
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise ValueError(_NOT_FINITE) from None
+
+
+def _csv(x, residual: float) -> str:
+    """The solution x's rows, then the residual, as CSV text, refusing a
+    non-finite value as _json does."""
+    if not all(map(math.isfinite, [*x.coeffs.flat, residual])):
+        raise ValueError(_NOT_FINITE)
+    return x.to_csv() + "\n# residual," + fmt17(residual)
+
+
 def _emit(text: str, out: Path | None):
     if out is None:
         sys.stdout.write(text)
@@ -120,7 +144,7 @@ def _cmd_decompose(args) -> int:
         "vanishing_components": list(report.vanishing_components),
         "magnitudes": list(report.magnitudes),
     }
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(_json(payload) + "\n")
     return 0
 
 
@@ -134,10 +158,9 @@ def _cmd_solve(args) -> int:
     scale = b.norm()
     relative = residual / scale if scale > 0.0 else residual
     if args.format == "csv":
-        text = x.to_csv() + "\n# residual," + fmt17(relative)
+        text = _csv(x, relative)
     else:
-        payload = {"solution": x.to_json(), "residual": relative, "condition": list(T.condition())}
-        text = json.dumps(payload)
+        text = _json({"solution": x.to_json(), "residual": relative, "condition": list(T.condition())})
     _emit(text, args.out)
     return 0
 
@@ -146,7 +169,7 @@ def _cmd_norm(args) -> int:
     from .operators import TMatrix
 
     T = _load(args.matrix, TMatrix.from_json)
-    _emit(json.dumps(T.norms().to_json()), args.out)
+    _emit(_json(T.norms().to_json()), args.out)
     return 0
 
 
@@ -157,7 +180,7 @@ def _cmd_extend(args) -> int:
     Y = _load(args.submodule, Submodule.from_json)
     ystar = _load(args.functional, TFunctional.from_json)
     report = hahn_banach_extend(ystar, Y)
-    _emit(json.dumps(report.to_json()), args.out)
+    _emit(_json(report.to_json()), args.out)
     return 0
 
 

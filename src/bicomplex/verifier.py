@@ -31,7 +31,6 @@ from ._arrays import add_in_turn, frozen_coeffs, hat_merge, hat_split, mul4, pla
 from ._arrays import plane_hat_merge, plane_hat_split, plane_mul4, plane_norm4, plane_vec_norm4
 from ._floats import SQRT2
 from .errors import MALFORMED, CheckCrashed, UnknownCheckId
-from .functionals import TFunctional, hahn_banach_extend, lift_real
 from .operators import TMatrix
 from .scalar import E1, E2, ONE, Bicomplex
 from .tmodule import Submodule, TVector
@@ -94,12 +93,12 @@ class _Best:
         """Record the first NaN of `values` (an array or one float), else the
         first of its largest if that beats the worst so far; only then build
         its witness, make_witness(index)."""
-        values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-        if values.size == 0 or np.isnan(self.value):
+        values = np.asarray(values, dtype=np.float64)
+        if values.size == 0 or math.isnan(self.value):
             return
-        k = int(np.argmax(values))  # numpy's argmax stops at the first NaN
-        v = float(values[k])
-        if np.isnan(v) or v > self.value:
+        k = int(values.argmax())  # numpy's argmax stops at the first NaN
+        v = float(values.flat[k])
+        if math.isnan(v) or v > self.value:
             self.value = v
             self.witness = make_witness(k)
 
@@ -416,13 +415,24 @@ _HOMOGENEITY_PARTS = {
 }
 
 
+def _nonzero_planes(A) -> list:
+    """The planes of scalars A (4, rows), None for each that is all zero, so
+    that plane_mul4 leaves out its terms: b and c of e1, c and d of a complex
+    multiplier.  The test runs on every block and replay alike."""
+    return [p if p.any() else None for p in A]
+
+
+#: e1's planes for plane_mul4, with b = c = 0 left out.
+_E1_TERMS = _nonzero_planes(_E1_PLANE)
+
+
 def _homogeneity_values(part, A, X, nx=None) -> dict:
     """The violation of `part` at scalar planes A (4, rows), vector planes
     X (4, n, rows), whose norms nx the draw may pass."""
     formula = _HOMOGENEITY_PARTS.get(part)
     if formula is None:
         return {}
-    ns = plane_vec_norm4(plane_mul4(A, X))
+    ns = plane_vec_norm4(plane_mul4(_nonzero_planes(A), X))
     return {part: formula(ns, plane_norm4(A), plane_vec_norm4(X) if nx is None else nx)}
 
 
@@ -434,7 +444,7 @@ def _homogeneity_draw(rng, n: int, count: int):
         nx = plane_vec_norm4(X)
         yield "complex-exact", np.concatenate([z, np.zeros_like(z)]), X, nx
         yield "ring-bound", W, X, nx
-        yield "attainment", np.broadcast_to(_E1_PLANE, W.shape), plane_mul4(_E1_PLANE, G)
+        yield "attainment", np.broadcast_to(_E1_PLANE, W.shape), plane_mul4(_E1_TERMS, G)
 
 
 # --- translation-invariance ----------------------------------------------------
@@ -571,7 +581,7 @@ def _grouped(fn, *columns) -> list:
     rows = [None] * len(columns[0])
     for shape in sorted(groups):
         trials = groups[shape]
-        stacked = [np.stack([column[t] for t in trials]) for column in columns]
+        stacked = [np.array([column[t] for t in trials]) for column in columns]
         for t, row in zip(trials, fn(*stacked)):
             rows[t] = row
     return rows
@@ -858,6 +868,9 @@ def _hahn_banach_replay(n, generators, ystar, w, x) -> float:
     # One trial through the per-object API, which rounds as the stacked
     # kernels do, so each replay also checks the batched value against
     # Submodule, hahn_banach_extend, lift_real, TVector.scale and TFunctional.
+    # Only a replay needs the functionals layer, so a run does not import it.
+    from .functionals import TFunctional, hahn_banach_extend, lift_real
+
     Y = Submodule(int(n[0]), [TVector(g) for g in generators[0]])
     report = hahn_banach_extend(TFunctional(TVector(ystar[0])), Y)
     ext = report.extension
@@ -878,13 +891,16 @@ _SANDWICH_PARTS = ("sandwich", "left-attain", "right-attain")
 def _norm_sandwich_group(C):
     """Operators C (G, m, n, 4) -> (G, 3): the sandwich
     sup_norm <= idem_norm <= sqrt(2) * sup_norm, then its attainment on the
-    left (M2 replaced by 0) and on the right (M2 replaced by M1)."""
-    H = hat_split(C)
-    sup, idem = _split_norms(H)
+    left (M2 replaced by 0) and on the right (M2 replaced by M1).  All three
+    come from one SVD stack of C's hat components: the singular values of a
+    zero matrix are exact zeros, and a stacked SVD rounds each matrix as
+    alone, so the attaining operators' are (s1, 0) and (s1, s1) bit for bit."""
+    s1, s2 = (s[..., 0] for s in _arrays.pair_singular_values(hat_split(C)))
+    sup, idem = _arrays.operator_norms(s1, s2)
     sandwich = np.maximum(sup - idem, idem - SQRT2 * sup) / (1.0 + sup)
-    sup, idem = _split_norms(np.stack([H[0], np.zeros_like(H[0])]))
+    sup, idem = _arrays.operator_norms(s1, np.zeros_like(s1))
     left = np.abs(sup - idem) / (1.0 + sup)
-    sup, idem = _split_norms(H[[0, 0]])
+    sup, idem = _arrays.operator_norms(s1, s1)
     right = np.abs(idem - SQRT2 * sup) / (1.0 + sup)
     return np.stack([sandwich, left, right], axis=-1)
 

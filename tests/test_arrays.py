@@ -385,3 +385,47 @@ def test_plane_kernels_keep_the_bits_of_special_values():
         else:
             with pytest.raises(ValueError):
                 Bicomplex(*s) * Bicomplex(*t)
+
+
+def _dropped(P, zeros):
+    """The planes of P as plane_mul4 takes them, None for each index in zeros."""
+    return [None if k in zeros else p for k, p in enumerate(P)]
+
+
+def _assert_same_but_zero_signs(sparse, dense):
+    """Equal bits wherever dense is not a zero, equal magnitudes everywhere."""
+    nonzero = dense != 0.0
+    assert np.array_equal(_ubits(sparse[nonzero]), _ubits(dense[nonzero]))
+    assert np.array_equal(_ubits(np.abs(sparse)), _ubits(np.abs(dense)))
+
+
+# The scalar patterns scalar-homogeneity leaves out: c = d = 0 for a complex
+# multiplier, b = c = 0 for e1.
+@pytest.mark.parametrize("zeros", [(2, 3), (1, 2)], ids=["complex", "e1"])
+def test_plane_mul4_with_none_planes_keeps_the_bits_of_dense_zero_planes(zeros):
+    rng = np.random.default_rng([27, *zeros])
+    draws = [lambda shape: _magnitudes(rng, shape), lambda shape: rng.choice(SPECIAL, shape)]
+    with np.errstate(all="ignore"):
+        for draw in draws:
+            S, T, X = draw((4097, 4)), draw((4097, 4)), draw((4097, 3, 4))
+            S[:, list(zeros)] = rng.choice([0.0, -0.0], (4097, len(zeros)))
+            for V in (planes(T), planes(X)):
+                dense = _arrays.plane_mul4(planes(S), V)
+                sparse = _arrays.plane_mul4(_dropped(planes(S), zeros), V)
+                _assert_same_but_zero_signs(sparse, dense)
+                assert np.array_equal(_ubits(_arrays.plane_norm4(sparse)), _ubits(_arrays.plane_norm4(dense)))
+            assert np.array_equal(_ubits(_arrays.plane_vec_norm4(sparse)), _ubits(_arrays.plane_vec_norm4(dense)))
+
+
+def test_plane_mul4_leaves_out_any_zero_planes_of_the_scalars():
+    # Every pattern of known zeros on the scalar side, times scalar and
+    # vector planes: where a coefficient's first term is left out, the first
+    # kept one starts its sum with its sign.
+    rng = np.random.default_rng(28)
+    for size in range(1, 4):
+        for zeros in itertools.combinations(range(4), size):
+            S, T, X = _magnitudes(rng, (257, 4)), _magnitudes(rng, (257, 4)), _magnitudes(rng, (257, 2, 4))
+            S[:, list(zeros)] = 0.0
+            for V in (planes(T), planes(X)):
+                dense = _arrays.plane_mul4(planes(S), V)
+                _assert_same_but_zero_signs(_arrays.plane_mul4(_dropped(planes(S), zeros), V), dense)

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bicomplex import CHECK_IDS, Bicomplex, Submodule, TFunctional, TMatrix, TVector, _arrays, verifier
+from bicomplex import cli
 from bicomplex.cli import main
 
 
@@ -249,6 +251,27 @@ def test_matrix_dimensions_below_1_exit_2_naming_the_file_and_fields(capsys, tmp
     message = json.loads(err)["message"]
     assert (code, out) == (2, "")
     assert str(path) in message and "m and n must be at least 1, got m=-1, n=-1" in message
+
+
+def test_a_result_holding_nan_or_infinity_exits_2_and_prints_nothing(capsys, tmp_path):
+    # |a| + |d| passes DBL_MAX, so the first hat component overflows: the
+    # norms come out NaN and the hat magnitude infinite, which JSON and the
+    # CSV output cannot hold.  verify alone prints a NaN, as a failing check.
+    path, out_path = tmp_path / "big.json", tmp_path / "norms.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "entries": [[1e308, 0.0, 0.0, 0.9e308]]}))
+    refusal = {"error": "ValueError", "message": "the result holds a NaN or an infinity, which the output cannot hold"}
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(TMatrix.from_json(json.loads(path.read_text())).norms().sup_norm)
+        for argv in (["norm", str(path)], ["norm", str(path), "--out", str(out_path)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, json.loads(err)) == (2, "", refusal)
+    assert not out_path.exists()
+    code, out, err = run_cli(capsys, "decompose", "1e308 0 0 0.9e308")
+    assert (code, out, json.loads(err)) == (2, "", refusal)
+    for residual in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="NaN or an infinity"):
+            cli._csv(TVector.zero(1), residual)
+    assert cli._csv(TVector.zero(1), 0.0) == "0,0,0,0\n# residual,0"
 
 
 def test_norm_report(capsys, problem_files):

@@ -289,11 +289,12 @@ def hat_calls(monkeypatch):
 def test_the_operator_norm_checks_split_each_operand_once(hat_calls):
     # At seed 42 the 400 trials of norm-sandwich and of compose-norm meet all
     # 64 operator shapes (m, n), and continuity-bounded's 200 trials 63 of
-    # them.  norm-sandwich splits each shape group once and hands its
-    # attaining operators (M1, 0) and (M1, M1) on as hat stacks; compose-norm
-    # splits each left and each right operand shape once and takes the
-    # products and all three norms from those splits; continuity-bounded
-    # splits each group's operators and points, and merges the two images.
+    # them.  norm-sandwich splits each shape group once and takes the norms
+    # of its attaining operators (M1, 0) and (M1, M1) from the singular
+    # values of M1, building neither; compose-norm splits each left and each
+    # right operand shape once and takes the products and all three norms
+    # from those splits; continuity-bounded splits each group's operators and
+    # points, and merges the two images.
     counts = {}
     for check_id in ("norm-sandwich", "compose-norm", "continuity-bounded"):
         hat_calls.clear()

@@ -62,7 +62,16 @@ def test_extend_loads_the_extension_layers_and_not_the_verifier(tmp_path):
 
 
 def test_verify_loads_every_layer_it_checks():
+    # The functionals layer is loaded only to replay a hahn-banach witness.
     code = "from bicomplex.cli import main\nmain(['verify', '--check', 'ring-axioms', '--trials', '2'])"
+    assert heavy_loaded_after(code) == set(HEAVY) - {"bicomplex.functionals"}
+    code = "from bicomplex.cli import main\nmain(['verify', '--all', '--trials', '2'])"
+    assert heavy_loaded_after(code) == set(HEAVY) - {"bicomplex.functionals"}
+    code = """
+from bicomplex.verifier import default_config, replay_witness, run_check
+report = run_check(default_config("hahn-banach", trials=2))
+assert replay_witness("hahn-banach", report.worst_witness) == report.worst_value
+"""
     assert heavy_loaded_after(code) == set(HEAVY)
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from bicomplex import CHECK_IDS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -69,13 +71,13 @@ def test_microbench_prints_the_table_at_tiny_repetitions(capsys, monkeypatch):
     done = run_script("microbench.py", "--number", "1", "--against", str(ROOT), "--json")
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report["against"] == str(ROOT) and len(report["rows"]) == 1 + 3 * 24 + 7
+    assert report["against"] == str(ROOT) and len(report["rows"]) == 1 + 3 * 24 + 18
     assert {row["n"] for row in report["rows"]} == {"-", 2, 8, 64}
     assert all(row["this_us"] > 0.0 and row["against_us"] > 0.0 and row["rounds"] == 31 for row in report["rows"])
     lines = microbench.compare_table(report["rows"]).splitlines()
-    assert lines[0] == "| operation | n | this µs | against µs | change | wins |" and len(lines) == 2 + 1 + 3 * 24 + 7
-    assert lines[2].startswith("| control | - | ") and lines[-8].startswith("| extend warm | 64 | ")
-    assert lines[-1].startswith("| check homeomorphism-Mlambda | - | ")
+    assert lines[0] == "| operation | n | this µs | against µs | change | wins |" and len(lines) == 2 + 1 + 3 * 24 + 18
+    assert lines[2].startswith("| control | - | ") and lines[-19].startswith("| extend warm | 64 | ")
+    assert [line.split(" | ")[0] for line in lines[-18:]] == [f"| check {check_id}" for check_id in CHECK_IDS]
     assert all(line.endswith("/31 |") for line in lines[2:])
 
 

@@ -765,3 +765,34 @@ def test_a_nan_trial_fails_verify_and_hides_no_violation(monkeypatch):
     assert not report.passed
     assert np.isnan(report.worst_value)
     assert report.worst_witness
+
+
+def _three_stack_sandwich(C):
+    """norm-sandwich's parts from three SVD stacks: of C's hat components
+    (M1, M2), of the left attaining (M1, 0) and of the right one (M1, M1)."""
+    H = _arrays.hat_split(C)
+    sup, idem = verifier._split_norms(H)
+    sandwich = np.maximum(sup - idem, idem - SQRT2 * sup) / (1.0 + sup)
+    sup, idem = verifier._split_norms(np.stack([H[0], np.zeros_like(H[0])]))
+    left = np.abs(sup - idem) / (1.0 + sup)
+    sup, idem = verifier._split_norms(H[[0, 0]])
+    right = np.abs(idem - SQRT2 * sup) / (1.0 + sup)
+    return np.stack([sandwich, left, right], axis=-1)
+
+
+def test_norm_sandwich_takes_the_attaining_norms_from_one_svd_with_the_same_bits():
+    # A zero matrix's singular values are exact zeros, and a stacked SVD rounds
+    # each matrix as alone.  Random groups of every shape, at scales whose
+    # squares vanish or overflow and take the scaled fallback; zero
+    # operators; rank-1 operators T = u v^T, and ones whose M2 or M1 is zero.
+    rng = np.random.default_rng(30)
+    groups = [scale * rng.uniform(-1.0, 1.0, (5, m, n, 4))
+              for m in range(1, 9) for n in range(1, 9) for scale in (1.0, 1e-160, 1e160)]
+    groups.append(np.zeros((3, 2, 3, 4)))
+    u, v = rng.uniform(-1.0, 1.0, (4, 6, 4)), rng.uniform(-1.0, 1.0, (4, 5, 4))
+    rank_one = _arrays.mul4(u[:, :, None], v[:, None])
+    H = _arrays.hat_split(rank_one)
+    groups += [rank_one, _arrays.hat_merge(H[0], 0.0 * H[1]), _arrays.hat_merge(0.0 * H[0], H[1])]
+    for C in groups:
+        expected = _three_stack_sandwich(C)
+        assert np.array_equal(verifier._norm_sandwich_group(C).view(np.int64), expected.view(np.int64)), C.shape
