@@ -1,24 +1,16 @@
 #!/usr/bin/env python3
-"""Time the package in cold processes, or call by call against a second tree.
+"""Time the package call by call against the one of a second tree, in one process.
 
-By default the script prints, for 5 fresh processes each, the median wall
-time and the median CPU time of the child (user + system, from
-`getrusage`) in milliseconds: `import bicomplex`, then each of the six
-commands through `python -m bicomplex` at n = 8, `verify` at `--trials 3`.
-`calc` and `decompose` do not import numpy.  Wall time of a short process
-moves with the machine's load; its CPU time moves far less.
-
-With --against DIR the script compares two trees in one process instead;
-DIR may be this tree, to see how far one process's rounds spread.  It
-imports the package under DIR/src as `bicomplex_against`, next to the one
-under test, and runs each call on both, call by call, the first of each
-pair alternating, for ROUNDS rounds of --number calls (by default a
-twentieth of what takes 0.2 s).  The calls are the per-object operator
-path at n = 2, 8 and 64.  *Warm* reuses one operator that has solved once,
-so its hat split and inverse are cached; accepting it took no SVD, so its
-singular values are not, and it took a determinant only where the AM-GM
-bounds on it fall short of the null-cone floor (here at n = 64, not at n = 2
-or 8).  *Cold* builds the operator from its raw coefficient array inside
+--against DIR names that tree; DIR may be this tree, to see how far one
+process's rounds spread.  The script imports the package under DIR/src as
+`bicomplex_against`, next to the one under test, and runs each call on
+both, call by call, the first of each pair alternating, for ROUNDS rounds
+of --number calls (by default a twentieth of what takes 0.2 s).  The calls
+are the per-object operator path at n = 2, 8 and 64.  *Warm* reuses one
+operator that has solved once, so its hat split and inverse are cached;
+accepting it took no SVD, so its singular values are not, and it took a
+determinant only where the AM-GM bounds on it fall short of the null-cone
+floor (here at n = 64, not at n = 2 or 8).  *Cold* builds the operator from its raw coefficient array inside
 the call.  Every call builds its argument vector from a raw array, as a
 request would.  The chained calls feed one warm operator's result to the
 next call, and `separating_functional` runs against a warm submodule of n/2
@@ -39,13 +31,13 @@ run each verifier check once, `run_check` at seed 42 and the smaller of its
 default trials and CHECK_TRIALS (two full blocks of a scalar check, 1000
 trials in each dimension of a vector check, every default trial of an
 operator check), so that a change to a kernel is timed check by check in
-one process.  Each row gives both sides' medians
-over the rounds, the relative change and the rounds this tree won; the cold
-processes are not run.  Separate processes of the same tree differed here
-by up to 10%, where one process held the control within 1%.  --json prints
-either result as one JSON object.
+one process.  Each row gives both sides' medians over the rounds, the
+relative change and the rounds this tree won.  Separate processes of the
+same tree differed by up to 10%, where one process held the control within
+1%.  Cold processes, the import and the six commands, are timed by the
+benchmark's `cli` workload (`bench/run.py --trace 1`, its `cli.*` metrics).
+--json prints the rows as one JSON object.
 
-    python scripts/microbench.py
     python scripts/microbench.py --against /path/to/parent/tree
     python scripts/microbench.py --against . --number 100 --json
 """
@@ -60,11 +52,8 @@ import argparse  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
-import resource  # noqa: E402
 import statistics  # noqa: E402
-import subprocess  # noqa: E402
 import sys  # noqa: E402
-import tempfile  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -72,10 +61,9 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 import bicomplex  # noqa: E402
-from bicomplex import Submodule, TFunctional, TMatrix, TVector  # noqa: E402
+from bicomplex import TMatrix  # noqa: E402
 
 SIZES = (2, 8, 64)
-REPEAT = 5
 ROUNDS = 31
 AGAINST = "bicomplex_against"
 CHECK_TRIALS = 8_000
@@ -206,74 +194,16 @@ def compare_table(rows: list) -> str:
     return "\n".join(lines)
 
 
-def _child_cpu_s() -> float:
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
-
-
-def _cold_ms(args: list, env: dict) -> tuple:
-    """Median wall and child CPU milliseconds of REPEAT fresh `python args` processes."""
-    walls, cpus = [], []
-    for _ in range(REPEAT):
-        cpu, start = _child_cpu_s(), time.perf_counter()
-        subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
-        walls.append(time.perf_counter() - start)
-        cpus.append(_child_cpu_s() - cpu)
-    return statistics.median(walls) * 1e3, statistics.median(cpus) * 1e3
-
-
-def cold_start() -> dict:
-    """Milliseconds to start a fresh process on the imported package: the bare
-    import, and each command through `python -m bicomplex` at n = 8."""
-    src = str(Path(bicomplex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    rng = np.random.default_rng(8)
-    with tempfile.TemporaryDirectory() as work:
-        objects = {
-            "matrix": TMatrix(_conditioned(rng, 8)),
-            "vector": TVector(rng.uniform(-1.0, 1.0, (8, 4))),
-            "submodule": Submodule(8, [TVector(rng.uniform(-1.0, 1.0, (8, 4))) for _ in range(3)]),
-            "functional": TFunctional(rng.uniform(-1.0, 1.0, (8, 4))),
-        }
-        files = {name: str(Path(work) / f"{name}.json") for name in objects}
-        for name, obj in objects.items():
-            Path(files[name]).write_text(json.dumps(obj.to_json()))
-        commands = {
-            "calc": ["calc", "1 2 3 4", "mul", "0.5 0 0 -0.5"],
-            "decompose": ["decompose", "1 2 3 4"],
-            "solve": ["solve", files["matrix"], files["vector"]],
-            "norm": ["norm", files["matrix"]],
-            "extend": ["extend", files["submodule"], files["functional"]],
-            "verify": ["verify", "--all", "--trials", "3"],
-        }
-        times = {"`import bicomplex`": _cold_ms(["-c", "import bicomplex"], env)}
-        for name, argv in commands.items():
-            times[f"`python -m bicomplex {name}`"] = _cold_ms(["-m", "bicomplex", *argv], env)
-        return times
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--number", type=int, default=None,
-                        help="calls per round of --against (default: a twentieth of what takes 0.2 s)")
-    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+    parser.add_argument("--against", type=Path, required=True, metavar="DIR",
                         help="interleave every per-object call with the package of the tree DIR")
+    parser.add_argument("--number", type=int, default=None,
+                        help="calls per round (default: a twentieth of what takes 0.2 s)")
     parser.add_argument("--json", action="store_true", help="print one JSON object instead of the table")
     args = parser.parse_args()
-    if args.number is not None and args.against is None:
-        parser.error("--number sets the calls of --against; the cold processes take none")
-    if args.against is not None:
-        rows = compare(import_tree(args.against.resolve()), args.number)
-        print(json.dumps({"against": str(args.against), "rows": rows}) if args.json else compare_table(rows))
-        return 0
-    cold = cold_start()
-    if args.json:
-        print(json.dumps({"cold_process_ms": {
-            label.strip("`"): {"median": wall, "child_cpu": cpu} for label, (wall, cpu) in cold.items()}}))
-        return 0
-    print("| cold process | median ms | child CPU ms |\n|---|---|---|")
-    for label, (wall, cpu) in cold.items():
-        print(f"| {label} | {wall:.1f} | {cpu:.1f} |")
+    rows = compare(import_tree(args.against.resolve()), args.number)
+    print(json.dumps({"against": str(args.against), "rows": rows}) if args.json else compare_table(rows))
     return 0
 
 

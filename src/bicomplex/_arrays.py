@@ -161,12 +161,6 @@ def vec_norm4(C: np.ndarray) -> np.ndarray:
     return np.sqrt(add_in_turn(Q[..., 0] + Q[..., 1] + Q[..., 2] + Q[..., 3]))
 
 
-def norm4(C: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the trailing coefficient axis: (..., 4) -> (...),
-    vec_norm4 of one entry, with Bicomplex.norm's order of sums."""
-    return vec_norm4(C[..., None, :])
-
-
 # Coefficient planes (4, ..., rows) hold a stack of `rows` scalars (4, rows)
 # or vectors (4, n, rows) with the row axis last, so that each pass of the
 # kernels below is one long contiguous loop; row by row, they give the bits
@@ -242,7 +236,7 @@ def _plane_squares(P: np.ndarray) -> np.ndarray:
 
 
 def plane_norm4(P: np.ndarray) -> np.ndarray:
-    """norm4 on planes: (4, ..., rows) -> (..., rows)."""
+    """Each scalar's norm on planes, vec_norm4 of one entry: (4, ..., rows) -> (..., rows)."""
     return np.sqrt(_plane_squares(P))
 
 

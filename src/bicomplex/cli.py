@@ -7,7 +7,8 @@ domain error (singular operator, null-cone input, ...) with a structured
 JSON object on stderr, 2 on usage errors, 3 on an internal error.  A
 result that holds a NaN or an infinity, which neither JSON nor the CSV
 output can hold, is refused as a malformed input is, with exit status 2;
-only `verify` prints a NaN worst value, which fails its check.
+only `verify` prints a NaN worst value, which fails its check.  An error
+object on stderr writes a NaN or an infinity as null.
 
 Each command imports only the modules it runs on: `calc` and `decompose`
 start without numpy.
@@ -99,6 +100,16 @@ def _json(payload) -> str:
         return json.dumps(payload, allow_nan=False)
     except ValueError:
         raise ValueError(_NOT_FINITE) from None
+
+
+def _error(payload: dict) -> None:
+    """Write an error object as one line of JSON on stderr, each NaN or
+    infinity in its lists of numbers as null: JSON has neither."""
+    def finite(x):
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+
+    payload = {key: list(map(finite, value)) if isinstance(value, list) else value for key, value in payload.items()}
+    sys.stderr.write(json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _csv(x, residual: float) -> str:
@@ -224,8 +235,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))  # exits with status 2
         return 2
     except CheckCrashed as exc:  # a fault of the program, not of the command line
-        payload = {"error": "InternalError", "check_id": exc.check_id, "message": str(exc)}
-        sys.stderr.write(json.dumps(payload) + "\n")
+        _error({"error": "InternalError", "check_id": exc.check_id, "message": str(exc)})
         return 3
     except BicomplexError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
@@ -236,10 +246,10 @@ def main(argv=None) -> int:
             report = exc.report
             payload["vanishing_components"] = list(report.vanishing_components)
             payload["magnitudes"] = list(report.magnitudes)
-        sys.stderr.write(json.dumps(payload) + "\n")
+        _error(payload)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        _error({"error": type(exc).__name__, "message": str(exc)})
         return 2
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _arrays
 from ._arrays import hat_split, pair_norms, unit_multiples
-from ._floats import vanishing
+from ._floats import SINGULAR_TOL, vanishing
 from .errors import (
     ComponentInNullDistance,
     DimensionMismatch,
@@ -36,10 +36,6 @@ from .errors import (
 from .operators import NormReport
 from .scalar import Bicomplex
 from .tmodule import SPAN_TOL, Submodule, TVector
-
-#: Relative tolerance below which separating_functional and
-#: norming_functional treat a hat component as vanishing (null-cone input).
-NULL_CONE_TOL = 1e-12
 
 
 class TFunctional:
@@ -286,7 +282,7 @@ def separating_functional(x: TVector, Y: Submodule) -> SeparationResult:
     raised (a strictly stronger hypothesis than d > 0 alone).
     """
     result = Y.distance_to(x)
-    bad = vanishing(result.d1, result.d2, NULL_CONE_TOL * x.norm())
+    bad = vanishing(result.d1, result.d2, SINGULAR_TOL * x.norm())
     if bad:
         raise ComponentInNullDistance(bad, (result.d1, result.d2))
     d = np.array([[result.d1], [result.d2]])
@@ -321,7 +317,7 @@ def norming_functional(x: TVector) -> NormingResult:
     """
     H = x.split()
     n1, n2 = pair_norms(*H)
-    bad = vanishing(n1, n2, NULL_CONE_TOL * x.norm())
+    bad = vanishing(n1, n2, SINGULAR_TOL * x.norm())
     if bad:
         raise NullConeVector(bad)
     n = np.array([[n1], [n2]])

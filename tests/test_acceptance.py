@@ -27,7 +27,7 @@ from bicomplex import (
     lift_real,
     norming_functional,
 )
-from bicomplex._arrays import hat_merge, hat_split, mul4, norm4
+from bicomplex._arrays import hat_merge, hat_split, mul4, vec_norm4
 from oracles import sampled_sup_norm
 
 SQRT2 = math.sqrt(2.0)
@@ -52,7 +52,7 @@ def test_criterion_02_norm_representation_identity():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     W = rng.uniform(-1.0, 1.0, (1_000_000, 4))
-    norms = norm4(W)
+    norms = vec_norm4(W[:, None])
     h1, h2 = hat_split(W)
     idem = np.sqrt((np.abs(h1) ** 2 + np.abs(h2) ** 2) / 2.0)
     worst = float(np.max(np.abs(norms - idem) / (1.0 + norms)))
@@ -71,9 +71,9 @@ def test_criterion_03_submultiplicativity():
     rng = np.random.default_rng(3033)
     S = rng.uniform(-1.0, 1.0, (1_000_000, 4))
     T = rng.uniform(-1.0, 1.0, (1_000_000, 4))
-    denom = norm4(S) * norm4(T)
+    denom = vec_norm4(S[:, None]) * vec_norm4(T[:, None])
     keep = denom > 0
-    ratios = norm4(mul4(S[keep], T[keep])) / denom[keep]
+    ratios = vec_norm4(mul4(S[keep], T[keep])[:, None]) / denom[keep]
     max_ratio = float(np.max(ratios))
     witness_ratio = (E1 * E1).norm() / (E1.norm() * E1.norm())
     ok = max_ratio <= SQRT2 + 1e-12 and abs(witness_ratio - SQRT2) <= 1e-14
@@ -93,7 +93,7 @@ def test_criterion_04_inverse_correctness():
         filled += len(good)
     h1, h2 = hat_split(rows)
     inverses = hat_merge(1.0 / h1, 1.0 / h2)
-    residual = norm4(mul4(rows, inverses) - np.array([1.0, 0.0, 0.0, 0.0]))
+    residual = vec_norm4((mul4(rows, inverses) - np.array([1.0, 0.0, 0.0, 0.0]))[:, None])
     m1, m2 = np.abs(h1), np.abs(h2)
     kappa = np.maximum(m1, m2) / np.minimum(m1, m2)
     worst = float(np.max(residual / kappa))

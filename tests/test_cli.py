@@ -196,9 +196,22 @@ def test_solve_singular_matrix_exits_1(capsys, tmp_path):
     vector.write_text(json.dumps(TVector.zero(2).to_json()))
     code, _, err = run_cli(capsys, "solve", str(matrix), str(vector))
     assert code == 1
-    payload = json.loads(err)
+    payload = json.loads(err, parse_constant=_not_json)
     assert payload["error"] == "SingularOperator"
     assert payload["components"] == [2]
+    assert payload["condition"] == [1.0, None]  # the infinite condition of component 2, as JSON holds it
+    # |a| + |d| passes DBL_MAX, so component 1's singular value comes out
+    # NaN (ROADMAP item 2): whatever solve decides, what it writes is JSON.
+    matrix.write_text(json.dumps({"m": 1, "n": 1, "entries": [[1e308, 0.0, 0.0, 0.9e308]]}))
+    vector.write_text(json.dumps(TVector.zero(1).to_json()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "solve", str(matrix), str(vector))
+    assert code in (0, 1)
+    json.loads(out or err, parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
 
 
 _ONE = [[1.0, 0.0, 0.0, 0.0]]

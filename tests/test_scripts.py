@@ -50,35 +50,31 @@ def test_run_verification_reports_a_bad_argument_as_a_usage_error(argument):
 
 
 def test_microbench_prints_the_table_at_tiny_repetitions(capsys, monkeypatch):
+    # The script's one mode needs a second tree: without --against, a usage error.
+    done = run_script("microbench.py")
+    assert done.returncode == 2 and "--against" in done.stderr and done.stdout == ""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))  # the script sets them on import
     microbench = _script("microbench")
-    monkeypatch.setattr(microbench, "REPEAT", 1)
-    monkeypatch.setattr(sys, "argv", ["microbench.py"])
-    assert microbench.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["| cold process | median ms | child CPU ms |", "|---|---|---|"] and len(lines) == 9
-    assert [line.split(" | ")[0] for line in lines[2:]] == ["| `import bicomplex`"] + [
-        f"| `python -m bicomplex {command}`" for command in ("calc", "decompose", "solve", "norm", "extend", "verify")
-    ]
-    assert all(float(cell) > 0.0 for line in lines[2:] for cell in line.rstrip(" |").split(" | ")[1:])
-    monkeypatch.setattr(sys, "argv", ["microbench.py", "--number", "1"])
-    with pytest.raises(SystemExit) as usage:  # only --against takes --number
-        microbench.main()
-    assert usage.value.code == 2
+    monkeypatch.setattr(microbench, "ROUNDS", 1)
+    monkeypatch.setattr(microbench, "CHECK_TRIALS", 1)
     # Against a second tree, here this one imported again under another name:
     # one measurement, read as JSON and as the table it prints.
-    done = run_script("microbench.py", "--number", "1", "--against", str(ROOT), "--json")
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    monkeypatch.setattr(sys, "argv", ["microbench.py", "--number", "1", "--against", str(ROOT), "--json"])
+    try:
+        assert microbench.main() == 0
+    finally:  # the second import leaves no module behind for the tests after this one
+        for name in [name for name in sys.modules if name.partition(".")[0] == microbench.AGAINST]:
+            del sys.modules[name]
+    report = json.loads(capsys.readouterr().out)
     assert report["against"] == str(ROOT) and len(report["rows"]) == 1 + 3 * 24 + 18
     assert {row["n"] for row in report["rows"]} == {"-", 2, 8, 64}
-    assert all(row["this_us"] > 0.0 and row["against_us"] > 0.0 and row["rounds"] == 31 for row in report["rows"])
+    assert all(row["this_us"] > 0.0 and row["against_us"] > 0.0 and row["rounds"] == 1 for row in report["rows"])
     lines = microbench.compare_table(report["rows"]).splitlines()
     assert lines[0] == "| operation | n | this µs | against µs | change | wins |" and len(lines) == 2 + 1 + 3 * 24 + 18
     assert lines[2].startswith("| control | - | ") and lines[-19].startswith("| extend warm | 64 | ")
     assert [line.split(" | ")[0] for line in lines[-18:]] == [f"| check {check_id}" for check_id in CHECK_IDS]
-    assert all(line.endswith("/31 |") for line in lines[2:])
+    assert all(line.endswith("/1 |") for line in lines[2:])
 
 
 def test_bench_pairs_compares_one_pair_of_identical_trees(tmp_path):
